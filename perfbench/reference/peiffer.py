@@ -1,0 +1,524 @@
+"""Y-sequences over a group presentation and the Peiffer move calculus.
+
+A Y-symbol is a relator conjugated by a free-group word, with a sign; its
+boundary is u r^e u^-1.  Sequences of Y-symbols are rewritten by four moves:
+two exchanges that slide adjacent symbols past each other (twisting one
+conjugator by the other symbol's boundary), deletion of an adjacent inverse
+pair, and insertion of such a pair.  All four preserve the boundary product.
+
+Equality of symbols is componentwise on the reduced conjugator, so deletion
+legality is syntactic.  The trivialization search is a bounded
+iterative-deepening walk of the move graph; it returns a replayable
+certificate or EXHAUSTED, never a refutation.
+"""
+from __future__ import annotations
+
+import enum
+import random
+from dataclasses import dataclass
+from typing import Sequence
+
+from .partial import EXHAUSTED
+from .presentations import GroupPresentation
+from .words import (
+    AlphabetError,
+    FreeWord,
+    conjugate,
+    empty_word,
+    invert,
+    multiply,
+    word_from_text,
+    word_to_text,
+)
+
+
+class IllegalMoveError(ValueError):
+    pass
+
+
+class NotIdentityError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class YSymbol:
+    relator: str
+    conjugator: FreeWord
+    sign: int
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+
+    def inverse(self) -> YSymbol:
+        return YSymbol(self.relator, self.conjugator, -self.sign)
+
+    def sort_key(self):
+        return (self.relator, len(self.conjugator.letters), self.conjugator.letters, self.sign)
+
+
+@dataclass(frozen=True)
+class YSequence:
+    presentation: GroupPresentation
+    symbols: tuple[YSymbol, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.symbols, tuple):
+            object.__setattr__(self, "symbols", tuple(self.symbols))
+        for s in self.symbols:
+            if s.relator not in self.presentation:
+                raise KeyError(f"unknown relator {s.relator!r}")
+            if s.conjugator.alphabet != self.presentation.alphabet:
+                raise AlphabetError(f"conjugator of {s.relator!r} over the wrong alphabet")
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def concat(self, other: YSequence) -> YSequence:
+        if other.presentation != self.presentation:
+            raise ValueError("sequences over different presentations")
+        return YSequence(self.presentation, self.symbols + other.symbols)
+
+
+def empty_sequence(gp: GroupPresentation) -> YSequence:
+    return YSequence(gp, ())
+
+
+def symbol_boundary(gp: GroupPresentation, s: YSymbol) -> FreeWord:
+    r = gp.relator(s.relator)
+    return conjugate(s.conjugator, r if s.sign > 0 else invert(r))
+
+
+def boundary(d: YSequence) -> FreeWord:
+    acc = empty_word(d.presentation.alphabet)
+    for s in d.symbols:
+        acc = multiply(acc, symbol_boundary(d.presentation, s))
+    return acc
+
+
+def is_identity(d: YSequence) -> bool:
+    return boundary(d).is_identity
+
+
+def inverse_sequence(d: YSequence) -> YSequence:
+    """Reverse order, flipped signs, same conjugators."""
+    return YSequence(d.presentation, tuple(s.inverse() for s in reversed(d.symbols)))
+
+
+def conjugate_sequence(w: FreeWord, d: YSequence) -> YSequence:
+    """Multiply every conjugator by w on the left; boundary is conjugated by w."""
+    if w.alphabet != d.presentation.alphabet:
+        raise AlphabetError("conjugating word over the wrong alphabet")
+    return YSequence(
+        d.presentation,
+        tuple(YSymbol(s.relator, multiply(w, s.conjugator), s.sign) for s in d.symbols),
+    )
+
+
+def insertion_generator(a: YSymbol, gp: GroupPresentation) -> YSequence:
+    return YSequence(gp, (a, a.inverse()))
+
+
+def fiber_pair(n0: FreeWord, d: YSequence) -> YSequence:
+    """The identity sequence (conjugate of d by n0) followed by the formal
+    inverse of d."""
+    if not is_identity(d):
+        raise NotIdentityError("fiber_pair needs an identity sequence")
+    return conjugate_sequence(n0, d).concat(inverse_sequence(d))
+
+
+# --- moves -------------------------------------------------------------------
+
+
+class MoveKind(enum.Enum):
+    DELETE = "Delete"
+    EXCHANGE_L = "ExchangeL"
+    EXCHANGE_R = "ExchangeR"
+    INSERT = "Insert"
+
+
+_KIND_RANK = {
+    MoveKind.DELETE: 0,
+    MoveKind.EXCHANGE_L: 1,
+    MoveKind.EXCHANGE_R: 2,
+    MoveKind.INSERT: 3,
+}
+
+
+@dataclass(frozen=True)
+class Move:
+    kind: MoveKind
+    pos: int
+    symbol: YSymbol | None = None  # Insert only
+
+    def __post_init__(self):
+        if (self.kind is MoveKind.INSERT) != (self.symbol is not None):
+            raise ValueError("exactly the Insert move carries a symbol")
+
+    def sort_key(self):
+        sym = self.symbol.sort_key() if self.symbol is not None else ()
+        return (_KIND_RANK[self.kind], self.pos, sym)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    moves: tuple[Move, ...]
+    pool_spec: str = ""
+
+    def __len__(self) -> int:
+        return len(self.moves)
+
+
+def _deletable(a: YSymbol, b: YSymbol) -> bool:
+    return a.relator == b.relator and a.conjugator == b.conjugator and a.sign == -b.sign
+
+
+def apply_move(d: YSequence, m: Move) -> YSequence:
+    gp = d.presentation
+    syms = d.symbols
+    n = len(syms)
+    if m.kind is MoveKind.INSERT:
+        if not 0 <= m.pos <= n:
+            raise IllegalMoveError(f"insert position {m.pos} out of range 0..{n}")
+        a = m.symbol
+        assert a is not None
+        return YSequence(gp, syms[: m.pos] + (a, a.inverse()) + syms[m.pos :])
+    if not 0 <= m.pos <= n - 2:
+        raise IllegalMoveError(f"position {m.pos} has no adjacent pair in length {n}")
+    a, b = syms[m.pos], syms[m.pos + 1]
+    if m.kind is MoveKind.DELETE:
+        if not _deletable(a, b):
+            raise IllegalMoveError(f"pair at {m.pos} is not an adjacent inverse pair")
+        return YSequence(gp, syms[: m.pos] + syms[m.pos + 2 :])
+    if m.kind is MoveKind.EXCHANGE_L:
+        # (a, b) -> (b twisted by a's boundary, a)
+        twist = multiply(symbol_boundary(gp, a), b.conjugator)
+        new = YSymbol(b.relator, twist, b.sign)
+        return YSequence(gp, syms[: m.pos] + (new, a) + syms[m.pos + 2 :])
+    if m.kind is MoveKind.EXCHANGE_R:
+        # (a, b) -> (b, a twisted by b's inverse boundary)
+        twist = multiply(symbol_boundary(gp, b.inverse()), a.conjugator)
+        new = YSymbol(a.relator, twist, a.sign)
+        return YSequence(gp, syms[: m.pos] + (b, new) + syms[m.pos + 2 :])
+    raise IllegalMoveError(f"unknown move kind {m.kind}")
+
+
+def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]:
+    """All moves applicable to d, in deterministic order: deletions first,
+    then exchanges, then insertions of pool symbols."""
+    n = len(d.symbols)
+    moves: list[Move] = []
+    for i in range(n - 1):
+        if _deletable(d.symbols[i], d.symbols[i + 1]):
+            moves.append(Move(MoveKind.DELETE, i))
+    for i in range(n - 1):
+        moves.append(Move(MoveKind.EXCHANGE_L, i))
+    for i in range(n - 1):
+        moves.append(Move(MoveKind.EXCHANGE_R, i))
+    for i in range(n + 1):
+        for sym in insert_pool:
+            moves.append(Move(MoveKind.INSERT, i, sym))
+    return moves
+
+
+# --- insert pools ------------------------------------------------------------
+
+
+def base_insert_pool(gp: GroupPresentation, conj_cap: int = 1) -> list[YSymbol]:
+    """Symbols with short conjugators: the empty word plus single letters,
+    up to the cap."""
+    alphabet = gp.alphabet
+    conjugators = [empty_word(alphabet)]
+    if conj_cap >= 1:
+        for name in alphabet.generators:
+            conjugators.append(word_from_text(alphabet, name))
+            conjugators.append(word_from_text(alphabet, f"{name}^-1"))
+    pool = [
+        YSymbol(rel, u, sign)
+        for rel in gp.relator_names
+        for u in conjugators
+        for sign in (1, -1)
+    ]
+    return sorted(pool, key=YSymbol.sort_key)
+
+
+def dynamic_insert_pool(d: YSequence, conj_cap: int = 8) -> list[YSymbol]:
+    """Symbols built from relators and conjugators already present in the
+    sequence, plus their one-step exchange products, capped by conjugator
+    length."""
+    gp = d.presentation
+    relators = sorted({s.relator for s in d.symbols})
+    conjugators = {s.conjugator for s in d.symbols}
+    for i in range(len(d.symbols) - 1):
+        a, b = d.symbols[i], d.symbols[i + 1]
+        conjugators.add(multiply(symbol_boundary(gp, a), b.conjugator))
+        conjugators.add(multiply(symbol_boundary(gp, b.inverse()), a.conjugator))
+    pool = [
+        YSymbol(rel, u, sign)
+        for rel in relators
+        for u in conjugators
+        if len(u.letters) <= conj_cap
+        for sign in (1, -1)
+    ]
+    return sorted(pool, key=YSymbol.sort_key)
+
+
+# --- scrambling (test-case generator) ----------------------------------------
+
+
+def scramble(
+    gp: GroupPresentation,
+    seed: int,
+    k: int,
+    conj_cap: int = 8,
+    insert_bias: float = 0.6,
+) -> tuple[YSequence, Certificate]:
+    """Apply k random legal moves starting from the empty sequence.
+
+    Insert-biased, so the result grows; it is an identity sequence by
+    construction.  Returns the sequence and the replayable move list.
+    """
+    rng = random.Random(seed)
+    seq = empty_sequence(gp)
+    moves = []
+    base = base_insert_pool(gp)
+    for _ in range(k):
+        pool = sorted(set(base) | set(dynamic_insert_pool(seq, conj_cap)), key=YSymbol.sort_key)
+        candidates = legal_moves(seq, ())
+        if not candidates or rng.random() < insert_bias:
+            m = Move(MoveKind.INSERT, rng.randrange(len(seq) + 1), rng.choice(pool))
+        else:
+            m = rng.choice(candidates)
+        seq = apply_move(seq, m)
+        moves.append(m)
+    return seq, Certificate(tuple(moves), pool_spec=f"scramble(seed={seed},cap={conj_cap})")
+
+
+def invert_certificate(start: YSequence, cert: Certificate) -> Certificate:
+    """Mechanical inverse: replay forward, recording the inverse of each
+    move, then reverse the list."""
+    inverse_moves = []
+    seq = start
+    for m in cert.moves:
+        if m.kind is MoveKind.INSERT:
+            inverse_moves.append(Move(MoveKind.DELETE, m.pos))
+        elif m.kind is MoveKind.DELETE:
+            inverse_moves.append(Move(MoveKind.INSERT, m.pos, seq.symbols[m.pos]))
+        elif m.kind is MoveKind.EXCHANGE_L:
+            inverse_moves.append(Move(MoveKind.EXCHANGE_R, m.pos))
+        else:
+            inverse_moves.append(Move(MoveKind.EXCHANGE_L, m.pos))
+        seq = apply_move(seq, m)
+    return Certificate(tuple(reversed(inverse_moves)), pool_spec=cert.pool_spec)
+
+
+# --- certificate replay -------------------------------------------------------
+
+
+def replay(d: YSequence, cert: Certificate) -> YSequence:
+    """Apply every move of the certificate; raises on an illegal move."""
+    seq = d
+    for m in cert.moves:
+        seq = apply_move(seq, m)
+    return seq
+
+
+@dataclass(frozen=True)
+class ReplayReport:
+    ok: bool
+    failed_step: int | None = None
+    reason: str = ""
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def verify_certificate(d: YSequence, cert: Certificate) -> ReplayReport:
+    seq = d
+    for i, m in enumerate(cert.moves):
+        try:
+            seq = apply_move(seq, m)
+        except (IllegalMoveError, KeyError, AlphabetError) as exc:
+            return ReplayReport(False, i, str(exc))
+    if seq.symbols:
+        return ReplayReport(False, len(cert.moves), f"final sequence has length {len(seq)}")
+    return ReplayReport(True)
+
+
+# --- bounded trivialization search --------------------------------------------
+
+
+class _Budget:
+    def __init__(self, nodes: int):
+        self.remaining = nodes
+
+    def spend(self) -> bool:
+        self.remaining -= 1
+        return self.remaining >= 0
+
+
+def _min_deletes(seq: YSequence, depth_limit: int) -> int:
+    """Admissible lower bound on moves to empty: length parity is invariant,
+    every deletion removes two symbols."""
+    n = len(seq.symbols)
+    return n // 2 if n % 2 == 0 else depth_limit + 1
+
+
+def search_trivialization(
+    d: YSequence,
+    node_budget: int = 50_000,
+    depth_limit: int | None = None,
+    conj_cap: int = 8,
+):
+    """Bounded search for a move list taking d to the empty sequence.
+
+    Iterative deepening; deletions are explored first, then exchanges, then
+    insertions drawn from the dynamic pool.  Deterministic: among minimal
+    certificates the lexicographically least move list is produced.  Returns
+    a Certificate or EXHAUSTED.
+    """
+    if not is_identity(d):
+        raise NotIdentityError("cannot trivialize: boundary is not the empty word")
+    if depth_limit is None:
+        depth_limit = 2 * len(d.symbols)
+    if not d.symbols:
+        return Certificate((), pool_spec=f"dynamic(cap={conj_cap})")
+
+    budget = _Budget(node_budget)
+
+    def dfs(seq: YSequence, g: int, limit: int, visited: dict, trail: list[Move]):
+        if not seq.symbols:
+            return list(trail)
+        if g + _min_deletes(seq, depth_limit) > limit:
+            return None
+        seen = visited.get(seq.symbols)
+        if seen is not None and seen <= g:
+            return None
+        visited[seq.symbols] = g
+        if not budget.spend():
+            raise _OutOfBudget
+        for m in legal_moves(seq, dynamic_insert_pool(seq, conj_cap)):
+            child = apply_move(seq, m)
+            trail.append(m)
+            found = dfs(child, g + 1, limit, visited, trail)
+            if found is not None:
+                return found
+            trail.pop()
+        return None
+
+    start_h = _min_deletes(d, depth_limit)
+    try:
+        for limit in range(start_h, depth_limit + 1):
+            found = dfs(d, 0, limit, {}, [])
+            if found is not None:
+                return Certificate(tuple(found), pool_spec=f"dynamic(cap={conj_cap})")
+    except _OutOfBudget:
+        pass
+    return EXHAUSTED
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def search_pair_crossing(
+    gp: GroupPresentation, b: YSymbol, a: YSymbol, node_budget: int = 64
+):
+    """Breadth-first witness that an inserted pair can cross a single symbol:
+    from (b, a, a^-1), reach a state whose first two symbols form a deletable
+    pair and whose last symbol is b.  Returns the move list or None."""
+    start = YSequence(gp, (b, a, a.inverse()))
+    frontier: list[tuple[YSequence, tuple[Move, ...]]] = [(start, ())]
+    seen = {start.symbols}
+    spent = 0
+    while frontier and spent < node_budget:
+        seq, trail = frontier.pop(0)
+        spent += 1
+        syms = seq.symbols
+        if len(syms) == 3 and _deletable(syms[0], syms[1]) and syms[2] == b:
+            return list(trail)
+        for m in legal_moves(seq, ()):
+            child = apply_move(seq, m)
+            if child.symbols not in seen:
+                seen.add(child.symbols)
+                frontier.append((child, trail + (m,)))
+    return None
+
+
+# --- words in the enveloping group of the exchange monoid ---------------------
+
+
+@dataclass(frozen=True)
+class FormalWord:
+    """Word over Y-symbols and their formal group inverses.
+
+    No cancellation is performed: a formal inverse of a symbol is not the
+    symbol with flipped sign.  Only the boundary map collapses them.
+    """
+
+    presentation: GroupPresentation
+    entries: tuple[tuple[YSymbol, int], ...]  # (symbol, formal sign)
+
+    def __post_init__(self):
+        for sym, fsign in self.entries:
+            if fsign not in (1, -1):
+                raise ValueError("formal sign must be +1 or -1")
+            if sym.relator not in self.presentation:
+                raise KeyError(f"unknown relator {sym.relator!r}")
+
+
+def formal_word_of(d: YSequence) -> FormalWord:
+    return FormalWord(d.presentation, tuple((s, 1) for s in d.symbols))
+
+
+def formal_boundary(g: FormalWord) -> FreeWord:
+    """Product of the symbol boundaries with formal signs applied; the kernel
+    membership test is emptiness of this word."""
+    acc = empty_word(g.presentation.alphabet)
+    for sym, fsign in g.entries:
+        w = symbol_boundary(g.presentation, sym)
+        acc = multiply(acc, w if fsign > 0 else invert(w))
+    return acc
+
+
+# --- JSON wire formats ---------------------------------------------------------
+
+
+def symbol_to_json(s: YSymbol) -> dict:
+    return {"rel": s.relator, "conj": word_to_text(s.conjugator), "sign": s.sign}
+
+
+def symbol_from_json(gp: GroupPresentation, data: dict) -> YSymbol:
+    return YSymbol(data["rel"], word_from_text(gp.alphabet, data["conj"]), int(data["sign"]))
+
+
+def ysequence_to_json(d: YSequence) -> list[dict]:
+    return [symbol_to_json(s) for s in d.symbols]
+
+
+def ysequence_from_json(gp: GroupPresentation, data: list[dict]) -> YSequence:
+    return YSequence(gp, tuple(symbol_from_json(gp, item) for item in data))
+
+
+def move_to_json(m: Move) -> dict:
+    out: dict = {"kind": m.kind.value, "pos": m.pos}
+    if m.symbol is not None:
+        out["symbol"] = symbol_to_json(m.symbol)
+    return out
+
+
+def move_from_json(gp: GroupPresentation, data: dict) -> Move:
+    kind = MoveKind(data["kind"])
+    symbol = symbol_from_json(gp, data["symbol"]) if "symbol" in data else None
+    return Move(kind, int(data["pos"]), symbol)
+
+
+def certificate_to_json(c: Certificate) -> dict:
+    return {"pool_spec": c.pool_spec, "moves": [move_to_json(m) for m in c.moves]}
+
+
+def certificate_from_json(gp: GroupPresentation, data: dict) -> Certificate:
+    return Certificate(
+        tuple(move_from_json(gp, m) for m in data["moves"]),
+        pool_spec=data.get("pool_spec", ""),
+    )

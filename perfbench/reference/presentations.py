@@ -1,0 +1,610 @@
+"""Group and monoid presentations and their transforms.
+
+Covers the presentation file grammar, the universal-group transform of a
+monoid presentation, single-occurrence generator elimination (yielding a
+retraction of free groups and the kernel/complement decomposition), labeled
+oriented tree presentations, and a budgeted Todd-Coxeter coset enumeration.
+
+File grammar (UTF-8 text, ``#`` starts a comment)::
+
+    group <name>            |  monoid <name>
+    gens <id> <id> ...
+    rel <name> = <word>     |  rel <word> = <word>
+    eliminate <id>          (optional, group files only)
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .partial import EXHAUSTED
+from .words import (
+    Alphabet,
+    AlphabetError,
+    FreeWord,
+    MonoidWord,
+    SignedLetter,
+    embed,
+    empty_word,
+    invert,
+    monoid_word_from_text,
+    multiply,
+    parse_letters,
+    reduce,
+    word_to_text,
+)
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, line: int, column: int = 1):
+        super().__init__(f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
+
+
+class NotReducibleError(ValueError):
+    """The requested generator cannot be eliminated."""
+
+
+@dataclass(frozen=True)
+class GroupPresentation:
+    name: str
+    alphabet: Alphabet
+    relators: tuple[tuple[str, FreeWord], ...]
+    eliminate: str | None = None  # optional `eliminate z` directive
+
+    def __post_init__(self):
+        seen = set()
+        for rel_name, word in self.relators:
+            if rel_name in seen:
+                raise ValueError(f"duplicate relator name {rel_name!r}")
+            seen.add(rel_name)
+            if word.alphabet != self.alphabet:
+                raise AlphabetError(f"relator {rel_name!r} is over the wrong alphabet")
+            if word.is_identity:
+                raise ValueError(f"relator {rel_name!r} is empty")
+        if self.eliminate is not None and self.eliminate not in self.alphabet:
+            raise AlphabetError(f"eliminate names unknown generator {self.eliminate!r}")
+
+    @property
+    def relator_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.relators)
+
+    def relator(self, name: str) -> FreeWord:
+        for rel_name, word in self.relators:
+            if rel_name == name:
+                return word
+        raise KeyError(f"no relator named {name!r}")
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.relator_names
+
+
+@dataclass(frozen=True)
+class MonoidPresentation:
+    name: str
+    alphabet: Alphabet
+    relations: tuple[tuple[MonoidWord, MonoidWord], ...]
+
+    def __post_init__(self):
+        for lhs, rhs in self.relations:
+            if lhs.alphabet != self.alphabet or rhs.alphabet != self.alphabet:
+                raise AlphabetError("relation is over the wrong alphabet")
+
+
+@dataclass(frozen=True)
+class Retraction:
+    """Data of the homomorphism fixing every generator but z and sending z
+    to its solved value; the kernel is the normal closure of the source
+    relator.
+    """
+
+    big_alphabet: Alphabet
+    small_alphabet: Alphabet
+    z: str
+    solved: FreeWord  # over small_alphabet: the value of z
+    source_relator: str
+
+    def __post_init__(self):
+        if self.solved.alphabet != self.small_alphabet:
+            raise AlphabetError("solved word must be over the small alphabet")
+        if self.z not in self.big_alphabet or self.z in self.small_alphabet:
+            raise AlphabetError("z must belong to the big alphabet only")
+
+
+# --- parsing and printing ---------------------------------------------------
+
+
+def _strip_comment(line: str) -> str:
+    return line.split("#", 1)[0]
+
+
+def parse(text: str) -> GroupPresentation | MonoidPresentation:
+    lines = text.splitlines()
+    content = [
+        (i + 1, stripped)
+        for i, raw in enumerate(lines)
+        if (stripped := _strip_comment(raw).strip())
+    ]
+    if not content:
+        raise ParseError("empty presentation", 1)
+
+    lineno, header = content[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] not in ("group", "monoid"):
+        raise ParseError("expected `group <name>` or `monoid <name>`", lineno)
+    kind, name = parts
+
+    if len(content) < 2:
+        raise ParseError("missing `gens` line", lineno)
+    lineno, gens_line = content[1]
+    gen_parts = gens_line.split()
+    if gen_parts[0] != "gens" or len(gen_parts) < 2:
+        raise ParseError("expected `gens <id> ...`", lineno)
+    try:
+        alphabet = Alphabet(tuple(gen_parts[1:]))
+    except AlphabetError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+    group_relators: list[tuple[str, FreeWord]] = []
+    monoid_relations: list[tuple[MonoidWord, MonoidWord]] = []
+    eliminate: str | None = None
+    for lineno, line in content[2:]:
+        tokens = line.split()
+        if tokens[0] == "eliminate":
+            if kind != "group":
+                raise ParseError("`eliminate` is only valid in group files", lineno)
+            if len(tokens) != 2:
+                raise ParseError("expected `eliminate <id>`", lineno)
+            eliminate = tokens[1]
+            if eliminate not in alphabet:
+                raise ParseError(f"unknown generator {eliminate!r}", lineno)
+            continue
+        if tokens[0] != "rel" or "=" not in tokens:
+            raise ParseError("expected `rel ... = ...`", lineno)
+        eq = tokens.index("=")
+        lhs_tokens, rhs_tokens = tokens[1:eq], tokens[eq + 1 :]
+        if kind == "group":
+            if len(lhs_tokens) != 1:
+                raise ParseError("group relators need a single name before `=`", lineno)
+            rel_name = lhs_tokens[0]
+            if any(rel_name == existing for existing, _ in group_relators):
+                raise ParseError(f"duplicate relator name {rel_name!r}", lineno)
+            try:
+                word = reduce(alphabet, parse_letters(alphabet, " ".join(rhs_tokens)))
+            except (AlphabetError, ValueError) as exc:
+                raise ParseError(str(exc), lineno, line.find("=") + 2) from None
+            if word.is_identity:
+                raise ParseError(f"relator {rel_name!r} reduces to the empty word", lineno)
+            group_relators.append((rel_name, word))
+        else:
+            try:
+                lhs = monoid_word_from_text(alphabet, " ".join(lhs_tokens), allow_signs=False)
+                rhs = monoid_word_from_text(alphabet, " ".join(rhs_tokens), allow_signs=False)
+            except (AlphabetError, ValueError) as exc:
+                raise ParseError(str(exc), lineno) from None
+            monoid_relations.append((lhs, rhs))
+
+    if kind == "group":
+        return GroupPresentation(name, alphabet, tuple(group_relators), eliminate)
+    return MonoidPresentation(name, alphabet, tuple(monoid_relations))
+
+
+def to_text(p: GroupPresentation | MonoidPresentation) -> str:
+    lines = []
+    if isinstance(p, GroupPresentation):
+        lines.append(f"group {p.name}")
+        lines.append("gens " + " ".join(p.alphabet.generators))
+        for rel_name, word in p.relators:
+            lines.append(f"rel {rel_name} = {word_to_text(word)}")
+        if p.eliminate is not None:
+            lines.append(f"eliminate {p.eliminate}")
+    else:
+        lines.append(f"monoid {p.name}")
+        lines.append("gens " + " ".join(p.alphabet.generators))
+        for lhs, rhs in p.relations:
+            lines.append(f"rel {word_to_text(lhs)} = {word_to_text(rhs)}")
+    return "\n".join(lines) + "\n"
+
+
+# --- universal group of a monoid presentation -------------------------------
+
+
+def universal_group_presentation(mp: MonoidPresentation) -> GroupPresentation:
+    """Group presentation on the same generators with one relator u·v^-1 per
+    relation (u, v).  Relations whose relator freely reduces to the empty
+    word impose nothing and are dropped.
+    """
+    relators = []
+    counter = 0
+    for lhs, rhs in mp.relations:
+        counter += 1
+        word = multiply(lhs.as_free(), invert(rhs.as_free()))
+        if word.is_identity:
+            continue
+        relators.append((f"h{counter}", word))
+    return GroupPresentation(mp.name, mp.alphabet, tuple(relators))
+
+
+# --- single-occurrence elimination ------------------------------------------
+
+
+def occurrence_counts(gp: GroupPresentation) -> dict[str, int]:
+    counts = {name: 0 for name in gp.alphabet.generators}
+    for _, word in gp.relators:
+        for l, _ in word.letters:
+            counts[gp.alphabet.name(l)] += 1
+    return counts
+
+
+def solve_single_occurrence(gp: GroupPresentation, z: str) -> Retraction:
+    """Eliminate a generator occurring exactly once among the relators.
+
+    For the source relator A·z·B the solved value is A^-1 B^-1; for
+    A·z^-1·B it is B·A.  Either way the source relator maps to 1.
+    """
+    z_idx = gp.alphabet.index(z)
+    hits = [
+        (rel_name, pos, sl.sign)
+        for rel_name, word in gp.relators
+        for pos, sl in enumerate(word.letters)
+        if sl.letter == z_idx
+    ]
+    if len(hits) != 1:
+        raise NotReducibleError(
+            f"generator {z!r} occurs {len(hits)} times among the relators; need exactly 1"
+        )
+    rel_name, pos, sign = hits[0]
+    word = gp.relator(rel_name)
+    small = gp.alphabet.without(z)
+
+    def over_small(letters: Sequence[SignedLetter]) -> FreeWord:
+        return reduce(
+            small,
+            [SignedLetter(small.index(gp.alphabet.name(l)), s) for l, s in letters],
+        )
+
+    a = over_small(word.letters[:pos])
+    b = over_small(word.letters[pos + 1 :])
+    if sign > 0:
+        solved = multiply(invert(a), invert(b))
+    else:
+        solved = multiply(b, a)
+    retr = Retraction(gp.alphabet, small, z, solved, rel_name)
+    if not retract(retr, word).is_identity:
+        raise AssertionError("internal invariant violation: source relator did not map to 1")
+    return retr
+
+
+def retract(retr: Retraction, u: FreeWord) -> FreeWord:
+    """Apply the retraction: fixes the small generators, sends z to its
+    solved value.  Result is over the small alphabet.
+    """
+    if u.alphabet != retr.big_alphabet:
+        raise AlphabetError("retract expects a word over the big alphabet")
+    z_idx = retr.big_alphabet.index(retr.z)
+    acc = empty_word(retr.small_alphabet)
+    for l, s in u.letters:
+        if l == z_idx:
+            piece = retr.solved if s > 0 else invert(retr.solved)
+        else:
+            name = retr.big_alphabet.name(l)
+            piece = FreeWord(retr.small_alphabet, (SignedLetter(retr.small_alphabet.index(name), s),))
+        acc = multiply(acc, piece)
+    return acc
+
+
+def in_kernel(retr: Retraction, u: FreeWord) -> bool:
+    return retract(retr, u).is_identity
+
+
+def decompose(retr: Retraction, u: FreeWord) -> tuple[FreeWord, FreeWord]:
+    """Split u = u0 · u1 with u0 in the kernel and u1 the embedded retract.
+
+    Both components are over the big alphabet; ``retract(retr, u0)`` is the
+    empty word and ``multiply(u0, u1) == u``.
+    """
+    u1 = embed(retract(retr, u), retr.big_alphabet)
+    u0 = multiply(u, invert(u1))
+    return u0, u1
+
+
+# --- labeled oriented trees --------------------------------------------------
+
+
+def lot_presentation(n: int, edges: Sequence[tuple[int, int, int]]) -> GroupPresentation:
+    """Presentation with generators x1..xn and one relator
+    x_j x_k x_j^-1 x_i^-1 per edge (i, j, k); the edges i--k must form a
+    spanning tree on {1..n}.
+    """
+    if n < 1:
+        raise ValueError("need at least one generator")
+    for i, j, k in edges:
+        if not all(1 <= v <= n for v in (i, j, k)):
+            raise ValueError(f"edge {(i, j, k)} has an index outside 1..{n}")
+    if len(edges) != n - 1:
+        raise ValueError(f"a tree on {n} vertices needs exactly {n - 1} edges, got {len(edges)}")
+    # n-1 edges connect n vertices iff they form a spanning tree
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, _, k in edges:
+        ri, rk = find(i), find(k)
+        if ri == rk:
+            raise ValueError("edges do not form a tree")
+        parent[rk] = ri
+    if n > 1 and len({find(v) for v in range(1, n + 1)}) != 1:
+        raise ValueError("edges do not form a tree")
+
+    alphabet = Alphabet(tuple(f"x{v}" for v in range(1, n + 1)))
+    relators = []
+    for s, (i, j, k) in enumerate(edges, start=1):
+        xi, xj, xk = (alphabet.index(f"x{v}") for v in (i, j, k))
+        word = reduce(
+            alphabet,
+            [
+                SignedLetter(xj, 1),
+                SignedLetter(xk, 1),
+                SignedLetter(xj, -1),
+                SignedLetter(xi, -1),
+            ],
+        )
+        relators.append((f"r{s}", word))
+    return GroupPresentation(f"lot{n}", alphabet, tuple(relators))
+
+
+def is_reducible_lot(gp: GroupPresentation) -> str | None:
+    """First generator (alphabet order) occurring exactly once among the
+    relators, or None.
+    """
+    counts = occurrence_counts(gp)
+    for name in gp.alphabet.generators:
+        if counts[name] == 1:
+            return name
+    return None
+
+
+# --- Todd-Coxeter coset enumeration ------------------------------------------
+
+
+class CosetTable:
+    """Completed coset table for a subgroup of a finitely presented group.
+
+    Rows are live cosets (0 is the subgroup itself); columns alternate
+    generator / inverse in alphabet order.
+    """
+
+    def __init__(self, gp: GroupPresentation, rows: list[list[int]]):
+        self.presentation = gp
+        self.rows = rows
+
+    @property
+    def index(self) -> int:
+        return len(self.rows)
+
+    def step(self, coset: int, letter: SignedLetter) -> int:
+        col = 2 * letter.letter + (0 if letter.sign > 0 else 1)
+        return self.rows[coset][col]
+
+    def trace(self, word: FreeWord, start: int = 0) -> int:
+        c = start
+        for sl in word.letters:
+            c = self.step(c, sl)
+        return c
+
+    def representatives(self) -> list[FreeWord]:
+        """Shortlex coset representatives via breadth-first search from 0."""
+        alphabet = self.presentation.alphabet
+        reps: list[FreeWord | None] = [None] * self.index
+        reps[0] = empty_word(alphabet)
+        queue = [0]
+        while queue:
+            c = queue.pop(0)
+            for l in range(len(alphabet)):
+                for sign in (1, -1):
+                    d = self.step(c, SignedLetter(l, sign))
+                    if reps[d] is None:
+                        reps[d] = multiply(reps[c], FreeWord(alphabet, (SignedLetter(l, sign),)))
+                        queue.append(d)
+        return reps  # type: ignore[return-value]
+
+
+class _Enumeration:
+    """HLT-style relator scanning with a hard coset cap; no lookahead."""
+
+    def __init__(self, gp: GroupPresentation, budget: int):
+        self.gp = gp
+        self.budget = budget
+        self.ncols = 2 * len(gp.alphabet)
+        self.table: list[list[int | None]] = []
+        self.merged: list[int] = []
+        self.queue: list[tuple[int, int]] = []
+        self._new_coset()
+
+    def _new_coset(self) -> int | None:
+        if len(self.table) >= self.budget:
+            return None
+        self.table.append([None] * self.ncols)
+        self.merged.append(len(self.merged))
+        return len(self.table) - 1
+
+    def _rep(self, c: int) -> int:
+        while self.merged[c] != c:
+            self.merged[c] = self.merged[self.merged[c]]
+            c = self.merged[c]
+        return c
+
+    @staticmethod
+    def _inv(col: int) -> int:
+        return col ^ 1
+
+    def _set(self, c: int, col: int, d: int) -> None:
+        c, d = self._rep(c), self._rep(d)
+        existing = self.table[c][col]
+        if existing is not None and self._rep(existing) != d:
+            self.queue.append((existing, d))
+            return
+        self.table[c][col] = d
+        back = self.table[d][self._inv(col)]
+        if back is None:
+            self.table[d][self._inv(col)] = c
+        elif self._rep(back) != c:
+            self.queue.append((back, c))
+
+    def _process_coincidences(self) -> None:
+        while self.queue:
+            a, b = self.queue.pop(0)
+            a, b = self._rep(a), self._rep(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            self.merged[b] = a
+            for col in range(self.ncols):
+                d = self.table[b][col]
+                if d is None:
+                    continue
+                d = self._rep(d)
+                existing = self.table[a][col]
+                if existing is None:
+                    self.table[a][col] = d
+                    back = self.table[d][self._inv(col)]
+                    if back is None:
+                        self.table[d][self._inv(col)] = a
+                    elif self._rep(back) != a:
+                        self.queue.append((back, a))
+                elif self._rep(existing) != d:
+                    self.queue.append((existing, d))
+
+    @staticmethod
+    def _cols(word: FreeWord) -> list[int]:
+        return [2 * l + (0 if s > 0 else 1) for l, s in word.letters]
+
+    def _scan_and_fill(self, start: int, word: FreeWord) -> bool:
+        """Scan word at start, defining cosets to close the cycle.
+        Returns False when the coset cap is hit.
+        """
+        cols = self._cols(word)
+        if not cols:
+            return True
+        start = self._rep(start)
+        f, i = start, 0
+        while i < len(cols):
+            nxt = self.table[f][cols[i]]
+            if nxt is None:
+                break
+            f, i = self._rep(nxt), i + 1
+        if i == len(cols):
+            if f != start:
+                self.queue.append((f, start))
+                self._process_coincidences()
+            return True
+        b, j = start, len(cols) - 1
+        while j > i:
+            prev = self.table[b][self._inv(cols[j])]
+            if prev is None:
+                break
+            b, j = self._rep(prev), j - 1
+        while j > i:
+            # fill the gap with fresh cosets
+            d = self._new_coset()
+            if d is None:
+                return False
+            self._set(f, cols[i], d)
+            self._process_coincidences()
+            f, i = self._rep(d), i + 1
+        self._set(f, cols[i], b)
+        self._process_coincidences()
+        return True
+
+    def _live(self) -> list[int]:
+        return [c for c in range(len(self.table)) if self._rep(c) == c]
+
+    def _complete_and_closed(self, subgroup: Sequence[FreeWord]) -> bool:
+        live = self._live()
+        for c in live:
+            if any(e is None for e in self.table[c]):
+                return False
+        for w in subgroup:
+            f = 0
+            for col in self._cols(w):
+                f = self._rep(self.table[self._rep(f)][col])  # type: ignore[arg-type]
+            if self._rep(f) != self._rep(0):
+                return False
+        for c in live:
+            for _, r in self.gp.relators:
+                f = c
+                for col in self._cols(r):
+                    f = self._rep(self.table[self._rep(f)][col])  # type: ignore[arg-type]
+                if self._rep(f) != self._rep(c):
+                    return False
+        return True
+
+    def _state_count(self) -> tuple[int, int]:
+        dead = sum(1 for c in range(len(self.table)) if self._rep(c) != c)
+        return len(self.table), dead
+
+    def run(self, subgroup: Sequence[FreeWord]) -> CosetTable | None:
+        for w in subgroup:
+            if not self._scan_and_fill(0, w):
+                return None
+        while True:
+            before = self._state_count()
+            c = 0
+            while c < len(self.table):
+                if self._rep(c) != c:
+                    c += 1
+                    continue
+                for _, r in self.gp.relators:
+                    if not self._scan_and_fill(c, r):
+                        return None
+                    if self._rep(c) != c:
+                        break
+                if self._rep(c) == c:
+                    for col in range(self.ncols):
+                        if self.table[c][col] is None:
+                            d = self._new_coset()
+                            if d is None:
+                                return None
+                            self._set(c, col, d)
+                            self._process_coincidences()
+                c += 1
+            if self._complete_and_closed(subgroup):
+                break
+            if self._state_count() == before:
+                raise AssertionError("enumeration stalled without closing")
+        live = self._live()
+        relabel = {old: new for new, old in enumerate(live)}
+        rows = [
+            [relabel[self._rep(self.table[c][col])] for col in range(self.ncols)]  # type: ignore[arg-type]
+            for c in live
+        ]
+        return CosetTable(self.gp, rows)
+
+
+def coset_table(
+    gp: GroupPresentation, subgroup: Sequence[FreeWord] = (), budget: int = 1000
+):
+    """Run the enumeration; returns a CosetTable or EXHAUSTED."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    for w in subgroup:
+        if w.alphabet != gp.alphabet:
+            raise AlphabetError("subgroup generator over the wrong alphabet")
+    result = _Enumeration(gp, budget).run(subgroup)
+    return EXHAUSTED if result is None else result
+
+
+def coset_enumeration(
+    gp: GroupPresentation, subgroup: Sequence[FreeWord] = (), budget: int = 1000
+):
+    """Index of the subgroup if the enumeration closes within budget,
+    else EXHAUSTED.
+    """
+    result = coset_table(gp, subgroup, budget)
+    return result if result is EXHAUSTED else result.index

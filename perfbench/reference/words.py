@@ -1,0 +1,271 @@
+"""Free-group and free-monoid words over named alphabets.
+
+Words are value types: a ``FreeWord`` is stored eagerly reduced, so equality
+is plain sequence equality and hashing is free.  Cross-alphabet arithmetic is
+an error; moving a word into a larger alphabet is the explicit ``embed``.
+
+Textual syntax (shared by file formats and the CLI): whitespace-separated
+tokens, ``x`` for a generator, ``x^-1`` for its inverse, ``1`` for the empty
+word.  Example: ``a b^-1 a``.
+"""
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
+
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+
+class AlphabetError(ValueError):
+    """A letter or word does not belong to the expected alphabet."""
+
+
+class WordSyntaxError(ValueError):
+    """Malformed word text."""
+
+
+class SignedLetter(NamedTuple):
+    letter: int  # index into the alphabet
+    sign: int  # +1 or -1
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    """Ordered tuple of distinct generator names.
+
+    The order is observable and used for deterministic tie-breaking.
+    """
+
+    generators: tuple[str, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.generators, tuple):
+            object.__setattr__(self, "generators", tuple(self.generators))
+        seen = set()
+        for name in self.generators:
+            if not _IDENT_RE.match(name):
+                raise AlphabetError(f"bad generator name {name!r}")
+            if name in seen:
+                raise AlphabetError(f"duplicate generator {name!r}")
+            seen.add(name)
+
+    def __len__(self) -> int:
+        return len(self.generators)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.generators
+
+    def index(self, name: str) -> int:
+        try:
+            return self.generators.index(name)
+        except ValueError:
+            raise AlphabetError(f"unknown generator {name!r}") from None
+
+    def name(self, i: int) -> str:
+        return self.generators[i]
+
+    def without(self, name: str) -> Alphabet:
+        """The alphabet with one generator removed, order preserved."""
+        if name not in self:
+            raise AlphabetError(f"unknown generator {name!r}")
+        return Alphabet(tuple(g for g in self.generators if g != name))
+
+
+def _check_raw(alphabet: Alphabet, raw: Iterable[SignedLetter]) -> list[SignedLetter]:
+    out = []
+    n = len(alphabet)
+    for item in raw:
+        letter, sign = item
+        if not 0 <= letter < n:
+            raise AlphabetError(f"letter index {letter} out of range for {alphabet.generators}")
+        if sign not in (1, -1):
+            raise AlphabetError(f"sign must be +1 or -1, got {sign}")
+        out.append(SignedLetter(letter, sign))
+    return out
+
+
+@dataclass(frozen=True)
+class FreeWord:
+    """A freely reduced word; the empty sequence is the identity."""
+
+    alphabet: Alphabet
+    letters: tuple[SignedLetter, ...]
+
+    def __post_init__(self):
+        for a, b in zip(self.letters, self.letters[1:]):
+            if a.letter == b.letter and a.sign == -b.sign:
+                raise ValueError("FreeWord must be freely reduced; use reduce()")
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __mul__(self, other: FreeWord) -> FreeWord:
+        return multiply(self, other)
+
+    def __invert__(self) -> FreeWord:
+        return invert(self)
+
+    @property
+    def is_identity(self) -> bool:
+        return not self.letters
+
+    def __repr__(self) -> str:
+        return f"FreeWord({word_to_text(self)!r})"
+
+
+@dataclass(frozen=True)
+class MonoidWord:
+    """A word with no reduction applied (letters may carry signs)."""
+
+    alphabet: Alphabet
+    letters: tuple[SignedLetter, ...]
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def as_free(self) -> FreeWord:
+        return reduce(self.alphabet, self.letters)
+
+    def __repr__(self) -> str:
+        return f"MonoidWord({letters_to_text(self.alphabet, self.letters)!r})"
+
+
+def empty_word(alphabet: Alphabet) -> FreeWord:
+    return FreeWord(alphabet, ())
+
+
+def generator(alphabet: Alphabet, name: str, sign: int = 1) -> FreeWord:
+    return FreeWord(alphabet, (SignedLetter(alphabet.index(name), sign),))
+
+
+def reduce(alphabet: Alphabet, raw: Sequence[SignedLetter]) -> FreeWord:
+    """Freely reduce a raw letter sequence.  Idempotent."""
+    stack: list[SignedLetter] = []
+    for sl in _check_raw(alphabet, raw):
+        if stack and stack[-1].letter == sl.letter and stack[-1].sign == -sl.sign:
+            stack.pop()
+        else:
+            stack.append(sl)
+    return FreeWord(alphabet, tuple(stack))
+
+
+def _require_same_alphabet(u: FreeWord, v: FreeWord) -> None:
+    if u.alphabet != v.alphabet:
+        raise AlphabetError(
+            f"alphabet mismatch: {u.alphabet.generators} vs {v.alphabet.generators}"
+        )
+
+
+def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
+    _require_same_alphabet(u, v)
+    stack = list(u.letters)
+    for sl in v.letters:
+        if stack and stack[-1].letter == sl.letter and stack[-1].sign == -sl.sign:
+            stack.pop()
+        else:
+            stack.append(sl)
+    return FreeWord(u.alphabet, tuple(stack))
+
+
+def product(alphabet: Alphabet, words: Iterable[FreeWord]) -> FreeWord:
+    acc = empty_word(alphabet)
+    for w in words:
+        acc = multiply(acc, w)
+    return acc
+
+
+def invert(u: FreeWord) -> FreeWord:
+    return FreeWord(u.alphabet, tuple(SignedLetter(l, -s) for l, s in reversed(u.letters)))
+
+
+def power(u: FreeWord, n: int) -> FreeWord:
+    if n < 0:
+        return power(invert(u), -n)
+    acc = empty_word(u.alphabet)
+    for _ in range(n):
+        acc = multiply(acc, u)
+    return acc
+
+
+def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:
+    """u v u^-1, reduced.  Left action: conjugate(uw, v) == conjugate(u, conjugate(w, v))."""
+    _require_same_alphabet(u, v)
+    return multiply(multiply(u, v), invert(u))
+
+
+def exponent_sum(u: FreeWord, x: str | int) -> int:
+    idx = u.alphabet.index(x) if isinstance(x, str) else x
+    if not 0 <= idx < len(u.alphabet):
+        raise AlphabetError(f"letter index {idx} out of range")
+    return sum(s for l, s in u.letters if l == idx)
+
+
+def abelianize(u: FreeWord) -> tuple[int, ...]:
+    counts = [0] * len(u.alphabet)
+    for l, s in u.letters:
+        counts[l] += s
+    return tuple(counts)
+
+
+def embed(u: FreeWord, big: Alphabet) -> FreeWord:
+    """Reinterpret u over a larger alphabet (identity on shared names)."""
+    try:
+        mapping = [big.index(name) for name in u.alphabet.generators]
+    except AlphabetError:
+        raise AlphabetError(
+            f"cannot embed: {u.alphabet.generators} is not a subset of {big.generators}"
+        ) from None
+    return FreeWord(big, tuple(SignedLetter(mapping[l], s) for l, s in u.letters))
+
+
+# --- textual syntax ---------------------------------------------------------
+
+
+def parse_letters(alphabet: Alphabet, text: str) -> tuple[SignedLetter, ...]:
+    letters = []
+    for token in text.split():
+        if token == "1":
+            continue
+        if token.endswith("^-1"):
+            name, sign = token[:-3], -1
+        elif "^" in token:
+            raise WordSyntaxError(f"bad token {token!r} (only ^-1 exponents are supported)")
+        else:
+            name, sign = token, 1
+        letters.append(SignedLetter(alphabet.index(name), sign))
+    return tuple(letters)
+
+
+def word_from_text(alphabet: Alphabet, text: str) -> FreeWord:
+    return reduce(alphabet, parse_letters(alphabet, text))
+
+
+def monoid_word_from_text(alphabet: Alphabet, text: str, allow_signs: bool = True) -> MonoidWord:
+    letters = parse_letters(alphabet, text)
+    if not allow_signs and any(s < 0 for _, s in letters):
+        raise WordSyntaxError("inverse letters are not allowed here")
+    return MonoidWord(alphabet, letters)
+
+
+def letters_to_text(alphabet: Alphabet, letters: Sequence[SignedLetter]) -> str:
+    if not letters:
+        return "1"
+    return " ".join(
+        alphabet.name(l) if s > 0 else f"{alphabet.name(l)}^-1" for l, s in letters
+    )
+
+
+def word_to_text(u: FreeWord | MonoidWord) -> str:
+    return letters_to_text(u.alphabet, u.letters)
+
+
+# --- sampling (deterministic, for the test batteries) -----------------------
+
+
+def random_word(alphabet: Alphabet, rng, max_len: int = 6) -> FreeWord:
+    n = rng.randrange(max_len + 1)
+    raw = [
+        SignedLetter(rng.randrange(len(alphabet)), rng.choice((1, -1))) for _ in range(n)
+    ]
+    return reduce(alphabet, raw)
