@@ -10,11 +10,20 @@ Equality of symbols is componentwise on the reduced conjugator, so deletion
 legality is syntactic.  The trivialization search is a bounded
 iterative-deepening walk of the move graph; it returns a replayable
 certificate or EXHAUSTED, never a refutation.
+
+Validation happens once, at the boundary: the public ``YSymbol`` and
+``YSequence`` constructors check every sign, relator name and conjugator
+alphabet.  Symbols and sequences the calculus proves valid (a move applied
+to a valid sequence, an inverse, a concatenation) go through the private
+``_symbol`` and ``_sequence``, which check nothing.  The one symbol a move
+brings in from outside, an ``Insert`` move's, is checked on its own by
+``apply_move``, so a replayed certificate still fails on a bad symbol.
 """
 from __future__ import annotations
 
 import enum
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,7 +60,7 @@ class YSymbol:
             raise ValueError("sign must be +1 or -1")
 
     def inverse(self) -> YSymbol:
-        return YSymbol(self.relator, self.conjugator, -self.sign)
+        return _symbol(self.relator, self.conjugator, -self.sign)
 
     def sort_key(self):
         return (self.relator, len(self.conjugator.letters), self.conjugator.letters, self.sign)
@@ -66,10 +75,7 @@ class YSequence:
         if not isinstance(self.symbols, tuple):
             object.__setattr__(self, "symbols", tuple(self.symbols))
         for s in self.symbols:
-            if s.relator not in self.presentation:
-                raise KeyError(f"unknown relator {s.relator!r}")
-            if s.conjugator.alphabet != self.presentation.alphabet:
-                raise AlphabetError(f"conjugator of {s.relator!r} over the wrong alphabet")
+            _check_symbol(self.presentation, s)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -77,11 +83,38 @@ class YSequence:
     def concat(self, other: YSequence) -> YSequence:
         if other.presentation != self.presentation:
             raise ValueError("sequences over different presentations")
-        return YSequence(self.presentation, self.symbols + other.symbols)
+        return _sequence(self.presentation, self.symbols + other.symbols)
+
+
+def _check_symbol(gp: GroupPresentation, s: YSymbol) -> None:
+    if s.relator not in gp:
+        raise KeyError(f"unknown relator {s.relator!r}")
+    if s.conjugator.alphabet != gp.alphabet:
+        raise AlphabetError(f"conjugator of {s.relator!r} over the wrong alphabet")
+
+
+def _symbol(relator: str, conjugator: FreeWord, sign: int) -> YSymbol:
+    """Trusted constructor: ``sign`` must be +1 or -1."""
+    s = object.__new__(YSymbol)
+    fields = s.__dict__
+    fields["relator"] = relator
+    fields["conjugator"] = conjugator
+    fields["sign"] = sign
+    return s
+
+
+def _sequence(gp: GroupPresentation, symbols: tuple[YSymbol, ...]) -> YSequence:
+    """Trusted constructor: every symbol must name a relator of ``gp`` and
+    carry a conjugator over its alphabet."""
+    d = object.__new__(YSequence)
+    fields = d.__dict__
+    fields["presentation"] = gp
+    fields["symbols"] = symbols
+    return d
 
 
 def empty_sequence(gp: GroupPresentation) -> YSequence:
-    return YSequence(gp, ())
+    return _sequence(gp, ())
 
 
 def symbol_boundary(gp: GroupPresentation, s: YSymbol) -> FreeWord:
@@ -102,16 +135,16 @@ def is_identity(d: YSequence) -> bool:
 
 def inverse_sequence(d: YSequence) -> YSequence:
     """Reverse order, flipped signs, same conjugators."""
-    return YSequence(d.presentation, tuple(s.inverse() for s in reversed(d.symbols)))
+    return _sequence(d.presentation, tuple(s.inverse() for s in reversed(d.symbols)))
 
 
 def conjugate_sequence(w: FreeWord, d: YSequence) -> YSequence:
     """Multiply every conjugator by w on the left; boundary is conjugated by w."""
     if w.alphabet != d.presentation.alphabet:
         raise AlphabetError("conjugating word over the wrong alphabet")
-    return YSequence(
+    return _sequence(
         d.presentation,
-        tuple(YSymbol(s.relator, multiply(w, s.conjugator), s.sign) for s in d.symbols),
+        tuple(_symbol(s.relator, multiply(w, s.conjugator), s.sign) for s in d.symbols),
     )
 
 
@@ -182,24 +215,25 @@ def apply_move(d: YSequence, m: Move) -> YSequence:
             raise IllegalMoveError(f"insert position {m.pos} out of range 0..{n}")
         a = m.symbol
         assert a is not None
-        return YSequence(gp, syms[: m.pos] + (a, a.inverse()) + syms[m.pos :])
+        _check_symbol(gp, a)
+        return _sequence(gp, syms[: m.pos] + (a, a.inverse()) + syms[m.pos :])
     if not 0 <= m.pos <= n - 2:
         raise IllegalMoveError(f"position {m.pos} has no adjacent pair in length {n}")
     a, b = syms[m.pos], syms[m.pos + 1]
     if m.kind is MoveKind.DELETE:
         if not _deletable(a, b):
             raise IllegalMoveError(f"pair at {m.pos} is not an adjacent inverse pair")
-        return YSequence(gp, syms[: m.pos] + syms[m.pos + 2 :])
+        return _sequence(gp, syms[: m.pos] + syms[m.pos + 2 :])
     if m.kind is MoveKind.EXCHANGE_L:
         # (a, b) -> (b twisted by a's boundary, a)
         twist = multiply(symbol_boundary(gp, a), b.conjugator)
-        new = YSymbol(b.relator, twist, b.sign)
-        return YSequence(gp, syms[: m.pos] + (new, a) + syms[m.pos + 2 :])
+        new = _symbol(b.relator, twist, b.sign)
+        return _sequence(gp, syms[: m.pos] + (new, a) + syms[m.pos + 2 :])
     if m.kind is MoveKind.EXCHANGE_R:
         # (a, b) -> (b, a twisted by b's inverse boundary)
         twist = multiply(symbol_boundary(gp, b.inverse()), a.conjugator)
-        new = YSymbol(a.relator, twist, a.sign)
-        return YSequence(gp, syms[: m.pos] + (b, new) + syms[m.pos + 2 :])
+        new = _symbol(a.relator, twist, a.sign)
+        return _sequence(gp, syms[: m.pos] + (b, new) + syms[m.pos + 2 :])
     raise IllegalMoveError(f"unknown move kind {m.kind}")
 
 
@@ -234,7 +268,7 @@ def base_insert_pool(gp: GroupPresentation, conj_cap: int = 1) -> list[YSymbol]:
             conjugators.append(word_from_text(alphabet, name))
             conjugators.append(word_from_text(alphabet, f"{name}^-1"))
     pool = [
-        YSymbol(rel, u, sign)
+        _symbol(rel, u, sign)
         for rel in gp.relator_names
         for u in conjugators
         for sign in (1, -1)
@@ -254,7 +288,7 @@ def dynamic_insert_pool(d: YSequence, conj_cap: int = 8) -> list[YSymbol]:
         conjugators.add(multiply(symbol_boundary(gp, a), b.conjugator))
         conjugators.add(multiply(symbol_boundary(gp, b.inverse()), a.conjugator))
     pool = [
-        YSymbol(rel, u, sign)
+        _symbol(rel, u, sign)
         for rel in relators
         for u in conjugators
         if len(u.letters) <= conj_cap
@@ -428,11 +462,11 @@ def search_pair_crossing(
     from (b, a, a^-1), reach a state whose first two symbols form a deletable
     pair and whose last symbol is b.  Returns the move list or None."""
     start = YSequence(gp, (b, a, a.inverse()))
-    frontier: list[tuple[YSequence, tuple[Move, ...]]] = [(start, ())]
+    frontier: deque[tuple[YSequence, tuple[Move, ...]]] = deque([(start, ())])
     seen = {start.symbols}
     spent = 0
     while frontier and spent < node_budget:
-        seq, trail = frontier.pop(0)
+        seq, trail = frontier.popleft()
         spent += 1
         syms = seq.symbols
         if len(syms) == 3 and _deletable(syms[0], syms[1]) and syms[2] == b:
@@ -465,10 +499,6 @@ class FormalWord:
                 raise ValueError("formal sign must be +1 or -1")
             if sym.relator not in self.presentation:
                 raise KeyError(f"unknown relator {sym.relator!r}")
-
-
-def formal_word_of(d: YSequence) -> FormalWord:
-    return FormalWord(d.presentation, tuple((s, 1) for s in d.symbols))
 
 
 def formal_boundary(g: FormalWord) -> FreeWord:

@@ -24,6 +24,7 @@ from .words import (
     FreeWord,
     MonoidWord,
     SignedLetter,
+    _reduce,
     embed,
     empty_word,
     invert,
@@ -65,19 +66,21 @@ class GroupPresentation:
                 raise ValueError(f"relator {rel_name!r} is empty")
         if self.eliminate is not None and self.eliminate not in self.alphabet:
             raise AlphabetError(f"eliminate names unknown generator {self.eliminate!r}")
+        # name -> relator, built once; not a field, so equality ignores it
+        object.__setattr__(self, "_by_name", dict(self.relators))
 
     @property
     def relator_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.relators)
+        return tuple(self._by_name)
 
     def relator(self, name: str) -> FreeWord:
-        for rel_name, word in self.relators:
-            if rel_name == name:
-                return word
-        raise KeyError(f"no relator named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no relator named {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self.relator_names
+        return name in self._by_name
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,16 @@ class Retraction:
             raise AlphabetError("solved word must be over the small alphabet")
         if self.z not in self.big_alphabet or self.z in self.small_alphabet:
             raise AlphabetError("z must belong to the big alphabet only")
+        # the image letters of every signed big letter, built once; not a field
+        images: dict[SignedLetter, tuple[SignedLetter, ...]] = {}
+        for l, name in enumerate(self.big_alphabet.generators):
+            if name == self.z:
+                pos, neg = self.solved.letters, invert(self.solved).letters
+            else:
+                i = self.small_alphabet.index(name)
+                pos, neg = (SignedLetter(i, 1),), (SignedLetter(i, -1),)
+            images[SignedLetter(l, 1)], images[SignedLetter(l, -1)] = pos, neg
+        object.__setattr__(self, "_images", images)
 
 
 # --- parsing and printing ---------------------------------------------------
@@ -282,16 +295,8 @@ def retract(retr: Retraction, u: FreeWord) -> FreeWord:
     """
     if u.alphabet != retr.big_alphabet:
         raise AlphabetError("retract expects a word over the big alphabet")
-    z_idx = retr.big_alphabet.index(retr.z)
-    acc = empty_word(retr.small_alphabet)
-    for l, s in u.letters:
-        if l == z_idx:
-            piece = retr.solved if s > 0 else invert(retr.solved)
-        else:
-            name = retr.big_alphabet.name(l)
-            piece = FreeWord(retr.small_alphabet, (SignedLetter(retr.small_alphabet.index(name), s),))
-        acc = multiply(acc, piece)
-    return acc
+    images = retr._images
+    return _reduce(retr.small_alphabet, [x for sl in u.letters for x in images[sl]])
 
 
 def in_kernel(retr: Retraction, u: FreeWord) -> bool:

@@ -4,6 +4,13 @@ Words are value types: a ``FreeWord`` is stored eagerly reduced, so equality
 is plain sequence equality and hashing is free.  Cross-alphabet arithmetic is
 an error; moving a word into a larger alphabet is the explicit ``embed``.
 
+Validation happens once, at the boundary: the public constructors (``FreeWord``,
+``reduce``, the text parsers) check every letter and reject unreduced input.
+Results the arithmetic proves reduced, such as the junction-cancelled
+concatenation of two reduced factors or the reversal of a reduced word, go
+through the private ``_word``, which checks nothing; only code that has such a
+proof may call it.
+
 Textual syntax (shared by file formats and the CLI): whitespace-separated
 tokens, ``x`` for a generator, ``x^-1`` for its inverse, ``1`` for the empty
 word.  Example: ``a b^-1 a``.
@@ -28,6 +35,17 @@ class WordSyntaxError(ValueError):
 class SignedLetter(NamedTuple):
     letter: int  # index into the alphabet
     sign: int  # +1 or -1
+
+
+class _InverseLetters(dict):
+    """SignedLetter -> its inverse, each built once on first use."""
+
+    def __missing__(self, sl: SignedLetter) -> SignedLetter:
+        inv = self[sl] = SignedLetter(sl[0], -sl[1])
+        return inv
+
+
+_INVERSE = _InverseLetters()
 
 
 @dataclass(frozen=True)
@@ -131,8 +149,18 @@ class MonoidWord:
         return f"MonoidWord({letters_to_text(self.alphabet, self.letters)!r})"
 
 
+def _word(alphabet: Alphabet, letters: tuple[SignedLetter, ...]) -> FreeWord:
+    """Trusted constructor: ``letters`` must already be freely reduced
+    signed letters of ``alphabet``."""
+    w = object.__new__(FreeWord)
+    fields = w.__dict__
+    fields["alphabet"] = alphabet
+    fields["letters"] = letters
+    return w
+
+
 def empty_word(alphabet: Alphabet) -> FreeWord:
-    return FreeWord(alphabet, ())
+    return _word(alphabet, ())
 
 
 def generator(alphabet: Alphabet, name: str, sign: int = 1) -> FreeWord:
@@ -141,13 +169,19 @@ def generator(alphabet: Alphabet, name: str, sign: int = 1) -> FreeWord:
 
 def reduce(alphabet: Alphabet, raw: Sequence[SignedLetter]) -> FreeWord:
     """Freely reduce a raw letter sequence.  Idempotent."""
+    return _reduce(alphabet, _check_raw(alphabet, raw))
+
+
+def _reduce(alphabet: Alphabet, letters: Iterable[SignedLetter]) -> FreeWord:
+    """``reduce`` for letters already known to be signed letters of
+    ``alphabet``."""
     stack: list[SignedLetter] = []
-    for sl in _check_raw(alphabet, raw):
+    for sl in letters:
         if stack and stack[-1].letter == sl.letter and stack[-1].sign == -sl.sign:
             stack.pop()
         else:
             stack.append(sl)
-    return FreeWord(alphabet, tuple(stack))
+    return _word(alphabet, tuple(stack))
 
 
 def _require_same_alphabet(u: FreeWord, v: FreeWord) -> None:
@@ -158,14 +192,19 @@ def _require_same_alphabet(u: FreeWord, v: FreeWord) -> None:
 
 
 def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
-    _require_same_alphabet(u, v)
-    stack = list(u.letters)
-    for sl in v.letters:
-        if stack and stack[-1].letter == sl.letter and stack[-1].sign == -sl.sign:
-            stack.pop()
-        else:
-            stack.append(sl)
-    return FreeWord(u.alphabet, tuple(stack))
+    if u.alphabet is not v.alphabet:
+        _require_same_alphabet(u, v)
+    ul, vl = u.letters, v.letters
+    if not vl:
+        return u
+    if not ul:
+        return v
+    # both factors are reduced, so letters can only cancel at the junction
+    i, j, n = len(ul), 0, len(vl)
+    while i and j < n and ul[i - 1] == _INVERSE[vl[j]]:
+        i -= 1
+        j += 1
+    return _word(u.alphabet, ul[:i] + vl[j:])
 
 
 def product(alphabet: Alphabet, words: Iterable[FreeWord]) -> FreeWord:
@@ -176,7 +215,7 @@ def product(alphabet: Alphabet, words: Iterable[FreeWord]) -> FreeWord:
 
 
 def invert(u: FreeWord) -> FreeWord:
-    return FreeWord(u.alphabet, tuple(SignedLetter(l, -s) for l, s in reversed(u.letters)))
+    return _word(u.alphabet, tuple(map(_INVERSE.__getitem__, reversed(u.letters))))
 
 
 def power(u: FreeWord, n: int) -> FreeWord:
@@ -190,7 +229,6 @@ def power(u: FreeWord, n: int) -> FreeWord:
 
 def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:
     """u v u^-1, reduced.  Left action: conjugate(uw, v) == conjugate(u, conjugate(w, v))."""
-    _require_same_alphabet(u, v)
     return multiply(multiply(u, v), invert(u))
 
 
@@ -216,7 +254,7 @@ def embed(u: FreeWord, big: Alphabet) -> FreeWord:
         raise AlphabetError(
             f"cannot embed: {u.alphabet.generators} is not a subset of {big.generators}"
         ) from None
-    return FreeWord(big, tuple(SignedLetter(mapping[l], s) for l, s in u.letters))
+    return _word(big, tuple(SignedLetter(mapping[l], s) for l, s in u.letters))
 
 
 # --- textual syntax ---------------------------------------------------------

@@ -39,7 +39,14 @@ from asphere.peiffer import (
     ysequence_to_json,
 )
 from asphere.presentations import parse
-from asphere.words import empty_word, invert, random_word, word_from_text, word_to_text
+from asphere.words import (
+    AlphabetError,
+    empty_word,
+    invert,
+    random_word,
+    word_from_text,
+    word_to_text,
+)
 
 GP = parse("group P\ngens a b\nrel r = a b\nrel s = a a b^-1\n")
 ONE = empty_word(GP.alphabet)
@@ -254,6 +261,22 @@ class TestCertificates:
     def test_leftover_symbols_fail(self):
         report = verify_certificate(seq(sym()), Certificate(()))
         assert not report and "length" in report.reason
+
+    def test_insert_symbol_is_checked_against_the_presentation(self):
+        # the moves build trusted sequences, so an Insert move's symbol is the
+        # one input a replay must still check
+        other = parse("group Q\ngens a c\nrel r = a c\n")
+        unknown = Move(MoveKind.INSERT, 0, YSymbol("nope", ONE, 1))
+        foreign = Move(MoveKind.INSERT, 0, YSymbol("r", word_from_text(other.alphabet, "c"), 1))
+        with pytest.raises(KeyError):
+            apply_move(seq(sym()), unknown)
+        with pytest.raises(AlphabetError):
+            apply_move(seq(sym()), foreign)
+        d = seq(sym(), sym(sign=-1))
+        for bad in (unknown, foreign):
+            report = verify_certificate(d, Certificate((Move(MoveKind.DELETE, 0), bad)))
+            assert not report.ok
+            assert report.failed_step == 1
 
     def test_json_round_trip(self):
         d, cert = scramble(GP, seed=3, k=3)

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from asphere.fixtures import load_fixtures
 from asphere.partial import EXHAUSTED
 from asphere.presentations import (
     CosetTable,
@@ -18,7 +21,19 @@ from asphere.presentations import (
     to_text,
     universal_group_presentation,
 )
-from asphere.words import invert, multiply, word_from_text, word_to_text
+from asphere.words import (
+    generator,
+    invert,
+    multiply,
+    product,
+    reduce,
+    word_from_text,
+    word_to_text,
+)
+
+from conftest import raw_letters
+
+LOT_RETRACTIONS = [fx.retraction for fx in load_fixtures().reducible_fixtures()]
 
 
 class TestParse:
@@ -144,6 +159,20 @@ class TestRetractAndDecompose:
         assert u0 == multiply(u, invert(u1))
         assert multiply(u0, u1) == u
         assert retract(retr, u0).is_identity
+
+    @given(st.sampled_from(LOT_RETRACTIONS), st.data())
+    def test_matches_product_of_letter_images(self, retr, data):
+        # oracle: multiply the images of the letters one at a time
+        big, small = retr.big_alphabet, retr.small_alphabet
+
+        def image(sl):
+            name = big.name(sl.letter)
+            if name == retr.z:
+                return retr.solved if sl.sign > 0 else invert(retr.solved)
+            return generator(small, name, sl.sign)
+
+        u = reduce(big, data.draw(raw_letters(len(big), 16)))
+        assert retract(retr, u) == product(small, (image(sl) for sl in u.letters))
 
 
 class TestLot:

@@ -125,6 +125,12 @@ class TestMultiply:
         u = reduce(AB, raw)
         assert multiply(u, invert(u)).is_identity
 
+    @given(raw_letters(2), raw_letters(2))
+    def test_matches_reduced_concatenation(self, r1, r2):
+        # oracle: free reduction of the concatenated letters
+        u, v = reduce(AB, r1), reduce(AB, r2)
+        assert multiply(u, v) == reduce(AB, u.letters + v.letters)
+
 
 class TestInvert:
     def test_reverse_and_flip(self):
@@ -135,6 +141,12 @@ class TestInvert:
 
     def test_square(self):
         assert invert(w("a a")) == w("a^-1 a^-1")
+
+    @given(raw_letters(2))
+    def test_matches_letterwise_definition(self, raw):
+        # oracle: reverse the letters and flip every sign
+        u = reduce(AB, raw)
+        assert invert(u).letters == tuple((l, -s) for l, s in reversed(u.letters))
 
 
 class TestConjugate:
