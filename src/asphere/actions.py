@@ -18,6 +18,7 @@ from .partial import EXHAUSTED, Tri
 from .presentations import (
     GroupPresentation,
     MonoidPresentation,
+    UnionFind,
     coset_table,
     universal_group_presentation,
 )
@@ -198,26 +199,6 @@ def _check_left_action(table: Sequence[Sequence[int]], size: int, u: Submonoid) 
                     raise ActionError(f"left action not associative at ({a},{b},{x})")
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
 @dataclass(frozen=True)
 class TensorPartition:
     """Partition of A x B; classes carry dense ids ordered by their minimal
@@ -266,12 +247,12 @@ def tensor_product(
     a_size, b_size = len(a_right), len(b_left[0]) if b_left else 0
     _check_right_action(a_right, a_size, u)
     _check_left_action(b_left, b_size, u)
-    uf = _UnionFind(a_size * b_size)
+    uf = UnionFind(a_size * b_size)
     for a in range(a_size):
         for b in range(b_size):
             for s in u.sorted_elements:
                 uf.union(a_right[a][s] * b_size + b, a * b_size + b_left[s][b])
-    return _canonical_partition(a_size, b_size, lambda i: uf.find(i))
+    return _canonical_partition(a_size, b_size, uf.find)
 
 
 def tensor_product_naive(

@@ -36,6 +36,7 @@ from .words import (
     empty_word,
     invert,
     multiply,
+    random_word,
     word_from_text,
     word_to_text,
 )
@@ -258,15 +259,13 @@ def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]
 # --- insert pools ------------------------------------------------------------
 
 
-def base_insert_pool(gp: GroupPresentation, conj_cap: int = 1) -> list[YSymbol]:
-    """Symbols with short conjugators: the empty word plus single letters,
-    up to the cap."""
+def base_insert_pool(gp: GroupPresentation) -> list[YSymbol]:
+    """Symbols with short conjugators: the empty word and single letters."""
     alphabet = gp.alphabet
     conjugators = [empty_word(alphabet)]
-    if conj_cap >= 1:
-        for name in alphabet.generators:
-            conjugators.append(word_from_text(alphabet, name))
-            conjugators.append(word_from_text(alphabet, f"{name}^-1"))
+    for name in alphabet.generators:
+        conjugators.append(word_from_text(alphabet, name))
+        conjugators.append(word_from_text(alphabet, f"{name}^-1"))
     pool = [
         _symbol(rel, u, sign)
         for rel in gp.relator_names
@@ -297,19 +296,34 @@ def dynamic_insert_pool(d: YSequence, conj_cap: int = 8) -> list[YSymbol]:
     return sorted(pool, key=YSymbol.sort_key)
 
 
-# --- scrambling (test-case generator) ----------------------------------------
+# --- random symbols and scrambles (test-case generators) ----------------------
+
+
+def random_symbol(gp: GroupPresentation, rng: random.Random, conj_len: int = 3) -> YSymbol:
+    """A uniformly drawn relator, a random conjugator of at most ``conj_len``
+    letters and a random sign, drawn in that order."""
+    names = gp.relator_names
+    name = names[rng.randrange(len(names))]
+    return _symbol(name, random_word(gp.alphabet, rng, conj_len), rng.choice((1, -1)))
+
+
+def random_sequence(
+    gp: GroupPresentation, rng: random.Random, max_len: int = 4, conj_len: int = 3
+) -> YSequence:
+    """Up to ``max_len`` random symbols; draws nothing when gp has no relators."""
+    if not gp.relators:
+        return empty_sequence(gp)
+    count = rng.randrange(max_len + 1)
+    return _sequence(gp, tuple(random_symbol(gp, rng, conj_len) for _ in range(count)))
 
 
 def scramble(
-    gp: GroupPresentation,
-    seed: int,
-    k: int,
-    conj_cap: int = 8,
-    insert_bias: float = 0.6,
+    gp: GroupPresentation, seed: int, k: int, conj_cap: int = 8
 ) -> tuple[YSequence, Certificate]:
     """Apply k random legal moves starting from the empty sequence.
 
-    Insert-biased, so the result grows; it is an identity sequence by
+    Each move is an insertion with probability 0.6 (always when no other move
+    is legal), so the result grows; it is an identity sequence by
     construction.  Returns the sequence and the replayable move list.
     """
     rng = random.Random(seed)
@@ -319,7 +333,7 @@ def scramble(
     for _ in range(k):
         pool = sorted(set(base) | set(dynamic_insert_pool(seq, conj_cap)), key=YSymbol.sort_key)
         candidates = legal_moves(seq, ())
-        if not candidates or rng.random() < insert_bias:
+        if not candidates or rng.random() < 0.6:
             m = Move(MoveKind.INSERT, rng.randrange(len(seq) + 1), rng.choice(pool))
         else:
             m = rng.choice(candidates)
@@ -497,8 +511,7 @@ class FormalWord:
         for sym, fsign in self.entries:
             if fsign not in (1, -1):
                 raise ValueError("formal sign must be +1 or -1")
-            if sym.relator not in self.presentation:
-                raise KeyError(f"unknown relator {sym.relator!r}")
+            _check_symbol(self.presentation, sym)
 
 
 def formal_boundary(g: FormalWord) -> FreeWord:

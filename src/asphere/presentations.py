@@ -32,6 +32,7 @@ from .words import (
     multiply,
     parse_letters,
     reduce,
+    restrict,
     word_to_text,
 )
 
@@ -45,6 +46,36 @@ class ParseError(ValueError):
 
 class NotReducibleError(ValueError):
     """The requested generator cannot be eliminated."""
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving.  A union keeps the
+    smaller root, so representatives never depend on the union order."""
+
+    def __init__(self, n: int = 0):
+        self.parent = list(range(n))
+
+    def add(self) -> int:
+        """A new singleton set; returns its element."""
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
 
 
 @dataclass(frozen=True)
@@ -270,15 +301,8 @@ def solve_single_occurrence(gp: GroupPresentation, z: str) -> Retraction:
     rel_name, pos, sign = hits[0]
     word = gp.relator(rel_name)
     small = gp.alphabet.without(z)
-
-    def over_small(letters: Sequence[SignedLetter]) -> FreeWord:
-        return reduce(
-            small,
-            [SignedLetter(small.index(gp.alphabet.name(l)), s) for l, s in letters],
-        )
-
-    a = over_small(word.letters[:pos])
-    b = over_small(word.letters[pos + 1 :])
+    a = restrict(FreeWord(gp.alphabet, word.letters[:pos]), small)
+    b = restrict(FreeWord(gp.alphabet, word.letters[pos + 1 :]), small)
     if sign > 0:
         solved = multiply(invert(a), invert(b))
     else:
@@ -329,22 +353,11 @@ def lot_presentation(n: int, edges: Sequence[tuple[int, int, int]]) -> GroupPres
             raise ValueError(f"edge {(i, j, k)} has an index outside 1..{n}")
     if len(edges) != n - 1:
         raise ValueError(f"a tree on {n} vertices needs exactly {n - 1} edges, got {len(edges)}")
-    # n-1 edges connect n vertices iff they form a spanning tree
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # n-1 edges that close no cycle connect all n vertices: a spanning tree
+    components = UnionFind(n + 1)
     for i, _, k in edges:
-        ri, rk = find(i), find(k)
-        if ri == rk:
+        if not components.union(i, k):
             raise ValueError("edges do not form a tree")
-        parent[rk] = ri
-    if n > 1 and len({find(v) for v in range(1, n + 1)}) != 1:
-        raise ValueError("edges do not form a tree")
 
     alphabet = Alphabet(tuple(f"x{v}" for v in range(1, n + 1)))
     relators = []
@@ -427,7 +440,8 @@ class _Enumeration:
         self.budget = budget
         self.ncols = 2 * len(gp.alphabet)
         self.table: list[list[int | None]] = []
-        self.merged: list[int] = []
+        self.cosets = UnionFind()  # coincident cosets share a representative
+        self._rep = self.cosets.find
         self.queue: list[tuple[int, int]] = []
         self._new_coset()
 
@@ -435,14 +449,7 @@ class _Enumeration:
         if len(self.table) >= self.budget:
             return None
         self.table.append([None] * self.ncols)
-        self.merged.append(len(self.merged))
-        return len(self.table) - 1
-
-    def _rep(self, c: int) -> int:
-        while self.merged[c] != c:
-            self.merged[c] = self.merged[self.merged[c]]
-            c = self.merged[c]
-        return c
+        return self.cosets.add()
 
     @staticmethod
     def _inv(col: int) -> int:
@@ -469,7 +476,7 @@ class _Enumeration:
                 continue
             if b < a:
                 a, b = b, a
-            self.merged[b] = a
+            self.cosets.union(a, b)
             for col in range(self.ncols):
                 d = self.table[b][col]
                 if d is None:

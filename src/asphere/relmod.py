@@ -16,7 +16,7 @@ from typing import Iterable, Protocol, Sequence
 
 from .partial import EXHAUSTED, Tri
 from .peiffer import YSequence
-from .presentations import GroupPresentation, coset_table
+from .presentations import GroupPresentation, UnionFind, coset_table
 from .words import Alphabet, FreeWord, abelianize, invert, multiply
 
 
@@ -255,49 +255,32 @@ def is_zero(e: RelModElement, oracle: GroupOracle) -> Tri:
     saw_unknown_residue = False
     for rel, pairs in sorted(by_rel.items()):
         n = len(pairs)
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        unknown_edges = []
+        # classes: keys the oracle proves equal.  linked: classes joined by an
+        # UNKNOWN answer too; inside such a component further merging is
+        # conceivable, so only its total is certain
+        classes, linked = UnionFind(n), UnionFind(n)
         for i in range(n):
             for j in range(i + 1, n):
                 answer = oracle.equal(pairs[i][0], pairs[j][0])
                 if answer is Tri.YES:
-                    parent[find(j)] = find(i)
+                    classes.union(i, j)
+                    linked.union(i, j)
                 elif answer is Tri.UNKNOWN:
-                    unknown_edges.append((i, j))
+                    linked.union(i, j)
 
         sums: dict[int, int] = {}
         for i, (_, c) in enumerate(pairs):
-            sums[find(i)] = sums.get(find(i), 0) + c
+            root = classes.find(i)
+            sums[root] = sums.get(root, 0) + c
 
-        # connect classes linked by an UNKNOWN answer; inside a component,
-        # further merging is conceivable, so only the total is certain
-        comp = {root: root for root in sums}
-
-        def cfind(x: int) -> int:
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        for i, j in unknown_edges:
-            a, b = cfind(find(i)), cfind(find(j))
-            if a != b:
-                comp[b] = a
         totals: dict[int, int] = {}
         members: dict[int, int] = {}
         for root, s in sums.items():
-            c = cfind(root)
+            c = linked.find(root)
             totals[c] = totals.get(c, 0) + s
             members[c] = members.get(c, 0) + 1
         for c, total in totals.items():
-            nonzero = [sums[r] for r in sums if cfind(r) == c and sums[r] != 0]
+            nonzero = [sums[r] for r in sums if linked.find(r) == c and sums[r] != 0]
             if not nonzero:
                 continue
             if members[c] == 1 or total != 0:

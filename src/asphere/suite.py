@@ -8,7 +8,7 @@ Battery sample counts are the defaults used by the acceptance checks; the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import actions, peiffer, words, xmod
 from .fixtures import FixtureSet, load_fixtures
@@ -16,8 +16,6 @@ from .partial import EXHAUSTED, Tri
 from .peiffer import (
     Move,
     MoveKind,
-    YSequence,
-    YSymbol,
     apply_move,
     base_insert_pool,
     boundary,
@@ -26,12 +24,14 @@ from .peiffer import (
     insertion_generator,
     is_identity,
     legal_moves,
+    random_sequence,
+    random_symbol,
     scramble,
     search_pair_crossing,
     search_trivialization,
     verify_certificate,
 )
-from .presentations import GroupPresentation, coset_table, retract
+from .presentations import coset_enumeration, coset_table, retract
 from .relmod import CosetOracle, FreeOracle, RelModElement, is_zero, module_action, module_image
 from .words import (
     abelianize,
@@ -43,7 +43,9 @@ from .words import (
     random_word,
     reduce,
 )
-from .xmod import BatteryResult, ReducibleFixture, _collect
+from .xmod import BatteryResult, ReducibleFixture
+
+COSET_BUDGET = 2000  # coset cap of the suite's finite-quotient tables
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,6 @@ class RunConfig:
     seed: int = 0
     samples: int | None = None  # None: per-battery defaults
     node_budget: int = 50_000
-    coset_budget: int = 2000
-    depth: int | None = None
     fixtures_dir: str | None = None
 
     def count(self, default: int) -> int:
@@ -61,19 +61,6 @@ class RunConfig:
 
 def _rng(config: RunConfig, battery: str) -> random.Random:
     return random.Random(f"{config.seed}/{battery}")
-
-
-def _random_sequence(gp: GroupPresentation, rng: random.Random, max_len: int = 4) -> YSequence:
-    names = gp.relator_names
-    syms = tuple(
-        YSymbol(
-            names[rng.randrange(len(names))],
-            random_word(gp.alphabet, rng, 3),
-            rng.choice((1, -1)),
-        )
-        for _ in range(rng.randrange(max_len + 1))
-    )
-    return YSequence(gp, syms)
 
 
 # --- individual batteries -------------------------------------------------------
@@ -110,7 +97,7 @@ def battery_word_laws(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
             a + b for a, b in zip(abelianize(u), abelianize(v))
         ):
             failures.append(f"sample {i}: abelianization is not additive")
-    return _collect("word-laws", n, failures)
+    return BatteryResult.collect("word-laws", n, failures)
 
 
 def battery_retraction(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -125,7 +112,7 @@ def battery_retraction(config: RunConfig, fixtures: FixtureSet) -> BatteryResult
                 failures.append(
                     f"{fx.presentation.name} sample {i}: retract after embed moved a word"
                 )
-    return _collect("retraction", n, failures)
+    return BatteryResult.collect("retraction", n, failures)
 
 
 def battery_coset_determinism(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -133,14 +120,14 @@ def battery_coset_determinism(config: RunConfig, fixtures: FixtureSet) -> Batter
     checked = 0
     for name in ("c3", "sym3"):
         gp = fixtures.presentations[name]
-        first = coset_table(gp, (), config.coset_budget)
-        second = coset_table(gp, (), config.coset_budget)
+        first = coset_table(gp, (), COSET_BUDGET)
+        second = coset_table(gp, (), COSET_BUDGET)
         checked += 1
         if first is EXHAUSTED or second is EXHAUSTED:
             failures.append(f"{name}: enumeration did not close")
         elif first.rows != second.rows:
             failures.append(f"{name}: two runs disagree")
-    return _collect("coset-determinism", checked, failures)
+    return BatteryResult.collect("coset-determinism", checked, failures)
 
 
 def battery_move_soundness(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -151,7 +138,7 @@ def battery_move_soundness(config: RunConfig, fixtures: FixtureSet) -> BatteryRe
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
         gp = presentations[rng.randrange(len(presentations))]
-        d = _random_sequence(gp, rng)
+        d = random_sequence(gp, rng)
         pool = base_insert_pool(gp)
         moves = legal_moves(d, pool)
         if not moves:
@@ -161,7 +148,7 @@ def battery_move_soundness(config: RunConfig, fixtures: FixtureSet) -> BatteryRe
         after = boundary(apply_move(d, m))
         if before != after:
             failures.append(f"sample {i}: {m.kind.value} changed the boundary")
-    return _collect("move-soundness", n, failures)
+    return BatteryResult.collect("move-soundness", n, failures)
 
 
 def battery_exchange_involution(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -171,7 +158,7 @@ def battery_exchange_involution(config: RunConfig, fixtures: FixtureSet) -> Batt
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
         gp = presentations[rng.randrange(len(presentations))]
-        d = _random_sequence(gp, rng, max_len=5)
+        d = random_sequence(gp, rng, max_len=5)
         if len(d.symbols) < 2:
             continue
         pos = rng.randrange(len(d.symbols) - 1)
@@ -183,7 +170,7 @@ def battery_exchange_involution(config: RunConfig, fixtures: FixtureSet) -> Batt
         back = apply_move(there, Move(MoveKind.EXCHANGE_L, pos))
         if back != d:
             failures.append(f"sample {i}: right-then-left exchange is not the identity")
-    return _collect("exchange-involution", n, failures)
+    return BatteryResult.collect("exchange-involution", n, failures)
 
 
 def battery_centrality(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -195,20 +182,16 @@ def battery_centrality(config: RunConfig, fixtures: FixtureSet) -> BatteryResult
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
         gp = presentations[rng.randrange(len(presentations))]
-        d = _random_sequence(gp, rng)
+        d = random_sequence(gp, rng)
         pool = base_insert_pool(gp)
         a = pool[rng.randrange(len(pool))]
         g = insertion_generator(a, gp)
         if boundary(d.concat(g)) != boundary(d) or boundary(g.concat(d)) != boundary(d):
             failures.append(f"sample {i}: inserted pair shifted the boundary")
-        b = YSymbol(
-            gp.relator_names[rng.randrange(len(gp.relator_names))],
-            random_word(gp.alphabet, rng, 2),
-            rng.choice((1, -1)),
-        )
+        b = random_symbol(gp, rng, conj_len=2)
         if search_pair_crossing(gp, b, a, node_budget=64) is None:
             failures.append(f"sample {i}: no crossing certificate within budget")
-    return _collect("centrality", n, failures)
+    return BatteryResult.collect("centrality", n, failures)
 
 
 def battery_sequence_action(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -218,7 +201,7 @@ def battery_sequence_action(config: RunConfig, fixtures: FixtureSet) -> BatteryR
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
         gp = presentations[rng.randrange(len(presentations))]
-        d = _random_sequence(gp, rng)
+        d = random_sequence(gp, rng)
         v = random_word(gp.alphabet, rng, 3)
         w = random_word(gp.alphabet, rng, 3)
         if conjugate_sequence(empty_word(gp.alphabet), d) != d:
@@ -229,7 +212,7 @@ def battery_sequence_action(config: RunConfig, fixtures: FixtureSet) -> BatteryR
             failures.append(f"sample {i}: conjugation action law fails")
         if boundary(conjugate_sequence(w, d)) != conjugate(w, boundary(d)):
             failures.append(f"sample {i}: boundary does not intertwine the action")
-    return _collect("sequence-action", n, failures)
+    return BatteryResult.collect("sequence-action", n, failures)
 
 
 def battery_scramble_recover(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -254,7 +237,7 @@ def battery_scramble_recover(config: RunConfig, fixtures: FixtureSet) -> Battery
         found += 1
     if n and found / n < 0.95:
         failures.append(f"recovery rate {found}/{n} below 95%")
-    return _collect("scramble-recover", n, failures, counters=(("found", found),))
+    return BatteryResult.collect("scramble-recover", n, failures, counters=(("found", found),))
 
 
 def battery_tensor_dominion(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -279,24 +262,24 @@ def battery_tensor_dominion(config: RunConfig, fixtures: FixtureSet) -> BatteryR
                 failures.append(
                     f"{name} U={sorted(sub.elements)}: inverse submonoid is not closed"
                 )
-    return _collect("tensor-dominion", instances, failures)
+    return BatteryResult.collect("tensor-dominion", instances, failures)
 
 
 def battery_envelope_probe(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
     failures = []
     cyc = fixtures.monoids["cyc_1_2"]
     gp = actions.enveloping_group_presentation(cyc)
-    idx = coset_table(gp, (), 100)
-    if idx is EXHAUSTED or idx.index != 2:
-        failures.append(f"three-element cyclic monoid: envelope index {getattr(idx, 'index', idx)} != 2")
+    idx = coset_enumeration(gp, (), 100)
+    if idx != 2:
+        failures.append(f"three-element cyclic monoid: envelope index {idx} != 2")
     wd = actions.weak_dominion_membership(cyc, actions.Submonoid(cyc, frozenset({0})), 1, 100)
     if wd is not Tri.NO:
         failures.append(f"weak dominion of the generator should be NO, got {wd.value}")
     for name, expected in (("c3", 3), ("sym3", 6)):
-        t = coset_table(fixtures.presentations[name], (), 100)
-        if t is EXHAUSTED or t.index != expected:
-            failures.append(f"{name}: index {getattr(t, 'index', t)} != {expected}")
-    return _collect("envelope-probe", 4, failures)
+        idx = coset_enumeration(fixtures.presentations[name], (), 100)
+        if idx != expected:
+            failures.append(f"{name}: index {idx} != {expected}")
+    return BatteryResult.collect("envelope-probe", 4, failures)
 
 
 def battery_insertion_identity(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -308,18 +291,14 @@ def battery_insertion_identity(config: RunConfig, fixtures: FixtureSet) -> Batte
     for i in range(n):
         gp = presentations[rng.randrange(len(presentations))]
         oracle = FreeOracle(gp.alphabet)
-        d = _random_sequence(gp, rng)
-        a = YSymbol(
-            gp.relator_names[rng.randrange(len(gp.relator_names))],
-            random_word(gp.alphabet, rng, 3),
-            rng.choice((1, -1)),
-        )
+        d = random_sequence(gp, rng)
+        a = random_symbol(gp, rng)
         extended = d.concat(insertion_generator(a, gp))
         delta = module_image(extended, oracle).subtract(module_image(d, oracle))
         expected = RelModElement.basis(a.relator, a.conjugator, 2)
         if delta != expected:
             failures.append(f"sample {i}: insertion does not add twice the basis element")
-    return _collect("insertion-identity", n, failures)
+    return BatteryResult.collect("insertion-identity", n, failures)
 
 
 def battery_exchange_keys(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -328,7 +307,7 @@ def battery_exchange_keys(config: RunConfig, fixtures: FixtureSet) -> BatteryRes
     n = config.count(200)
     failures = []
     oracles = {
-        name: CosetOracle(fixtures.presentations[name], config.coset_budget)
+        name: CosetOracle(fixtures.presentations[name], COSET_BUDGET)
         for name in ("c3", "sym3")
     }
     names = tuple(oracles)
@@ -336,7 +315,7 @@ def battery_exchange_keys(config: RunConfig, fixtures: FixtureSet) -> BatteryRes
         name = names[rng.randrange(len(names))]
         gp = fixtures.presentations[name]
         oracle = oracles[name]
-        d = _random_sequence(gp, rng, max_len=4)
+        d = random_sequence(gp, rng)
         if len(d.symbols) < 2:
             continue
         pos = rng.randrange(len(d.symbols) - 1)
@@ -352,7 +331,7 @@ def battery_exchange_keys(config: RunConfig, fixtures: FixtureSet) -> BatteryRes
             failures.append(f"sample {i}: action round trip fails over {name}")
         if is_zero(before.subtract(before), oracle) is not Tri.YES:
             failures.append(f"sample {i}: self-difference is not zero")
-    return _collect("exchange-keys", n, failures)
+    return BatteryResult.collect("exchange-keys", n, failures)
 
 
 def battery_certificates_roundtrip(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -374,7 +353,7 @@ def battery_certificates_roundtrip(config: RunConfig, fixtures: FixtureSet) -> B
         backward = peiffer.invert_certificate(empty_sequence(gp), forward)
         if not verify_certificate(d, backward):
             failures.append(f"sample {i}: inverted certificate does not trivialize")
-    return _collect("certificates", n, failures)
+    return BatteryResult.collect("certificates", n, failures)
 
 
 FIXTURE_BATTERY_TABLE = (
@@ -396,11 +375,7 @@ def fixture_batteries(fx: ReducibleFixture, config: RunConfig) -> list[BatteryRe
     for name, fn, default, has_control in FIXTURE_BATTERY_TABLE:
         n = config.count(default)
         result = fn(fx, _rng(config, f"{fixture_name}/{name}"), n)
-        out.append(
-            BatteryResult(
-                f"{fixture_name}/{name}", result.samples, result.failures, result.detail
-            )
-        )
+        out.append(replace(result, name=f"{fixture_name}/{name}"))
         if has_control:
             # sensitivity checks need enough draws to dodge degenerate samples,
             # whatever the smoke-mode scale is
@@ -408,31 +383,15 @@ def fixture_batteries(fx: ReducibleFixture, config: RunConfig) -> list[BatteryRe
             perturbed = fn(
                 fx, _rng(config, f"{fixture_name}/{name}/control"), control_n, perturb=True
             )
-            control_ok = perturbed.failures > 0
+            missed = [] if perturbed.failures else ["perturbed formula went undetected"]
             out.append(
-                BatteryResult(
-                    f"{fixture_name}/{name}/negative-control",
-                    control_n,
-                    0 if control_ok else 1,
-                    () if control_ok else ("perturbed formula went undetected",),
-                )
+                BatteryResult.collect(f"{fixture_name}/{name}/negative-control", control_n, missed)
             )
     n_proj = config.count(100)
     proj = xmod.check_projection(
-        fx,
-        _rng(config, f"{fixture_name}/projection"),
-        n_proj,
-        node_budget=config.node_budget,
+        fx, _rng(config, f"{fixture_name}/projection"), n_proj, node_budget=config.node_budget
     )
-    out.append(
-        BatteryResult(
-            f"{fixture_name}/projection-pipeline",
-            proj.samples,
-            proj.failures,
-            proj.detail,
-            proj.counters,
-        )
-    )
+    out.append(replace(proj, name=f"{fixture_name}/projection-pipeline"))
     return out
 
 

@@ -7,9 +7,9 @@ an error; moving a word into a larger alphabet is the explicit ``embed``.
 Validation happens once, at the boundary: the public constructors (``FreeWord``,
 ``reduce``, the text parsers) check every letter and reject unreduced input.
 Results the arithmetic proves reduced, such as the junction-cancelled
-concatenation of two reduced factors or the reversal of a reduced word, go
-through the private ``_word``, which checks nothing; only code that has such a
-proof may call it.
+concatenation of two reduced factors, the reversal of a reduced word or its
+renaming by ``embed`` and ``restrict``, go through the private ``_word``,
+which checks nothing; only code that has such a proof may call it.
 
 Textual syntax (shared by file formats and the CLI): whitespace-separated
 tokens, ``x`` for a generator, ``x^-1`` for its inverse, ``1`` for the empty
@@ -255,6 +255,18 @@ def embed(u: FreeWord, big: Alphabet) -> FreeWord:
             f"cannot embed: {u.alphabet.generators} is not a subset of {big.generators}"
         ) from None
     return _word(big, tuple(SignedLetter(mapping[l], s) for l, s in u.letters))
+
+
+def restrict(u: FreeWord, small: Alphabet) -> FreeWord:
+    """Reinterpret u over a smaller alphabet holding every generator u uses;
+    the inverse of ``embed``."""
+    names = u.alphabet.generators
+    try:
+        return _word(small, tuple(SignedLetter(small.index(names[l]), s) for l, s in u.letters))
+    except AlphabetError:
+        raise AlphabetError(
+            f"cannot restrict: {word_to_text(u)!r} uses a generator outside {small.generators}"
+        ) from None
 
 
 # --- textual syntax ---------------------------------------------------------

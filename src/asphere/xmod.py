@@ -29,6 +29,8 @@ from .peiffer import (
     conjugate_sequence,
     empty_sequence,
     is_identity,
+    random_sequence,
+    random_symbol,
     scramble,
     search_trivialization,
     symbol_boundary,
@@ -54,6 +56,7 @@ from .words import (
     invert,
     multiply,
     random_word,
+    restrict,
 )
 
 
@@ -87,8 +90,8 @@ class FreeGroupCarrier:
     def identity(self) -> FreeWord:
         return empty_word(self.alphabet)
 
-    def random_element(self, rng: random.Random, max_len: int = 6) -> FreeWord:
-        return random_word(self.alphabet, rng, max_len)
+    def random_element(self, rng: random.Random) -> FreeWord:
+        return random_word(self.alphabet, rng)
 
 
 @dataclass(frozen=True)
@@ -104,15 +107,13 @@ class KernelCarrier:
     def identity(self) -> FreeWord:
         return empty_word(self.retraction.big_alphabet)
 
-    def random_element(
-        self, rng: random.Random, max_factors: int = 3, conj_len: int = 3
-    ) -> FreeWord:
+    def random_element(self, rng: random.Random, max_factors: int = 3) -> FreeWord:
         retr = self.retraction
         big = retr.big_alphabet
         seed_rel = _kernel_generator(retr)
         acc = empty_word(big)
         for _ in range(rng.randrange(max_factors + 1)):
-            u = random_word(big, rng, conj_len)
+            u = random_word(big, rng, 3)
             r = seed_rel if rng.random() < 0.5 else invert(seed_rel)
             acc = multiply(acc, conjugate(u, r))
         return acc
@@ -263,17 +264,8 @@ def compose_derivations(d1: Derivation, d2: Derivation) -> Derivation:
 
     inv = None
     if d1.inverse_hint is not None and d2.inverse_hint is not None:
-        inv = Derivation(
-            d1.xm,
-            _composed_rule(d2.inverse_hint, d1.inverse_hint),
-            label=f"({d2.inverse_hint.label})o({d1.inverse_hint.label})",
-        )
+        inv = compose_derivations(d2.inverse_hint, d1.inverse_hint)
     return Derivation(d1.xm, rule, label=f"({d1.label})o({d2.label})", inverse_hint=inv)
-
-
-def _composed_rule(d1: Derivation, d2: Derivation) -> Callable[[FreeWord], FreeWord]:
-    sigma2 = induced_base_map(d2)
-    return lambda x: multiply(d1(sigma2(x)), d2(x))
 
 
 def compose_alternative(d1: Derivation, d2: Derivation) -> Callable[[FreeWord], FreeWord]:
@@ -367,7 +359,7 @@ class ReducibleFixture:
                 continue
             if any(gp.alphabet.name(l) == z for l, _ in word.letters):
                 raise ValueError(f"relator {name!r} also uses the eliminated generator")
-            sub_relators.append((name, embed_into_small(word, small)))
+            sub_relators.append((name, restrict(word, small)))
         sub = GroupPresentation(f"{gp.name}_sub", small, tuple(sub_relators))
         return cls(gp, retr, sub)
 
@@ -375,12 +367,12 @@ class ReducibleFixture:
         return list(self.subpresentation.relators)
 
 
-def embed_into_small(w: FreeWord, small: Alphabet) -> FreeWord:
-    letters = tuple(SignedLetter(small.index(w.alphabet.name(l)), s) for l, s in w.letters)
-    return FreeWord(small, letters)
-
-
 # --- eta over sequences and the semidirect action --------------------------------
+
+
+def symbol_derivation(retr: Retraction, gp: GroupPresentation, s: YSymbol) -> Derivation:
+    """The relator derivation of one symbol over the subpresentation gp."""
+    return relator_derivation(retr, s.conjugator, gp.relator(s.relator), s.sign)
 
 
 def sequence_derivation(retr: Retraction, m: YSequence) -> Derivation:
@@ -389,7 +381,7 @@ def sequence_derivation(retr: Retraction, m: YSequence) -> Derivation:
     acc = trivial_derivation(kernel_self_xmod(retr))
     first = True
     for s in m.symbols:
-        d = relator_derivation(retr, s.conjugator, m.presentation.relator(s.relator), s.sign)
+        d = symbol_derivation(retr, m.presentation, s)
         acc = d if first else compose_derivations(acc, d)
         first = False
     return acc
@@ -500,6 +492,13 @@ class BatteryResult:
     detail: tuple[str, ...] = ()
     counters: tuple[tuple[str, int], ...] = ()
 
+    @classmethod
+    def collect(
+        cls, name: str, samples: int, failures: list[str], counters=()
+    ) -> BatteryResult:
+        """The result of a battery run, keeping the first five failure messages."""
+        return cls(name, samples, len(failures), tuple(failures[:5]), tuple(counters))
+
     @property
     def passed(self) -> bool:
         return self.failures == 0
@@ -513,17 +512,6 @@ class BatteryResult:
             "counters": {k: v for k, v in self.counters},
             "passed": self.passed,
         }
-
-
-def _collect(name: str, samples: int, failures: list[str], counters=()) -> BatteryResult:
-    return BatteryResult(name, samples, len(failures), tuple(failures[:5]), tuple(counters))
-
-
-def _sample_symbol_data(fx: ReducibleFixture, rng: random.Random):
-    rel_name, r_word = fx.relator_words()[rng.randrange(len(fx.relator_words()))]
-    u = random_word(fx.retraction.small_alphabet, rng, 4)
-    sign = rng.choice((1, -1))
-    return rel_name, r_word, u, sign
 
 
 def check_crossed_module_axioms(
@@ -548,20 +536,20 @@ def check_crossed_module_axioms(
             failures.append(f"sample {i}: action composition fails")
         if xm.action(g, multiply(t, t2)) != multiply(gt, xm.action(g, t2)):
             failures.append(f"sample {i}: action is not homomorphic")
-    return _collect("crossed-module-axioms", samples, failures)
+    return BatteryResult.collect("crossed-module-axioms", samples, failures)
 
 
 def check_derivation_law(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
-    retr = fx.retraction
+    retr, sub = fx.retraction, fx.subpresentation
     kernel = KernelCarrier(retr)
     failures = []
     if not fx.relator_words():
-        return _collect("derivation-law", 0, [])
+        return BatteryResult.collect("derivation-law", 0, [])
     for i in range(samples):
-        rel_name, r_word, u, sign = _sample_symbol_data(fx, rng)
-        d = relator_derivation(retr, u, r_word, sign)
+        s = random_symbol(sub, rng, conj_len=4)
+        d = symbol_derivation(retr, sub, s)
         rule = d.rule
         if perturb:
             rule = lambda x, _r=d.rule: invert(_r(x))  # noqa: E731
@@ -570,42 +558,40 @@ def check_derivation_law(
         lhs = rule(multiply(x, y))
         rhs = multiply(rule(x), conjugate(x, rule(y)))
         if lhs != rhs or not kernel.contains(rule(x)):
-            failures.append(f"sample {i}: derivation law fails for {rel_name}")
-    return _collect("derivation-law", samples, failures)
+            failures.append(f"sample {i}: derivation law fails for {s.relator}")
+    return BatteryResult.collect("derivation-law", samples, failures)
 
 
 def check_regularity(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
-    retr = fx.retraction
+    retr, sub = fx.retraction, fx.subpresentation
     kernel = KernelCarrier(retr)
     failures = []
     if not fx.relator_words():
-        return _collect("regularity", 0, [])
+        return BatteryResult.collect("regularity", 0, [])
     for i in range(samples):
-        rel_name, r_word, u, sign = _sample_symbol_data(fx, rng)
-        d_plus = relator_derivation(retr, u, r_word, sign)
-        d_minus = relator_derivation(retr, u, r_word, sign if perturb else -sign)
+        s = random_symbol(sub, rng, conj_len=4)
+        d_plus = symbol_derivation(retr, sub, s)
+        d_minus = symbol_derivation(retr, sub, s if perturb else s.inverse())
         composed = compose_derivations(d_plus, d_minus)
         x = kernel.random_element(rng)
         if not composed(x).is_identity:
             failures.append(f"sample {i}: composition with the witness is not trivial")
-    return _collect("regularity", samples, failures)
+    return BatteryResult.collect("regularity", samples, failures)
 
 
 def check_composition_formulas(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
-    retr = fx.retraction
+    retr, sub = fx.retraction, fx.subpresentation
     kernel = KernelCarrier(retr)
     failures = []
     if not fx.relator_words():
-        return _collect("composition-agreement", 0, [])
+        return BatteryResult.collect("composition-agreement", 0, [])
     for i in range(samples):
-        _, r1, u1, s1 = _sample_symbol_data(fx, rng)
-        _, r2, u2, s2 = _sample_symbol_data(fx, rng)
-        d1 = relator_derivation(retr, u1, r1, s1)
-        d2 = relator_derivation(retr, u2, r2, s2)
+        d1 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+        d2 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
         composed = compose_derivations(d1, d2)
         alt = compose_alternative(d1, d2)
         if perturb:
@@ -623,7 +609,7 @@ def check_composition_formulas(
     if compose_derivations(triv, d_any)(probe) != d_any(probe):
         trivial_ok = False
     failures += [] if trivial_ok else ["trivial derivation is not a unit"]
-    return _collect("composition-agreement", samples, failures)
+    return BatteryResult.collect("composition-agreement", samples, failures)
 
 
 def check_actor_diagram(
@@ -632,38 +618,26 @@ def check_actor_diagram(
     """Sampled commutation of the derivation/automorphism square: the
     automorphism pair of a relator derivation equals conjugation by the
     relator conjugate, on both components."""
-    retr = fx.retraction
+    retr, sub = fx.retraction, fx.subpresentation
     kernel = KernelCarrier(retr)
     failures = []
     if not fx.relator_words():
-        return _collect("actor-diagram", 0, [])
+        return BatteryResult.collect("actor-diagram", 0, [])
     for i in range(samples):
-        rel_name, r_word, u, sign = _sample_symbol_data(fx, rng)
-        d = relator_derivation(retr, u, r_word, sign)
+        s = random_symbol(sub, rng, conj_len=4)
+        d = symbol_derivation(retr, sub, s)
         pair = derivation_automorphisms(d, rng=rng, samples=2)
-        c = conjugate(u, r_word if sign > 0 else invert(r_word))
+        c = symbol_boundary(sub, s)
         if perturb:
             c = invert(c)
         conj_pair = conjugation_aut_pair(retr, c)
         t = kernel.random_element(rng)
         x = kernel.random_element(rng)
         if pair.top(t) != conj_pair.top(t):
-            failures.append(f"sample {i}: top components disagree for {rel_name}")
+            failures.append(f"sample {i}: top components disagree for {s.relator}")
         if pair.base(x) != conj_pair.base(x):
-            failures.append(f"sample {i}: base components disagree for {rel_name}")
-    return _collect("actor-diagram", samples, failures)
-
-
-def _random_subsequence(fx: ReducibleFixture, rng: random.Random, max_len: int = 3) -> YSequence:
-    syms = []
-    names = fx.subpresentation.relator_names
-    if not names:
-        return YSequence(fx.subpresentation, ())
-    for _ in range(rng.randrange(max_len + 1)):
-        name = names[rng.randrange(len(names))]
-        u = random_word(fx.retraction.small_alphabet, rng, 3)
-        syms.append(YSymbol(name, u, rng.choice((1, -1))))
-    return YSequence(fx.subpresentation, tuple(syms))
+            failures.append(f"sample {i}: base components disagree for {s.relator}")
+    return BatteryResult.collect("actor-diagram", samples, failures)
 
 
 def check_action_laws(
@@ -677,7 +651,7 @@ def check_action_laws(
     failures = []
     for i in range(samples):
         t = kernel.random_element(rng, max_factors=2)
-        m = _random_subsequence(fx, rng)
+        m = random_sequence(fx.subpresentation, rng, max_len=3)
         g = kernel.random_element(rng, max_factors=2)
         p = random_word(small, rng, 3)
         g2 = kernel.random_element(rng, max_factors=2)
@@ -695,7 +669,7 @@ def check_action_laws(
         rhs_t, rhs_m = semidirect_action(retr, g_comb, p_comb, t, m, perturb=perturb)
         if lhs_t != rhs_t or lhs_m.symbols != rhs_m.symbols:
             failures.append(f"sample {i}: composition law fails")
-    return _collect("action-laws", samples, failures)
+    return BatteryResult.collect("action-laws", samples, failures)
 
 
 def check_decompose_roundtrip(
@@ -720,25 +694,20 @@ def check_decompose_roundtrip(
         v0, v1 = decompose(retr, v)
         if v0 != n0 or v1 != embed(w1, big):
             failures.append(f"sample {i}: pair round-trip fails")
-    return _collect("decompose-roundtrip", samples, failures)
+    return BatteryResult.collect("decompose-roundtrip", samples, failures)
 
 
 def check_projection(
-    fx: ReducibleFixture,
-    rng: random.Random,
-    sequences: int,
-    scramble_moves: int = 6,
-    node_budget: int = 50_000,
-    min_rate: float = 0.9,
+    fx: ReducibleFixture, rng: random.Random, sequences: int, node_budget: int = 50_000
 ) -> BatteryResult:
     """Project scrambled identity sequences and search for certificates of
     the residual sequences.  Projection failures are hard failures; search
-    misses are counted and only fail the battery below the rate threshold."""
+    misses are counted and only fail the battery below a 0.9 success rate."""
     failures = []
     searched = 0
     found = 0
     for i in range(sequences):
-        k = rng.randrange(1, scramble_moves + 1)
+        k = rng.randrange(1, 7)
         d, _ = scramble(fx.presentation, rng.randrange(1 << 30), k)
         try:
             residue, d1 = project_identity_sequence(fx, d)
@@ -755,11 +724,9 @@ def check_projection(
             failures.append(f"sequence {i}: certificate does not replay")
             continue
         found += 1
-    if searched and found / searched < min_rate:
-        failures.append(
-            f"search success rate {found}/{searched} below threshold {min_rate}"
-        )
-    return _collect(
+    if searched and found / searched < 0.9:
+        failures.append(f"search success rate {found}/{searched} below threshold 0.9")
+    return BatteryResult.collect(
         "projection-pipeline",
         sequences,
         failures,

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asphere import peiffer
+from asphere.fixtures import load_fixtures
 from asphere.partial import EXHAUSTED
 from asphere.peiffer import (
     Certificate,
@@ -34,11 +36,13 @@ from asphere.peiffer import (
     scramble,
     search_pair_crossing,
     search_trivialization,
+    symbol_to_json,
     verify_certificate,
     ysequence_from_json,
     ysequence_to_json,
 )
 from asphere.presentations import parse
+from asphere.xmod import ReducibleFixture
 from asphere.words import (
     AlphabetError,
     empty_word,
@@ -390,6 +394,11 @@ class TestFormalWords:
         assert len(fw.entries) == 2
         assert formal_boundary(fw).is_identity
 
+    def test_foreign_conjugator_is_rejected_at_construction(self, c3, sym3):
+        foreign = YSymbol("r", word_from_text(sym3.alphabet, "b"), 1)
+        with pytest.raises(AlphabetError):
+            FormalWord(c3, ((foreign, 1),))
+
 
 class TestDynamicPool:
     def test_contains_present_conjugators(self):
@@ -402,3 +411,43 @@ class TestDynamicPool:
         long_word = word_from_text(GP.alphabet, "a b a b a b")
         d = seq(sym(conj=long_word))
         assert all(len(s.conjugator.letters) <= 2 for s in dynamic_insert_pool(d, conj_cap=2))
+
+
+class TestRandomSamplers:
+    """The draws are pinned: the suite's report bytes depend on them."""
+
+    def test_random_sequence_draws(self):
+        gp = load_fixtures().presentations["sym3"]
+        rng = random.Random(5)
+        draws = [ysequence_to_json(peiffer.random_sequence(gp, rng)) for _ in range(3)]
+        assert draws == [
+            [
+                {"rel": "r2", "conj": "1", "sign": 1},
+                {"rel": "r1", "conj": "b b", "sign": 1},
+                {"rel": "r1", "conj": "b^-1", "sign": 1},
+                {"rel": "r2", "conj": "a", "sign": -1},
+            ],
+            [{"rel": "r1", "conj": "1", "sign": 1}],
+            [{"rel": "r1", "conj": "a^-1", "sign": -1}],
+        ]
+        assert rng.randrange(1 << 30) == 427111572
+
+    def test_random_symbol_draws(self):
+        lot4 = ReducibleFixture.from_presentation(load_fixtures().presentations["lot4"])
+        rng = random.Random(7)
+        draws = [
+            symbol_to_json(peiffer.random_symbol(lot4.subpresentation, rng, conj_len=4))
+            for _ in range(3)
+        ]
+        assert draws == [
+            {"rel": "r3", "conj": "x3", "sign": 1},
+            {"rel": "r2", "conj": "x4 x4", "sign": 1},
+            {"rel": "r2", "conj": "x3 x2 x4^-1", "sign": 1},
+        ]
+        assert rng.randrange(1 << 30) == 265862673
+
+    def test_no_relators_draws_nothing(self):
+        gp = parse("group F\ngens a\n")
+        rng = random.Random(0)
+        assert peiffer.random_sequence(gp, rng).symbols == ()
+        assert rng.getstate() == random.Random(0).getstate()

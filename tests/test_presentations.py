@@ -10,6 +10,7 @@ from asphere.presentations import (
     MonoidPresentation,
     NotReducibleError,
     ParseError,
+    UnionFind,
     coset_enumeration,
     coset_table,
     decompose,
@@ -289,3 +290,17 @@ class TestCosetEnumeration:
         assert coset_enumeration(d4, (), 200) == 8
         rotation = [word_from_text(d4.alphabet, "a")]
         assert coset_enumeration(d4, rotation, 200) == 2
+
+
+class TestUnionFind:
+    def test_union_keeps_the_smaller_root(self):
+        uf = UnionFind(4)
+        assert uf.union(3, 1) and uf.find(3) == 1
+        assert uf.union(2, 3) and uf.find(2) == 1
+        assert not uf.union(1, 2)
+        assert uf.find(0) == 0
+
+    def test_add_appends_a_singleton(self):
+        uf = UnionFind()
+        assert [uf.add(), uf.add()] == [0, 1]
+        assert uf.union(1, 0) and uf.find(1) == 0

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asphere.partial import Tri
 from asphere.peiffer import (
@@ -163,6 +165,47 @@ class TestIsZero:
         v = word_from_text(AB, "a a a a")
         e = RelModElement.basis("r", u).add(RelModElement.basis("r", v))
         assert is_zero(e, oracle) is Tri.NO
+
+
+class PartitionOracle:
+    """Exact: two keys are equal exactly when they carry the same label."""
+
+    alphabet = AB
+
+    def __init__(self, label):
+        self.label = label
+
+    def equal(self, u, v):
+        return Tri.YES if self.label[u] == self.label[v] else Tri.NO
+
+    def canon(self, w):
+        return w
+
+
+POWERS = [word_from_text(AB, " ".join(["a"] * k) or "1") for k in range(8)]
+
+
+TERMS = st.lists(
+    st.tuples(st.sampled_from(("r", "s")), st.integers(0, len(POWERS) - 1), st.integers(-3, 3)),
+    max_size=12,
+)
+
+
+@given(st.lists(st.integers(0, 3), min_size=len(POWERS), max_size=len(POWERS)), st.data())
+def test_is_zero_under_an_exact_oracle_sums_each_class(labels, data):
+    items = data.draw(TERMS)
+    if data.draw(st.booleans()):
+        # cancel each term against a key of its class, then perturb a little
+        same = [[j for j, lj in enumerate(labels) if lj == lk] for lk in labels]
+        items += [(rel, data.draw(st.sampled_from(same[k])), -c) for rel, k, c in items]
+        items += data.draw(TERMS.map(lambda extra: extra[:1]))
+    oracle = PartitionOracle(dict(zip(POWERS, labels)))
+    e = RelModElement.from_items((rel, POWERS[k], c) for rel, k, c in items)
+    sums = {}
+    for rel, k, c in items:
+        sums[rel, labels[k]] = sums.get((rel, labels[k]), 0) + c
+    expected = Tri.YES if all(total == 0 for total in sums.values()) else Tri.NO
+    assert is_zero(e, oracle) is expected
 
 
 class TestOracles:

@@ -19,6 +19,7 @@ from asphere.words import (
     multiply,
     random_word,
     reduce,
+    restrict,
     word_from_text,
     word_to_text,
 )
@@ -226,3 +227,25 @@ class TestEmbedAndText:
 def test_freeword_rejects_unreduced_letters():
     with pytest.raises(ValueError):
         FreeWord(AB, (SignedLetter(0, 1), SignedLetter(0, -1)))
+
+
+class TestRestrict:
+    BIG = Alphabet(("a", "z", "b"))
+
+    @given(raw_letters(2))
+    def test_inverts_embed(self, raw):
+        u = reduce(AB, raw)
+        assert restrict(embed(u, self.BIG), AB) == u
+
+    @given(raw_letters(3))
+    def test_rejects_exactly_the_words_using_the_dropped_generator(self, raw):
+        u = reduce(self.BIG, raw)
+        if any(l == 1 for l, _ in u.letters):
+            with pytest.raises(AlphabetError):
+                restrict(u, AB)
+        else:
+            assert embed(restrict(u, AB), self.BIG) == u
+
+    def test_rejects_the_dropped_generator(self):
+        with pytest.raises(AlphabetError):
+            restrict(word_from_text(self.BIG, "a z"), AB)
