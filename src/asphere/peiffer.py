@@ -307,14 +307,12 @@ def random_symbol(gp: GroupPresentation, rng: random.Random, conj_len: int = 3) 
     return _symbol(name, random_word(gp.alphabet, rng, conj_len), rng.choice((1, -1)))
 
 
-def random_sequence(
-    gp: GroupPresentation, rng: random.Random, max_len: int = 4, conj_len: int = 3
-) -> YSequence:
+def random_sequence(gp: GroupPresentation, rng: random.Random, max_len: int = 4) -> YSequence:
     """Up to ``max_len`` random symbols; draws nothing when gp has no relators."""
     if not gp.relators:
         return empty_sequence(gp)
     count = rng.randrange(max_len + 1)
-    return _sequence(gp, tuple(random_symbol(gp, rng, conj_len) for _ in range(count)))
+    return _sequence(gp, tuple(random_symbol(gp, rng) for _ in range(count)))
 
 
 def scramble(

@@ -166,23 +166,36 @@ class TestIsZero:
         e = RelModElement.basis("r", u).add(RelModElement.basis("r", v))
         assert is_zero(e, oracle) is Tri.NO
 
-
-class PartitionOracle:
-    """Exact: two keys are equal exactly when they carry the same label."""
-
-    alphabet = AB
-
-    def __init__(self, label):
-        self.label = label
-
-    def equal(self, u, v):
-        return Tri.YES if self.label[u] == self.label[v] else Tri.NO
-
-    def canon(self, w):
-        return w
+    def test_unknown_link_from_a_class_member_joins_the_whole_class(self):
+        # 1 = a proven (YES); a vs a a unknown; 1 vs a a refuted (NO).  The
+        # class {1, a} sums to 2 and a a can still cancel it, so UNKNOWN
+        oracle = PartitionOracle([0, 0, 1], frozenset({frozenset((1, 2))}))
+        e = RelModElement.from_items(("r", POWERS[k], c) for k, c in [(0, 1), (1, 1), (2, -2)])
+        assert is_zero(e, oracle) is Tri.UNKNOWN
 
 
 POWERS = [word_from_text(AB, " ".join(["a"] * k) or "1") for k in range(8)]
+KEY_PAIRS = [frozenset((i, j)) for i in range(len(POWERS)) for j in range(i)]
+
+
+class PartitionOracle:
+    """Sound over a partition of the keys: a key pair in ``unknown`` answers
+    UNKNOWN, any other pair YES exactly when both keys carry the same label."""
+
+    alphabet = AB
+
+    def __init__(self, labels, unknown=frozenset()):
+        self.labels = labels
+        self.unknown = unknown
+
+    def equal(self, u, v):
+        i, j = POWERS.index(u), POWERS.index(v)
+        if frozenset((i, j)) in self.unknown:
+            return Tri.UNKNOWN
+        return Tri.YES if self.labels[i] == self.labels[j] else Tri.NO
+
+    def canon(self, w):
+        return w
 
 
 TERMS = st.lists(
@@ -191,21 +204,71 @@ TERMS = st.lists(
 )
 
 
-@given(st.lists(st.integers(0, 3), min_size=len(POWERS), max_size=len(POWERS)), st.data())
-def test_is_zero_under_an_exact_oracle_sums_each_class(labels, data):
+def components(keys, joined):
+    """The connected components of ``keys`` under the symmetric ``joined``."""
+    left, parts = set(keys), []
+    while left:
+        part, frontier = set(), [left.pop()]
+        while frontier:
+            k = frontier.pop()
+            part.add(k)
+            near = {m for m in left if joined(k, m)}
+            left -= near
+            frontier.extend(near)
+        parts.append(part)
+    return parts
+
+
+def expected_is_zero(coeff, labels, unknown):
+    """Per relator, classes are the keys joined by YES answers and components
+    the keys joined by YES or UNKNOWN answers.  A component is NO when a class
+    in it has a nonzero sum and it has one class or a nonzero total, and
+    UNKNOWN when it has a nonzero class but a zero total."""
+    verdict = Tri.YES
+    for rel in {rel for rel, _ in coeff}:
+        keys = [k for r, k in coeff if r == rel]
+        yes = lambda i, j: labels[i] == labels[j] and frozenset((i, j)) not in unknown
+        for part in components(keys, lambda i, j: yes(i, j) or frozenset((i, j)) in unknown):
+            class_sums = [sum(coeff[rel, k] for k in c) for c in components(part, yes)]
+            if any(class_sums):
+                if len(class_sums) == 1 or sum(class_sums):
+                    return Tri.NO
+                verdict = Tri.UNKNOWN
+    return verdict
+
+
+@given(
+    st.lists(st.integers(0, 3), min_size=len(POWERS), max_size=len(POWERS)),
+    st.frozensets(st.sampled_from(KEY_PAIRS)),
+    st.data(),
+)
+def test_is_zero_under_a_partition_oracle_sums_each_class(labels, unknown, data):
     items = data.draw(TERMS)
-    if data.draw(st.booleans()):
+    balance = data.draw(st.sampled_from(("none", "class", "total")))
+    if balance == "class":
         # cancel each term against a key of its class, then perturb a little
         same = [[j for j, lj in enumerate(labels) if lj == lk] for lk in labels]
         items += [(rel, data.draw(st.sampled_from(same[k])), -c) for rel, k, c in items]
         items += data.draw(TERMS.map(lambda extra: extra[:1]))
-    oracle = PartitionOracle(dict(zip(POWERS, labels)))
-    e = RelModElement.from_items((rel, POWERS[k], c) for rel, k, c in items)
-    sums = {}
+    elif balance == "total":
+        # cancel each term against any key, so only the relator totals vanish
+        keys = st.integers(0, len(POWERS) - 1)
+        items += [(rel, data.draw(keys), -c) for rel, _, c in items]
+    coeff = {}
     for rel, k, c in items:
+        coeff[rel, k] = coeff.get((rel, k), 0) + c
+    coeff = {key: c for key, c in coeff.items() if c}
+    sums = {}
+    for (rel, k), c in coeff.items():
         sums[rel, labels[k]] = sums.get((rel, labels[k]), 0) + c
-    expected = Tri.YES if all(total == 0 for total in sums.values()) else Tri.NO
-    assert is_zero(e, oracle) is expected
+    truth = Tri.YES if not any(sums.values()) else Tri.NO
+
+    e = RelModElement.from_items((rel, POWERS[k], c) for rel, k, c in items)
+    got = is_zero(e, PartitionOracle(labels, unknown))
+    assert got is expected_is_zero(coeff, labels, unknown)
+    assert got in (truth, Tri.UNKNOWN)
+    if not unknown:
+        assert got is truth
 
 
 class TestOracles:
