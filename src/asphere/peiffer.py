@@ -15,7 +15,8 @@ Validation happens once, at the boundary: the public ``YSymbol`` and
 ``YSequence`` constructors check every sign, relator name and conjugator
 alphabet.  Symbols and sequences the calculus proves valid (a move applied
 to a valid sequence, an inverse, a concatenation) go through the private
-``_symbol`` and ``_sequence``, which check nothing.  The one symbol a move
+``_symbol`` and ``_sequence``, which check nothing, and the moves
+``legal_moves`` enumerates go through ``_move``.  The one symbol a move
 brings in from outside, an ``Insert`` move's, is checked on its own by
 ``apply_move``, so a replayed certificate still fails on a bad symbol.
 """
@@ -194,6 +195,16 @@ class Move:
         return (_KIND_RANK[self.kind], self.pos, sym)
 
 
+def _move(kind: MoveKind, pos: int, symbol: YSymbol | None = None) -> Move:
+    """Trusted constructor: ``symbol`` must be given exactly for an Insert."""
+    m = object.__new__(Move)
+    fields = m.__dict__
+    fields["kind"] = kind
+    fields["pos"] = pos
+    fields["symbol"] = symbol
+    return m
+
+
 @dataclass(frozen=True)
 class Certificate:
     moves: tuple[Move, ...]
@@ -245,14 +256,14 @@ def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]
     moves: list[Move] = []
     for i in range(n - 1):
         if _deletable(d.symbols[i], d.symbols[i + 1]):
-            moves.append(Move(MoveKind.DELETE, i))
+            moves.append(_move(MoveKind.DELETE, i))
     for i in range(n - 1):
-        moves.append(Move(MoveKind.EXCHANGE_L, i))
+        moves.append(_move(MoveKind.EXCHANGE_L, i))
     for i in range(n - 1):
-        moves.append(Move(MoveKind.EXCHANGE_R, i))
+        moves.append(_move(MoveKind.EXCHANGE_R, i))
     for i in range(n + 1):
         for sym in insert_pool:
-            moves.append(Move(MoveKind.INSERT, i, sym))
+            moves.append(_move(MoveKind.INSERT, i, sym))
     return moves
 
 

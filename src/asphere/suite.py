@@ -369,7 +369,8 @@ FIXTURE_BATTERY_TABLE = (
 
 def fixture_batteries(fx: ReducibleFixture, config: RunConfig) -> list[BatteryResult]:
     """All sampled structural-law batteries for one reducible fixture, each
-    law paired with its deliberately perturbed negative control."""
+    law paired with its deliberately perturbed negative control.  A control
+    stops at its first detection; its reported samples are its draw budget."""
     out = []
     fixture_name = fx.presentation.name
     for name, fn, default, has_control in FIXTURE_BATTERY_TABLE:

@@ -246,15 +246,30 @@ def abelianize(u: FreeWord) -> tuple[int, ...]:
     return tuple(counts)
 
 
+class _EmbedTables(dict):
+    """(small, big) alphabet pair -> the signed-letter map of ``embed``, each
+    built once on first use."""
+
+    def __missing__(self, key: tuple[Alphabet, Alphabet]) -> dict[SignedLetter, SignedLetter]:
+        small, big = key
+        if not set(small.generators) <= set(big.generators):
+            raise AlphabetError(
+                f"cannot embed: {small.generators} is not a subset of {big.generators}"
+            )
+        table = self[key] = {
+            SignedLetter(l, s): SignedLetter(big.index(name), s)
+            for l, name in enumerate(small.generators)
+            for s in (1, -1)
+        }
+        return table
+
+
+_EMBED = _EmbedTables()
+
+
 def embed(u: FreeWord, big: Alphabet) -> FreeWord:
     """Reinterpret u over a larger alphabet (identity on shared names)."""
-    try:
-        mapping = [big.index(name) for name in u.alphabet.generators]
-    except AlphabetError:
-        raise AlphabetError(
-            f"cannot embed: {u.alphabet.generators} is not a subset of {big.generators}"
-        ) from None
-    return _word(big, tuple(SignedLetter(mapping[l], s) for l, s in u.letters))
+    return _word(big, tuple(map(_EMBED[u.alphabet, big].__getitem__, u.letters)))
 
 
 def restrict(u: FreeWord, small: Alphabet) -> FreeWord:
@@ -318,4 +333,4 @@ def random_word(alphabet: Alphabet, rng, max_len: int = 6) -> FreeWord:
     raw = [
         SignedLetter(rng.randrange(len(alphabet)), rng.choice((1, -1))) for _ in range(n)
     ]
-    return reduce(alphabet, raw)
+    return _reduce(alphabet, raw)

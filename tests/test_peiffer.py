@@ -174,6 +174,24 @@ class TestLegalMoves:
         assert [m.pos for m in inserts] == [0, 1]
 
 
+class TestTrustedMoves:
+    def test_every_legal_move_equals_its_public_twin(self):
+        rng = random.Random(23)
+        for gp in load_fixtures().peiffer_presentations():
+            pool = base_insert_pool(gp)
+            for _ in range(20):
+                d = peiffer.random_sequence(gp, rng, max_len=5)
+                for m in legal_moves(d, pool + dynamic_insert_pool(d)):
+                    twin = Move(m.kind, m.pos, m.symbol)
+                    assert m == twin and hash(m) == hash(twin)
+
+    def test_public_move_still_checks_its_symbol(self):
+        with pytest.raises(ValueError):
+            Move(MoveKind.INSERT, 0)
+        with pytest.raises(ValueError):
+            Move(MoveKind.DELETE, 0, sym())
+
+
 class TestScramble:
     def test_zero_moves(self):
         d, cert = scramble(GP, seed=0, k=0)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from asphere.words import (
     Alphabet,
@@ -227,6 +228,34 @@ class TestEmbedAndText:
 def test_freeword_rejects_unreduced_letters():
     with pytest.raises(ValueError):
         FreeWord(AB, (SignedLetter(0, 1), SignedLetter(0, -1)))
+
+
+class TestEmbedTable:
+    """``embed`` maps letters through a cached table per alphabet pair; the
+    oracle looks every letter's name up in the big alphabet."""
+
+    ALPHABETS = st.lists(st.sampled_from(("a", "b", "c", "z")), min_size=1, unique=True).map(
+        lambda names: Alphabet(tuple(names))
+    )
+
+    @staticmethod
+    def per_name(u, big):
+        if not set(u.alphabet.generators) <= set(big.generators):
+            raise AlphabetError("not a subset")
+        names = u.alphabet.generators
+        return FreeWord(big, tuple(SignedLetter(big.index(names[l]), s) for l, s in u.letters))
+
+    @given(ALPHABETS, ALPHABETS, st.data())
+    def test_matches_the_per_name_mapping(self, small, big, data):
+        u = reduce(small, data.draw(raw_letters(len(small))))
+        for _ in range(2):  # the second call reads the cached table, or fails again
+            try:
+                expected = self.per_name(u, big)
+            except AlphabetError:
+                with pytest.raises(AlphabetError):
+                    embed(u, big)
+            else:
+                assert embed(u, big) == expected
 
 
 class TestRestrict:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from asphere import xmod
+from asphere.fixtures import load_fixtures
 from asphere.partial import EXHAUSTED
 from asphere.peiffer import (
     NotIdentityError,
@@ -9,15 +11,19 @@ from asphere.peiffer import (
     YSymbol,
     empty_sequence,
     is_identity,
+    random_symbol,
     scramble,
     search_trivialization,
     verify_certificate,
 )
-from asphere.presentations import decompose, lot_presentation, parse, retract
+from asphere.presentations import decompose, in_kernel, lot_presentation, parse, retract
+from asphere.suite import FIXTURE_BATTERY_TABLE
 from asphere.words import (
+    Alphabet,
     conjugate,
     embed,
     empty_word,
+    generator,
     invert,
     multiply,
     random_word,
@@ -46,6 +52,7 @@ from asphere.xmod import (
     derivation_from_values,
     induced_base_map,
     induced_top_map,
+    inner_derivation,
     kernel_self_xmod,
     project_identity_sequence,
     project_symbol,
@@ -441,3 +448,112 @@ class TestFixtureConstruction:
         fx = LOT3
         w = fx.presentation.relator(fx.retraction.source_relator)
         assert retract(fx.retraction, w).is_identity
+
+
+LOTS = load_fixtures().reducible_fixtures()
+
+
+class TestMembershipChecks:
+    """Calling a derivation checks its argument once, at the call; every
+    checked entry point raises on an argument outside the kernel."""
+
+    # words outside the kernel: in the free group, or over the small alphabet
+    OUTSIDE = [(BIG, "a"), (BIG, "z"), (SMALL, "a")]
+
+    def derivations(self):
+        d1 = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
+        d2 = relator_derivation(TOY.retraction, small("b"), small("b"), -1)
+        m = YSequence(TOY.subpresentation, (YSymbol("r", small("a"), 1),) * 2)
+        return (
+            d1,
+            d1.inverse_hint,
+            inner_derivation(TOY.retraction, big("b z")),
+            compose_derivations(d1, d2),
+            sequence_derivation(TOY.retraction, m),
+        )
+
+    @pytest.mark.parametrize("alphabet,text", OUTSIDE)
+    def test_derivations_reject_non_kernel_arguments(self, alphabet, text):
+        for d in self.derivations():
+            with pytest.raises(MembershipError):
+                d(word_from_text(alphabet, text))
+
+    @pytest.mark.parametrize("alphabet,text", OUTSIDE)
+    def test_induced_maps_and_pairs_reject_non_kernel_arguments(self, alphabet, text):
+        d = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
+        pair = derivation_automorphisms(d, rng=random.Random(0), samples=2)
+        checked = (
+            induced_base_map(d),
+            induced_top_map(d),
+            compose_alternative(d, d.inverse_hint),
+            pair.top,
+            pair.base,
+            pair.top_inv,
+            pair.base_inv,
+        )
+        for f in checked:
+            with pytest.raises(MembershipError):
+                f(word_from_text(alphabet, text))
+
+    def test_semidirect_action_rejects_non_kernel_t(self):
+        m = empty_sequence(TOY.subpresentation)
+        with pytest.raises(MembershipError):
+            semidirect_action(TOY.retraction, big("z a"), small("1"), big("a"), m)
+
+    def test_values_derivation_rejects_a_foreign_alphabet(self):
+        # same letter indices over another alphabet must not be read as a b
+        pq = Alphabet(("p", "q"))
+        xm = conjugation_xmod(TOY.retraction)
+        d = derivation_from_values(xm, {"a": big("z a"), "b": big("1"), "z": big("1")})
+        with pytest.raises(MembershipError):
+            d(word_from_text(pq, "p q"))
+
+    def test_trivial_derivation_rejects_a_foreign_alphabet(self):
+        triv = trivial_derivation(kernel_self_xmod(TOY.retraction))
+        with pytest.raises(MembershipError):
+            triv(word_from_text(Alphabet(("p", "q")), "p q"))
+        with pytest.raises(MembershipError):
+            triv(big("a"))
+        assert triv(big("z a")).is_identity
+
+
+class TestFastPathsAgainstDefinitions:
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_inverse_hint_is_the_opposite_sign_derivation(self, fx):
+        retr, sub = fx.retraction, fx.subpresentation
+        kernel = KernelCarrier(retr)
+        rng = random.Random(f"inverse-hint/{fx.presentation.name}")
+        for _ in range(200):
+            s = random_symbol(sub, rng, conj_len=4)
+            r = sub.relator(s.relator)
+            hint = relator_derivation(retr, s.conjugator, r, s.sign).inverse_hint
+            slow = relator_derivation(retr, s.conjugator, r, -s.sign)
+            assert hint.label == slow.label
+            x = kernel.random_element(rng)
+            assert hint(x) == slow(x)
+
+    @pytest.mark.parametrize("fx", (TOY, *LOTS), ids=lambda fx: fx.presentation.name)
+    def test_cached_kernel_generator(self, fx):
+        retr = fx.retraction
+        b = retr.big_alphabet
+        expected = multiply(generator(b, retr.z), invert(embed(retr.solved, b)))
+        assert xmod._kernel_generator(retr) == (expected, invert(expected))
+        assert in_kernel(retr, expected)
+
+
+class TestNegativeControls:
+    """A perturbed battery stops at its first failing sample."""
+
+    CONTROLS = [(name, fn, n) for name, fn, n, control in FIXTURE_BATTERY_TABLE if control]
+
+    @pytest.mark.parametrize("seed", (0, 17, 1))
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_each_control_detects_and_stops(self, fx, seed):
+        for name, fn, n in self.CONTROLS:
+            label = f"{seed}/{fx.presentation.name}/{name}/control"  # the suite's generator
+            result = fn(fx, random.Random(label), n, perturb=True)
+            assert result.failures, label
+            assert result.samples < n, label
+            # the stop is at the first failing sample: one draw fewer detects nothing
+            shorter = fn(fx, random.Random(label), result.samples - 1, perturb=True)
+            assert shorter.passed, label
