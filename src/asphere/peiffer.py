@@ -15,10 +15,11 @@ Validation happens once, at the boundary: the public ``YSymbol`` and
 ``YSequence`` constructors check every sign, relator name and conjugator
 alphabet.  Symbols and sequences the calculus proves valid (a move applied
 to a valid sequence, an inverse, a concatenation) go through the private
-``_symbol`` and ``_sequence``, which check nothing, and the moves
-``legal_moves`` enumerates go through ``_move``.  The one symbol a move
-brings in from outside, an ``Insert`` move's, is checked on its own by
-``apply_move``, so a replayed certificate still fails on a bad symbol.
+``_symbol`` and ``_sequence``, which check nothing and set the slots
+directly, and the moves ``legal_moves`` enumerates go through ``_move``.
+The one symbol a move brings in from outside, an ``Insert`` move's, is
+checked on its own by ``apply_move``, so a replayed certificate still fails
+on a bad symbol.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ class NotIdentityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class YSymbol:
     relator: str
     conjugator: FreeWord
@@ -68,7 +69,7 @@ class YSymbol:
         return (self.relator, len(self.conjugator.letters), self.conjugator.letters, self.sign)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class YSequence:
     presentation: GroupPresentation
     symbols: tuple[YSymbol, ...]
@@ -91,17 +92,23 @@ class YSequence:
 def _check_symbol(gp: GroupPresentation, s: YSymbol) -> None:
     if s.relator not in gp:
         raise KeyError(f"unknown relator {s.relator!r}")
-    if s.conjugator.alphabet != gp.alphabet:
+    if s.conjugator.alphabet is not gp.alphabet and s.conjugator.alphabet != gp.alphabet:
         raise AlphabetError(f"conjugator of {s.relator!r} over the wrong alphabet")
+
+
+_SET_RELATOR = YSymbol.relator.__set__
+_SET_CONJUGATOR = YSymbol.conjugator.__set__
+_SET_SIGN = YSymbol.sign.__set__
+_SET_PRESENTATION = YSequence.presentation.__set__
+_SET_SYMBOLS = YSequence.symbols.__set__
 
 
 def _symbol(relator: str, conjugator: FreeWord, sign: int) -> YSymbol:
     """Trusted constructor: ``sign`` must be +1 or -1."""
     s = object.__new__(YSymbol)
-    fields = s.__dict__
-    fields["relator"] = relator
-    fields["conjugator"] = conjugator
-    fields["sign"] = sign
+    _SET_RELATOR(s, relator)
+    _SET_CONJUGATOR(s, conjugator)
+    _SET_SIGN(s, sign)
     return s
 
 
@@ -109,9 +116,8 @@ def _sequence(gp: GroupPresentation, symbols: tuple[YSymbol, ...]) -> YSequence:
     """Trusted constructor: every symbol must name a relator of ``gp`` and
     carry a conjugator over its alphabet."""
     d = object.__new__(YSequence)
-    fields = d.__dict__
-    fields["presentation"] = gp
-    fields["symbols"] = symbols
+    _SET_PRESENTATION(d, gp)
+    _SET_SYMBOLS(d, symbols)
     return d
 
 
@@ -120,8 +126,7 @@ def empty_sequence(gp: GroupPresentation) -> YSequence:
 
 
 def symbol_boundary(gp: GroupPresentation, s: YSymbol) -> FreeWord:
-    r = gp.relator(s.relator)
-    return conjugate(s.conjugator, r if s.sign > 0 else invert(r))
+    return conjugate(s.conjugator, gp.signed_relator(s.relator, s.sign))
 
 
 def boundary(d: YSequence) -> FreeWord:
@@ -180,7 +185,7 @@ _KIND_RANK = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     kind: MoveKind
     pos: int
@@ -195,17 +200,21 @@ class Move:
         return (_KIND_RANK[self.kind], self.pos, sym)
 
 
+_SET_KIND = Move.kind.__set__
+_SET_POS = Move.pos.__set__
+_SET_MOVE_SYMBOL = Move.symbol.__set__
+
+
 def _move(kind: MoveKind, pos: int, symbol: YSymbol | None = None) -> Move:
     """Trusted constructor: ``symbol`` must be given exactly for an Insert."""
     m = object.__new__(Move)
-    fields = m.__dict__
-    fields["kind"] = kind
-    fields["pos"] = pos
-    fields["symbol"] = symbol
+    _SET_KIND(m, kind)
+    _SET_POS(m, pos)
+    _SET_MOVE_SYMBOL(m, symbol)
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     moves: tuple[Move, ...]
     pool_spec: str = ""
@@ -252,18 +261,12 @@ def apply_move(d: YSequence, m: Move) -> YSequence:
 def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]:
     """All moves applicable to d, in deterministic order: deletions first,
     then exchanges, then insertions of pool symbols."""
-    n = len(d.symbols)
-    moves: list[Move] = []
-    for i in range(n - 1):
-        if _deletable(d.symbols[i], d.symbols[i + 1]):
-            moves.append(_move(MoveKind.DELETE, i))
-    for i in range(n - 1):
-        moves.append(_move(MoveKind.EXCHANGE_L, i))
-    for i in range(n - 1):
-        moves.append(_move(MoveKind.EXCHANGE_R, i))
-    for i in range(n + 1):
-        for sym in insert_pool:
-            moves.append(_move(MoveKind.INSERT, i, sym))
+    syms = d.symbols
+    n = len(syms)
+    moves = [_move(MoveKind.DELETE, i) for i in range(n - 1) if _deletable(syms[i], syms[i + 1])]
+    moves += [_move(MoveKind.EXCHANGE_L, i) for i in range(n - 1)]
+    moves += [_move(MoveKind.EXCHANGE_R, i) for i in range(n - 1)]
+    moves += [_move(MoveKind.INSERT, i, sym) for i in range(n + 1) for sym in insert_pool]
     return moves
 
 
@@ -414,13 +417,6 @@ class _Budget:
         return self.remaining >= 0
 
 
-def _min_deletes(seq: YSequence, depth_limit: int) -> int:
-    """Admissible lower bound on moves to empty: length parity is invariant,
-    every deletion removes two symbols."""
-    n = len(seq.symbols)
-    return n // 2 if n % 2 == 0 else depth_limit + 1
-
-
 def search_trivialization(
     d: YSequence,
     node_budget: int = 50_000,
@@ -440,32 +436,40 @@ def search_trivialization(
         depth_limit = 2 * len(d.symbols)
     if not d.symbols:
         return Certificate((), pool_spec=f"dynamic(cap={conj_cap})")
+    # Admissible bound: every move keeps the length's parity, and each
+    # deletion removes two symbols.  So an odd length never reaches empty,
+    # and an even length n needs at least n // 2 more moves.
+    if len(d.symbols) % 2:
+        return EXHAUSTED
 
     budget = _Budget(node_budget)
 
     def dfs(seq: YSequence, g: int, limit: int, visited: dict, trail: list[Move]):
-        if not seq.symbols:
-            return list(trail)
-        if g + _min_deletes(seq, depth_limit) > limit:
-            return None
+        """Expand a nonempty ``seq`` at depth g that the bound admits.  Each
+        child is tested in the loop, and only an admitted one is entered."""
         seen = visited.get(seq.symbols)
         if seen is not None and seen <= g:
             return None
         visited[seq.symbols] = g
         if not budget.spend():
             raise _OutOfBudget
+        g += 1
         for m in legal_moves(seq, dynamic_insert_pool(seq, conj_cap)):
             child = apply_move(seq, m)
+            n = len(child.symbols)
+            if not n:
+                return trail + [m]
+            if n % 2 or g + n // 2 > limit:
+                continue
             trail.append(m)
-            found = dfs(child, g + 1, limit, visited, trail)
+            found = dfs(child, g, limit, visited, trail)
             if found is not None:
                 return found
             trail.pop()
         return None
 
-    start_h = _min_deletes(d, depth_limit)
     try:
-        for limit in range(start_h, depth_limit + 1):
+        for limit in range(len(d.symbols) // 2, depth_limit + 1):
             found = dfs(d, 0, limit, {}, [])
             if found is not None:
                 return Certificate(tuple(found), pool_spec=f"dynamic(cap={conj_cap})")

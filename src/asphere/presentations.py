@@ -97,8 +97,13 @@ class GroupPresentation:
                 raise ValueError(f"relator {rel_name!r} is empty")
         if self.eliminate is not None and self.eliminate not in self.alphabet:
             raise AlphabetError(f"eliminate names unknown generator {self.eliminate!r}")
-        # name -> relator, built once; not a field, so equality ignores it
+        # name -> relator and (name, sign) -> r or r^-1, built once; not
+        # fields, so equality ignores them
         object.__setattr__(self, "_by_name", dict(self.relators))
+        signed = {}
+        for rel_name, word in self.relators:
+            signed[rel_name, 1], signed[rel_name, -1] = word, invert(word)
+        object.__setattr__(self, "_signed", signed)
 
     @property
     def relator_names(self) -> tuple[str, ...]:
@@ -107,6 +112,13 @@ class GroupPresentation:
     def relator(self, name: str) -> FreeWord:
         try:
             return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no relator named {name!r}") from None
+
+    def signed_relator(self, name: str, sign: int) -> FreeWord:
+        """The relator for sign +1, its inverse for sign -1."""
+        try:
+            return self._signed[name, sign]
         except KeyError:
             raise KeyError(f"no relator named {name!r}") from None
 

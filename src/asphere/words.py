@@ -9,7 +9,8 @@ Validation happens once, at the boundary: the public constructors (``FreeWord``,
 Results the arithmetic proves reduced, such as the junction-cancelled
 concatenation of two reduced factors, the reversal of a reduced word or its
 renaming by ``embed`` and ``restrict``, go through the private ``_word``,
-which checks nothing; only code that has such a proof may call it.
+which checks nothing and sets the two slots directly; only code that has such
+a proof may call it.
 
 Textual syntax (shared by file formats and the CLI): whitespace-separated
 tokens, ``x`` for a generator, ``x^-1`` for its inverse, ``1`` for the empty
@@ -103,7 +104,7 @@ def _check_raw(alphabet: Alphabet, raw: Iterable[SignedLetter]) -> list[SignedLe
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeWord:
     """A freely reduced word; the empty sequence is the identity."""
 
@@ -149,13 +150,16 @@ class MonoidWord:
         return f"MonoidWord({letters_to_text(self.alphabet, self.letters)!r})"
 
 
+_SET_WORD_ALPHABET = FreeWord.alphabet.__set__
+_SET_WORD_LETTERS = FreeWord.letters.__set__
+
+
 def _word(alphabet: Alphabet, letters: tuple[SignedLetter, ...]) -> FreeWord:
     """Trusted constructor: ``letters`` must already be freely reduced
     signed letters of ``alphabet``."""
     w = object.__new__(FreeWord)
-    fields = w.__dict__
-    fields["alphabet"] = alphabet
-    fields["letters"] = letters
+    _SET_WORD_ALPHABET(w, alphabet)
+    _SET_WORD_LETTERS(w, letters)
     return w
 
 

@@ -1,0 +1,131 @@
+"""The trivialization search against a reference that enters every child.
+
+``reference_search`` is the deepening search written plainly: it recurses
+into every child and applies the parity and depth bound on entry.  The
+search in ``peiffer`` tests each child in its loop and enters only those the
+bound admits.  Both must give the same certificate (or EXHAUSTED) and call
+``legal_moves`` and ``apply_move`` equally often, since expanded and
+generated nodes are counted by those calls.
+"""
+import random
+from collections import Counter
+
+import pytest
+
+from asphere import peiffer
+from asphere.fixtures import load_fixtures
+from asphere.partial import EXHAUSTED
+from asphere.peiffer import Certificate, YSequence, YSymbol, certificate_to_json
+from asphere.words import empty_word, word_from_text
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def reference_search(d, node_budget=50_000, depth_limit=None, conj_cap=8):
+    if depth_limit is None:
+        depth_limit = 2 * len(d.symbols)
+    pool_spec = f"dynamic(cap={conj_cap})"
+    if not d.symbols:
+        return Certificate((), pool_spec=pool_spec)
+    remaining = [node_budget]
+
+    def min_deletes(seq):
+        n = len(seq.symbols)
+        return n // 2 if n % 2 == 0 else depth_limit + 1
+
+    def dfs(seq, g, limit, visited, trail):
+        if not seq.symbols:
+            return list(trail)
+        if g + min_deletes(seq) > limit:
+            return None
+        seen = visited.get(seq.symbols)
+        if seen is not None and seen <= g:
+            return None
+        visited[seq.symbols] = g
+        remaining[0] -= 1
+        if remaining[0] < 0:
+            raise _OutOfBudget
+        for m in peiffer.legal_moves(seq, peiffer.dynamic_insert_pool(seq, conj_cap)):
+            child = peiffer.apply_move(seq, m)
+            trail.append(m)
+            found = dfs(child, g + 1, limit, visited, trail)
+            if found is not None:
+                return found
+            trail.pop()
+        return None
+
+    try:
+        for limit in range(min_deletes(d), depth_limit + 1):
+            found = dfs(d, 0, limit, {}, [])
+            if found is not None:
+                return Certificate(tuple(found), pool_spec=pool_spec)
+    except _OutOfBudget:
+        pass
+    return EXHAUSTED
+
+
+def _corpus():
+    """120 criterion-2 scrambles (five Peiffer fixtures, k in 1..6, depth 2k),
+    each at the default budget and at 6 expansions, then the c3 identity
+    (r,1,+1)(r,a,-1), which no certificate trivializes, at a small budget."""
+    fixtures = load_fixtures()
+    presentations = fixtures.peiffer_presentations()
+    rng = random.Random("reference-search")
+    scrambles = []
+    for _ in range(120):
+        gp = presentations[rng.randrange(len(presentations))]
+        k = rng.randrange(1, 7)
+        d, _ = peiffer.scramble(gp, seed=rng.randrange(1 << 30), k=k)
+        scrambles.append((d, 2 * k))
+    out = [(d, budget, depth) for budget in (50_000, 6) for d, depth in scrambles]
+    c3 = fixtures.presentations["c3"]
+    planted = YSequence(
+        c3,
+        (
+            YSymbol("r", empty_word(c3.alphabet), 1),
+            YSymbol("r", word_from_text(c3.alphabet, "a"), -1),
+        ),
+    )
+    out.append((planted, 40, None))
+    return out
+
+
+# (legal_moves, apply_move) calls over the whole corpus, as the reference
+# search makes them
+REFERENCE_TOTALS = (1235, 60823)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    calls = Counter()
+    for name in ("legal_moves", "apply_move"):
+        fn = getattr(peiffer, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(peiffer, name, counted)
+    return calls
+
+
+def _outcome(verdict):
+    return "EXHAUSTED" if verdict is EXHAUSTED else certificate_to_json(verdict)
+
+
+def test_search_matches_the_reference(counts):
+    totals = Counter()
+    for i, (d, budget, depth) in enumerate(_corpus()):
+        counts.clear()
+        fast = _outcome(peiffer.search_trivialization(d, node_budget=budget, depth_limit=depth))
+        fast_calls = dict(counts)
+        counts.clear()
+        slow = _outcome(reference_search(d, node_budget=budget, depth_limit=depth))
+        assert fast == slow, f"instance {i}"
+        assert fast_calls == dict(counts), f"instance {i}"
+        totals.update(counts)
+    assert slow == "EXHAUSTED"  # the planted c3 identity
+    assert (totals["legal_moves"], totals["apply_move"]) == REFERENCE_TOTALS
+
