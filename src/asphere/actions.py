@@ -101,15 +101,6 @@ class Submonoid:
     def sorted_elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))
 
-    @classmethod
-    def generated_by(cls, parent: FiniteMonoid, seed: Sequence[int]) -> Submonoid:
-        elems = {parent.identity, *seed}
-        while True:
-            new = {parent.mul(x, y) for x in elems for y in elems} | elems
-            if new == elems:
-                return cls(parent, frozenset(elems))
-            elems = new
-
     def restricted_table(self) -> FiniteMonoid:
         order = self.sorted_elements
         index = {x: i for i, x in enumerate(order)}
@@ -127,52 +118,6 @@ def all_submonoids(m: FiniteMonoid) -> list[Submonoid]:
             if all(m.mul(x, y) in elems for x in elems for y in elems):
                 found.append(Submonoid(m, elems))
     return found
-
-
-@dataclass(frozen=True)
-class BiSystem:
-    """A set with a left action by one monoid and a right action by another,
-    the two actions commuting.
-    """
-
-    left_monoid: FiniteMonoid
-    right_monoid: FiniteMonoid
-    size: int
-    left: tuple[tuple[int, ...], ...]  # left[t][x] = t·x
-    right: tuple[tuple[int, ...], ...]  # right[x][s] = x·s
-
-    def __post_init__(self):
-        T, S, n = self.left_monoid, self.right_monoid, self.size
-        if len(self.left) != T.size or any(len(row) != n for row in self.left):
-            raise ActionError("left table has wrong shape")
-        if len(self.right) != n or any(len(row) != S.size for row in self.right):
-            raise ActionError("right table has wrong shape")
-        for x in range(n):
-            if self.left[T.identity][x] != x:
-                raise ActionError(f"1·{x} != {x}")
-            if self.right[x][S.identity] != x:
-                raise ActionError(f"{x}·1 != {x}")
-        for s in range(T.size):
-            for t in range(T.size):
-                st = T.mul(s, t)
-                for x in range(n):
-                    if self.left[st][x] != self.left[s][self.left[t][x]]:
-                        raise ActionError(f"(st)x != s(tx) at ({s},{t},{x})")
-        for s in range(S.size):
-            for t in range(S.size):
-                st = S.mul(s, t)
-                for x in range(n):
-                    if self.right[self.right[x][s]][t] != self.right[x][st]:
-                        raise ActionError(f"(xs)t != x(st) at ({x},{s},{t})")
-        for t in range(T.size):
-            for x in range(n):
-                for s in range(S.size):
-                    if self.right[self.left[t][x]][s] != self.left[t][self.right[x][s]]:
-                        raise ActionError(f"(tx)s != t(xs) at ({t},{x},{s})")
-
-    @classmethod
-    def regular(cls, m: FiniteMonoid) -> BiSystem:
-        return cls(m, m, m.size, m.table, m.table)
 
 
 def _check_right_action(table: Sequence[Sequence[int]], size: int, u: Submonoid) -> None:
@@ -290,12 +235,6 @@ def multiplication_tensor(s: FiniteMonoid, u: Submonoid) -> TensorPartition:
     if u.parent != s:
         raise MonoidError("submonoid of a different monoid")
     return tensor_product(s.table, s.table, u)
-
-
-def dominion_membership(s: FiniteMonoid, u: Submonoid, d: int) -> bool:
-    """d ⊗ 1 = 1 ⊗ d in the multiplication tensor product."""
-    t = multiplication_tensor(s, u)
-    return same_class(t, (d, s.identity), (s.identity, d))
 
 
 def dominion(s: FiniteMonoid, u: Submonoid) -> frozenset[int]:

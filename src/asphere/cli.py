@@ -13,21 +13,13 @@ import sys
 from pathlib import Path
 
 from . import peiffer, relmod, suite as suite_mod, xmod
-from .actions import (
-    ActionError,
-    MonoidError,
-    Submonoid,
-    dominion,
-    multiplication_tensor,
-    weak_dominion_membership,
-)
-from .fixtures import FixtureError, monoid_from_json
+from .actions import Submonoid, dominion, multiplication_tensor, weak_dominion_membership
+from .fixtures import monoid_from_json
 from .partial import EXHAUSTED, Tri
-from .peiffer import IllegalMoveError, NotIdentityError
+from .peiffer import IllegalMoveError
 from .presentations import (
     GroupPresentation,
     MonoidPresentation,
-    NotReducibleError,
     ParseError,
     coset_enumeration,
     lot_presentation,
@@ -38,8 +30,6 @@ from .presentations import (
 )
 from .words import (
     Alphabet,
-    AlphabetError,
-    WordSyntaxError,
     abelianize,
     conjugate,
     exponent_sum,
@@ -48,22 +38,10 @@ from .words import (
     word_from_text,
     word_to_text,
 )
-from .xmod import InconsistencyError, MembershipError, ReducibleFixture
+from .xmod import InconsistencyError, ReducibleFixture
 
-USAGE_ERRORS = (
-    ParseError,
-    WordSyntaxError,
-    AlphabetError,
-    NotReducibleError,
-    MonoidError,
-    ActionError,
-    FixtureError,
-    NotIdentityError,
-    MembershipError,
-    FileNotFoundError,
-    KeyError,
-    ValueError,
-)
+# every input error the package raises is a ValueError, as is json.JSONDecodeError
+USAGE_ERRORS = (FileNotFoundError, KeyError, ValueError)
 
 
 class _UsageError(Exception):
@@ -463,9 +441,6 @@ def dispatch(argv) -> int:
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 3
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

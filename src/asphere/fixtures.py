@@ -155,7 +155,12 @@ def monoid_to_json(m: FiniteMonoid) -> dict:
 
 
 def monoid_from_json(data: dict) -> FiniteMonoid:
-    m = validate_monoid(data["table"])
+    table = data.get("table") if isinstance(data, dict) else None
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in table
+    ):
+        raise FixtureError(f'a monoid is {{"table": [[int, ...], ...]}}, got {data!r}')
+    m = validate_monoid(table)
     if m.size != data.get("size", m.size):
         raise FixtureError("declared size does not match the table")
     if m.identity != data.get("identity", m.identity):

@@ -36,7 +36,6 @@ from .words import (
     FreeWord,
     conjugate,
     empty_word,
-    invert,
     multiply,
     random_word,
     word_from_text,
@@ -50,6 +49,10 @@ class IllegalMoveError(ValueError):
 
 class NotIdentityError(ValueError):
     pass
+
+
+class FormatError(ValueError):
+    """A JSON value that is not the documented sequence or certificate shape."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -506,37 +509,6 @@ def search_pair_crossing(
     return None
 
 
-# --- words in the enveloping group of the exchange monoid ---------------------
-
-
-@dataclass(frozen=True)
-class FormalWord:
-    """Word over Y-symbols and their formal group inverses.
-
-    No cancellation is performed: a formal inverse of a symbol is not the
-    symbol with flipped sign.  Only the boundary map collapses them.
-    """
-
-    presentation: GroupPresentation
-    entries: tuple[tuple[YSymbol, int], ...]  # (symbol, formal sign)
-
-    def __post_init__(self):
-        for sym, fsign in self.entries:
-            if fsign not in (1, -1):
-                raise ValueError("formal sign must be +1 or -1")
-            _check_symbol(self.presentation, sym)
-
-
-def formal_boundary(g: FormalWord) -> FreeWord:
-    """Product of the symbol boundaries with formal signs applied; the kernel
-    membership test is emptiness of this word."""
-    acc = empty_word(g.presentation.alphabet)
-    for sym, fsign in g.entries:
-        w = symbol_boundary(g.presentation, sym)
-        acc = multiply(acc, w if fsign > 0 else invert(w))
-    return acc
-
-
 # --- JSON wire formats ---------------------------------------------------------
 
 
@@ -544,7 +516,14 @@ def symbol_to_json(s: YSymbol) -> dict:
     return {"rel": s.relator, "conj": word_to_text(s.conjugator), "sign": s.sign}
 
 
+def _check_shape(data, fields: dict[str, type], what: str) -> None:
+    """Reject ``data`` unless it is a JSON object whose ``fields`` have the given types."""
+    if not isinstance(data, dict) or any(not isinstance(data.get(k), t) for k, t in fields.items()):
+        raise FormatError(f"a {what} is an object with fields {sorted(fields)}, got {data!r}")
+
+
 def symbol_from_json(gp: GroupPresentation, data: dict) -> YSymbol:
+    _check_shape(data, {"rel": str, "conj": str, "sign": int}, "symbol")
     return YSymbol(data["rel"], word_from_text(gp.alphabet, data["conj"]), int(data["sign"]))
 
 
@@ -553,6 +532,8 @@ def ysequence_to_json(d: YSequence) -> list[dict]:
 
 
 def ysequence_from_json(gp: GroupPresentation, data: list[dict]) -> YSequence:
+    if not isinstance(data, list):
+        raise FormatError(f"a Y-sequence is a list of symbols, got {data!r}")
     return YSequence(gp, tuple(symbol_from_json(gp, item) for item in data))
 
 
@@ -564,6 +545,7 @@ def move_to_json(m: Move) -> dict:
 
 
 def move_from_json(gp: GroupPresentation, data: dict) -> Move:
+    _check_shape(data, {"kind": str, "pos": int}, "move")
     kind = MoveKind(data["kind"])
     symbol = symbol_from_json(gp, data["symbol"]) if "symbol" in data else None
     return Move(kind, int(data["pos"]), symbol)
@@ -574,6 +556,7 @@ def certificate_to_json(c: Certificate) -> dict:
 
 
 def certificate_from_json(gp: GroupPresentation, data: dict) -> Certificate:
+    _check_shape(data, {"moves": list}, "certificate")
     return Certificate(
         tuple(move_from_json(gp, m) for m in data["moves"]),
         pool_spec=data.get("pool_spec", ""),

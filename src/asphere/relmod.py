@@ -73,8 +73,7 @@ class CosetOracle:
 class _IntLattice:
     """Integer row span with echelon basis; supports membership tests."""
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self):
         self.rows: dict[int, list[int]] = {}
 
     @staticmethod
@@ -137,7 +136,7 @@ class AbelianizationOracle:
 
     def __init__(self, gp: GroupPresentation):
         self.alphabet = gp.alphabet
-        self._lattice = _IntLattice(len(gp.alphabet))
+        self._lattice = _IntLattice()
         for _, r in gp.relators:
             self._lattice.add(abelianize(r))
 
@@ -184,10 +183,6 @@ class RelModElement:
     @classmethod
     def basis(cls, rel: str, w: FreeWord, coeff: int = 1) -> RelModElement:
         return cls.from_items([(rel, w, coeff)])
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
 
     def add(self, other: RelModElement) -> RelModElement:
         return RelModElement.from_items(self.terms + other.terms)
@@ -273,17 +268,14 @@ def is_zero(e: RelModElement, oracle: GroupOracle) -> Tri:
             root = classes.find(i)
             sums[root] = sums.get(root, 0) + c
 
-        totals: dict[int, int] = {}
-        members: dict[int, int] = {}
+        # merging inside a component keeps its total, so a nonzero total is
+        # certain; nonzero classes with a zero total might still cancel
+        components: dict[int, list[int]] = {}
         for root, s in sums.items():
-            c = linked.find(root)
-            totals[c] = totals.get(c, 0) + s
-            members[c] = members.get(c, 0) + 1
-        for c, total in totals.items():
-            nonzero = [sums[r] for r in sums if linked.find(r) == c and sums[r] != 0]
-            if not nonzero:
-                continue
-            if members[c] == 1 or total != 0:
+            components.setdefault(linked.find(root), []).append(s)
+        for class_sums in components.values():
+            if sum(class_sums):
                 return Tri.NO
-            saw_unknown_residue = True
+            if any(class_sums):
+                saw_unknown_residue = True
     return Tri.UNKNOWN if saw_unknown_residue else Tri.YES

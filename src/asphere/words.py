@@ -119,12 +119,6 @@ class FreeWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: FreeWord) -> FreeWord:
-        return multiply(self, other)
-
-    def __invert__(self) -> FreeWord:
-        return invert(self)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -220,15 +214,6 @@ def product(alphabet: Alphabet, words: Iterable[FreeWord]) -> FreeWord:
 
 def invert(u: FreeWord) -> FreeWord:
     return _word(u.alphabet, tuple(map(_INVERSE.__getitem__, reversed(u.letters))))
-
-
-def power(u: FreeWord, n: int) -> FreeWord:
-    if n < 0:
-        return power(invert(u), -n)
-    acc = empty_word(u.alphabet)
-    for _ in range(n):
-        acc = multiply(acc, u)
-    return acc
 
 
 def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:

@@ -193,44 +193,9 @@ def trivial_derivation(xm: CrossedModule) -> Derivation:
     return Derivation(xm, lambda x: xm.top.identity(), label="1")
 
 
-def derivation_from_values(xm: CrossedModule, values: dict[str, FreeWord]) -> Derivation:
-    """Extend generator values by the derivation law; the base carrier must
-    be a free group whose generators are all assigned."""
-    base = xm.base
-    if not isinstance(base, FreeGroupCarrier):
-        raise ValueError("generator values need a free base group")
-    alphabet = base.alphabet
-    for name in alphabet.generators:
-        if name not in values:
-            raise KeyError(f"missing value for generator {name!r}")
-
-    def rule(x: FreeWord) -> FreeWord:
-        acc = xm.top.identity()
-        prefix = base.identity()
-        for l, s in x.letters:
-            g = FreeWord(alphabet, (SignedLetter(l, s),))
-            if s > 0:
-                dg = values[alphabet.name(l)]
-            else:
-                dg = xm.action(g, invert(values[alphabet.name(l)]))
-            acc = multiply(acc, xm.action(prefix, dg))
-            prefix = multiply(prefix, g)
-        return acc
-
-    return Derivation(xm, rule, label="from-values")
-
-
 def _inner_rule(c: FreeWord, c_inv: FreeWord) -> Callable[[FreeWord], FreeWord]:
     """x -> (c x c^-1) x^-1, with c^-1 given."""
     return lambda x: multiply(multiply(multiply(c, x), c_inv), invert(x))
-
-
-def inner_derivation(retr: Retraction, c: FreeWord) -> Derivation:
-    """x -> (c x c^-1) x^-1 on the kernel; lands in the kernel for every c
-    in the ambient free group."""
-    if c.alphabet != retr.big_alphabet:
-        raise AlphabetError("conjugating word must be over the big alphabet")
-    return Derivation(kernel_self_xmod(retr), _inner_rule(c, invert(c)), label="inner")
 
 
 def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) -> Derivation:
@@ -284,12 +249,10 @@ def compose_alternative(d1: Derivation, d2: Derivation) -> Callable[[FreeWord], 
 @dataclass(frozen=True)
 class AutPair:
     """Automorphism pair (top, base) of a crossed module; maps are stored as
-    rules together with their inverses when available."""
+    rules."""
 
     top: Callable[[FreeWord], FreeWord]
     base: Callable[[FreeWord], FreeWord]
-    top_inv: Callable[[FreeWord], FreeWord] | None = None
-    base_inv: Callable[[FreeWord], FreeWord] | None = None
     label: str = ""
 
 
@@ -316,8 +279,6 @@ def derivation_automorphisms(
     return AutPair(
         top=induced_top_map(d),
         base=induced_base_map(d),
-        top_inv=induced_top_map(d_inverse),
-        base_inv=induced_base_map(d_inverse),
         label=f"aut({d.label})",
     )
 
@@ -329,12 +290,9 @@ def conjugation_aut_pair(retr: Retraction, u: FreeWord) -> AutPair:
     if u.alphabet != retr.small_alphabet:
         raise AlphabetError("conjugating word must avoid the eliminated generator")
     ub = embed(u, retr.big_alphabet)
-    ub_inv = invert(ub)
     return AutPair(
         top=lambda t: conjugate(ub, t),
         base=lambda x: conjugate(ub, x),
-        top_inv=lambda t: conjugate(ub_inv, t),
-        base_inv=lambda x: conjugate(ub_inv, x),
         label="conjugation",
     )
 

@@ -5,12 +5,10 @@ import pytest
 
 from asphere.actions import (
     ActionError,
-    BiSystem,
     MonoidError,
     Submonoid,
     all_submonoids,
     dominion,
-    dominion_membership,
     enveloping_group_presentation,
     is_inverse_monoid,
     multiplication_tensor,
@@ -61,20 +59,6 @@ class TestValidate:
         with pytest.raises(MonoidError):
             sub(Z3, {0, 1})
 
-    def test_generated_by(self):
-        assert Submonoid.generated_by(Z3, [1]).elements == frozenset({0, 1, 2})
-
-
-class TestBiSystem:
-    def test_regular_bisystem_is_valid(self):
-        BiSystem.regular(Z3)
-        BiSystem.regular(SL3)
-
-    def test_invalid_left_action_rejected(self):
-        bad = tuple(tuple(0 for _ in range(3)) for _ in range(3))
-        with pytest.raises(ActionError):
-            BiSystem(Z3, Z3, 3, bad, Z3.table)
-
 
 class TestTensor:
     def test_trivial_submonoid_discrete(self):
@@ -85,6 +69,14 @@ class TestTensor:
         t = multiplication_tensor(Z3, sub(Z3, {0, 1, 2}))
         assert t.num_classes == 3
         assert same_class(t, (1, 2), (0, Z3.mul(1, 2)))
+
+    def test_invalid_action_tables_rejected(self):
+        bad = tuple(tuple(0 for _ in range(3)) for _ in range(3))
+        u = sub(Z3, {0, 1, 2})
+        with pytest.raises(ActionError):
+            tensor_product(Z3.table, bad, u)
+        with pytest.raises(ActionError):
+            tensor_product(bad, Z3.table, u)
 
     def test_semilattice_against_naive_closure(self):
         u = sub(SL3, {0, 1})
@@ -140,7 +132,7 @@ class TestTensor:
 
 class TestDominion:
     def test_identity_always_inside(self):
-        assert dominion_membership(SL3, sub(SL3, {0}), 0)
+        assert 0 in dominion(SL3, sub(SL3, {0}))
 
     def test_whole_monoid(self):
         assert dominion(Z3, sub(Z3, {0, 1, 2})) == frozenset({0, 1, 2})
@@ -148,12 +140,6 @@ class TestDominion:
     def test_trivial_submonoid(self):
         for m in (Z3, SL3, NULL3, CYC3):
             assert dominion(m, sub(m, {0})) == frozenset({0})
-
-    def test_membership_matches_set(self):
-        u = sub(SL3, {0, 1})
-        dom = dominion(SL3, u)
-        for d in range(SL3.size):
-            assert (d in dom) == dominion_membership(SL3, u, d)
 
 
 class TestInverseMonoid:

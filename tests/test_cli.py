@@ -26,6 +26,8 @@ def write_monoid(path, name="cyc_1_2"):
 
 PRES = str(DEFAULT_DIR / "klein.pres")
 LOT = str(DEFAULT_DIR / "lot3.pres")
+C3 = str(DEFAULT_DIR / "c3.pres")
+ONE_SYMBOL = {"rel": "r", "conj": "1", "sign": 1}
 
 
 class TestExitCodes:
@@ -46,6 +48,23 @@ class TestExitCodes:
     def test_usage_error_is_three(self, capsys):
         code, _, _ = run(capsys, "present", "solve", PRES)  # missing --gen
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "command,data",
+        [
+            (("peiffer", "boundary", C3), ONE_SYMBOL),
+            (("peiffer", "boundary", C3), [1]),
+            (("monoid", "validate"), []),
+            (("peiffer", "verify", C3, "{seq}"), {"moves": ["x"]}),
+        ],
+    )
+    def test_wrong_json_shape_is_three(self, capsys, tmp_files, command, data):
+        seq, bad = tmp_files / "seq.json", tmp_files / "bad.json"
+        seq.write_text(json.dumps([ONE_SYMBOL]))
+        bad.write_text(json.dumps(data))
+        argv = [arg.format(seq=seq) for arg in command]
+        code, _, err = run(capsys, *argv, str(bad))
+        assert code == 3 and err.startswith("error: ")
 
     def test_exhausted_is_two(self, capsys, tmp_files):
         free = tmp_files / "free.pres"

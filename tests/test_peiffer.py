@@ -10,7 +10,6 @@ from asphere.fixtures import load_fixtures
 from asphere.partial import EXHAUSTED
 from asphere.peiffer import (
     Certificate,
-    FormalWord,
     IllegalMoveError,
     Move,
     MoveKind,
@@ -26,7 +25,6 @@ from asphere.peiffer import (
     dynamic_insert_pool,
     empty_sequence,
     fiber_pair,
-    formal_boundary,
     insertion_generator,
     inverse_sequence,
     invert_certificate,
@@ -46,7 +44,6 @@ from asphere.xmod import ReducibleFixture
 from asphere.words import (
     AlphabetError,
     empty_word,
-    invert,
     random_word,
     word_from_text,
     word_to_text,
@@ -392,30 +389,6 @@ class TestPairCrossing:
             g = insertion_generator(rng.choice(pool), GP)
             assert boundary(d.concat(g)) == boundary(d)
             assert boundary(g.concat(d)) == boundary(d)
-
-
-class TestFormalWords:
-    def test_empty(self):
-        assert formal_boundary(FormalWord(GP, ())).is_identity
-
-    def test_formal_inverse_maps_to_inverted_boundary(self):
-        fw = FormalWord(GP, ((sym(), -1),))
-        assert formal_boundary(fw) == invert(boundary(seq(sym())))
-
-    def test_symbol_times_formal_inverse_collapses(self):
-        fw = FormalWord(GP, ((sym(conj=A), 1), (sym(conj=A), -1)))
-        assert formal_boundary(fw).is_identity
-
-    def test_no_cancellation_is_performed(self):
-        # the flipped-sign symbol and the formal inverse stay distinct entries
-        fw = FormalWord(GP, ((sym(), 1), (sym(sign=-1), 1)))
-        assert len(fw.entries) == 2
-        assert formal_boundary(fw).is_identity
-
-    def test_foreign_conjugator_is_rejected_at_construction(self, c3, sym3):
-        foreign = YSymbol("r", word_from_text(sym3.alphabet, "b"), 1)
-        with pytest.raises(AlphabetError):
-            FormalWord(c3, ((foreign, 1),))
 
 
 class TestDynamicPool:
