@@ -22,7 +22,7 @@ from .presentations import (
     coset_table,
     universal_group_presentation,
 )
-from .words import Alphabet, FreeWord, MonoidWord, SignedLetter
+from .words import Alphabet, FreeWord, MonoidWord, letter
 
 
 class MonoidError(ValueError):
@@ -280,8 +280,8 @@ def table_monoid_presentation(s: FiniteMonoid) -> MonoidPresentation:
     relations = []
     for x in range(s.size):
         for y in range(s.size):
-            lhs = MonoidWord(alphabet, (SignedLetter(x, 1), SignedLetter(y, 1)))
-            rhs = MonoidWord(alphabet, (SignedLetter(s.mul(x, y), 1),))
+            lhs = MonoidWord(alphabet, (letter(x, 1), letter(y, 1)))
+            rhs = MonoidWord(alphabet, (letter(s.mul(x, y), 1),))
             relations.append((lhs, rhs))
     return MonoidPresentation("table", alphabet, tuple(relations))
 
@@ -303,10 +303,10 @@ def weak_dominion_membership(
         raise MonoidError(f"element {d} out of range")
     gp = enveloping_group_presentation(s)
     gens = [
-        FreeWord(gp.alphabet, (SignedLetter(x, 1),)) for x in u.sorted_elements
+        FreeWord(gp.alphabet, (letter(x, 1),)) for x in u.sorted_elements
     ]
     table = coset_table(gp, gens, budget)
     if table is EXHAUSTED:
         return Tri.UNKNOWN
-    target = table.trace(FreeWord(gp.alphabet, (SignedLetter(d, 1),)))
+    target = table.trace(FreeWord(gp.alphabet, (letter(d, 1),)))
     return Tri.YES if target == 0 else Tri.NO

@@ -23,11 +23,14 @@ from .words import (
     AlphabetError,
     FreeWord,
     MonoidWord,
-    SignedLetter,
     _reduce,
     embed,
     empty_word,
     invert,
+    letter,
+    letter_column,
+    letter_index,
+    letter_sign,
     monoid_word_from_text,
     multiply,
     parse_letters,
@@ -156,16 +159,21 @@ class Retraction:
             raise AlphabetError("solved word must be over the small alphabet")
         if self.z not in self.big_alphabet or self.z in self.small_alphabet:
             raise AlphabetError("z must belong to the big alphabet only")
-        # the image letters of every signed big letter, built once; not a field
-        images: dict[SignedLetter, tuple[SignedLetter, ...]] = {}
+        # built once and not fields: the image of every big letter code, and the hash
+        images: list[tuple[int, ...]] = [()] * (2 * len(self.big_alphabet))
         for l, name in enumerate(self.big_alphabet.generators):
             if name == self.z:
                 pos, neg = self.solved.letters, invert(self.solved).letters
             else:
                 i = self.small_alphabet.index(name)
-                pos, neg = (SignedLetter(i, 1),), (SignedLetter(i, -1),)
-            images[SignedLetter(l, 1)], images[SignedLetter(l, -1)] = pos, neg
-        object.__setattr__(self, "_images", images)
+                pos, neg = (letter(i, 1),), (letter(i, -1),)
+            images[letter(l, 1)], images[letter(l, -1)] = pos, neg
+        object.__setattr__(self, "_images", tuple(images))
+        fields = (self.big_alphabet, self.small_alphabet, self.z, self.solved, self.source_relator)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # --- parsing and printing ---------------------------------------------------
@@ -288,8 +296,8 @@ def universal_group_presentation(mp: MonoidPresentation) -> GroupPresentation:
 def occurrence_counts(gp: GroupPresentation) -> dict[str, int]:
     counts = {name: 0 for name in gp.alphabet.generators}
     for _, word in gp.relators:
-        for l, _ in word.letters:
-            counts[gp.alphabet.name(l)] += 1
+        for c in word.letters:
+            counts[gp.alphabet.name(letter_index(c))] += 1
     return counts
 
 
@@ -301,10 +309,10 @@ def solve_single_occurrence(gp: GroupPresentation, z: str) -> Retraction:
     """
     z_idx = gp.alphabet.index(z)
     hits = [
-        (rel_name, pos, sl.sign)
+        (rel_name, pos, letter_sign(c))
         for rel_name, word in gp.relators
-        for pos, sl in enumerate(word.letters)
-        if sl.letter == z_idx
+        for pos, c in enumerate(word.letters)
+        if letter_index(c) == z_idx
     ]
     if len(hits) != 1:
         raise NotReducibleError(
@@ -332,7 +340,7 @@ def retract(retr: Retraction, u: FreeWord) -> FreeWord:
     if u.alphabet != retr.big_alphabet:
         raise AlphabetError("retract expects a word over the big alphabet")
     images = retr._images
-    return _reduce(retr.small_alphabet, [x for sl in u.letters for x in images[sl]])
+    return _reduce(retr.small_alphabet, [x for c in u.letters for x in images[c]])
 
 
 def in_kernel(retr: Retraction, u: FreeWord) -> bool:
@@ -375,15 +383,7 @@ def lot_presentation(n: int, edges: Sequence[tuple[int, int, int]]) -> GroupPres
     relators = []
     for s, (i, j, k) in enumerate(edges, start=1):
         xi, xj, xk = (alphabet.index(f"x{v}") for v in (i, j, k))
-        word = reduce(
-            alphabet,
-            [
-                SignedLetter(xj, 1),
-                SignedLetter(xk, 1),
-                SignedLetter(xj, -1),
-                SignedLetter(xi, -1),
-            ],
-        )
+        word = reduce(alphabet, [letter(xj, 1), letter(xk, 1), letter(xj, -1), letter(xi, -1)])
         relators.append((f"r{s}", word))
     return GroupPresentation(f"lot{n}", alphabet, tuple(relators))
 
@@ -417,14 +417,13 @@ class CosetTable:
     def index(self) -> int:
         return len(self.rows)
 
-    def step(self, coset: int, letter: SignedLetter) -> int:
-        col = 2 * letter.letter + (0 if letter.sign > 0 else 1)
-        return self.rows[coset][col]
+    def step(self, coset: int, code: int) -> int:
+        return self.rows[coset][letter_column(code)]
 
     def trace(self, word: FreeWord, start: int = 0) -> int:
         c = start
-        for sl in word.letters:
-            c = self.step(c, sl)
+        for code in word.letters:
+            c = self.step(c, code)
         return c
 
     def representatives(self) -> list[FreeWord]:
@@ -437,9 +436,10 @@ class CosetTable:
             c = queue.pop(0)
             for l in range(len(alphabet)):
                 for sign in (1, -1):
-                    d = self.step(c, SignedLetter(l, sign))
+                    code = letter(l, sign)
+                    d = self.step(c, code)
                     if reps[d] is None:
-                        reps[d] = multiply(reps[c], FreeWord(alphabet, (SignedLetter(l, sign),)))
+                        reps[d] = multiply(reps[c], FreeWord(alphabet, (code,)))
                         queue.append(d)
         return reps  # type: ignore[return-value]
 
@@ -507,7 +507,7 @@ class _Enumeration:
 
     @staticmethod
     def _cols(word: FreeWord) -> list[int]:
-        return [2 * l + (0 if s > 0 else 1) for l, s in word.letters]
+        return list(map(letter_column, word.letters))
 
     def _scan_and_fill(self, start: int, word: FreeWord) -> bool:
         """Scan word at start, defining cosets to close the cycle.

@@ -73,7 +73,7 @@ def battery_word_laws(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
     alphabet = fixtures.presentations["sym3"].alphabet
     for i in range(n):
         raw = [
-            words.SignedLetter(rng.randrange(len(alphabet)), rng.choice((1, -1)))
+            words.letter(rng.randrange(len(alphabet)), rng.choice((1, -1)))
             for _ in range(rng.randrange(8))
         ]
         w = reduce(alphabet, raw)

@@ -1,8 +1,15 @@
 """Free-group and free-monoid words over named alphabets.
 
 Words are value types: a ``FreeWord`` is stored eagerly reduced, so equality
-is plain sequence equality and hashing is free.  Cross-alphabet arithmetic is
-an error; moving a word into a larger alphabet is the explicit ``embed``.
+and hashing read its letters.  Cross-alphabet arithmetic is an error; moving a
+word into a larger alphabet is the explicit ``embed``.
+
+A letter is one int: generator ``i`` is ``2*i + 1`` and its inverse ``2*i``, so
+the inverse of code ``c`` is ``c ^ 1``.  Codes sort exactly as ``(index, sign)``
+pairs do, so every order built on ``letters`` (symbol keys, insert pools,
+certificates, relation-module terms) is that of the pairs.  Only this module
+knows the format; others use ``letter``, ``letter_index``, ``letter_sign`` and
+``letter_column``.
 
 Validation happens once, at the boundary: the public constructors (``FreeWord``,
 ``reduce``, the text parsers) check every letter and reject unreduced input.
@@ -18,9 +25,10 @@ word.  Example: ``a b^-1 a``.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -33,27 +41,32 @@ class WordSyntaxError(ValueError):
     """Malformed word text."""
 
 
-class SignedLetter(NamedTuple):
-    letter: int  # index into the alphabet
-    sign: int  # +1 or -1
+def letter(index: int, sign: int) -> int:
+    """The code of generator ``index`` (``sign`` +1) or of its inverse (-1)."""
+    if sign not in (1, -1):
+        raise AlphabetError(f"sign must be +1 or -1, got {sign}")
+    return 2 * index + (sign > 0)
 
 
-class _InverseLetters(dict):
-    """SignedLetter -> its inverse, each built once on first use."""
-
-    def __missing__(self, sl: SignedLetter) -> SignedLetter:
-        inv = self[sl] = SignedLetter(sl[0], -sl[1])
-        return inv
+def letter_index(code: int) -> int:
+    return code >> 1
 
 
-_INVERSE = _InverseLetters()
+def letter_sign(code: int) -> int:
+    return 1 if code & 1 else -1
 
 
-@dataclass(frozen=True)
+def letter_column(code: int) -> int:
+    """Column of a letter in a coset table: generator i is 2*i, its inverse 2*i + 1."""
+    return code ^ 1
+
+
+@dataclass(frozen=True, eq=False)
 class Alphabet:
     """Ordered tuple of distinct generator names.
 
-    The order is observable and used for deterministic tie-breaking.
+    The order is observable and used for deterministic tie-breaking.  The hash
+    is computed once: alphabets key cached tables and retractions.
     """
 
     generators: tuple[str, ...]
@@ -68,6 +81,15 @@ class Alphabet:
             if name in seen:
                 raise AlphabetError(f"duplicate generator {name!r}")
             seen.add(name)
+        object.__setattr__(self, "_hash", hash(self.generators))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        return self.generators == other.generators if other.__class__ is Alphabet else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -91,30 +113,33 @@ class Alphabet:
         return Alphabet(tuple(g for g in self.generators if g != name))
 
 
-def _check_raw(alphabet: Alphabet, raw: Iterable[SignedLetter]) -> list[SignedLetter]:
-    out = []
-    n = len(alphabet)
-    for item in raw:
-        letter, sign = item
-        if not 0 <= letter < n:
-            raise AlphabetError(f"letter index {letter} out of range for {alphabet.generators}")
-        if sign not in (1, -1):
-            raise AlphabetError(f"sign must be +1 or -1, got {sign}")
-        out.append(SignedLetter(letter, sign))
-    return out
+def _check_codes(alphabet: Alphabet, codes: Sequence[int]) -> None:
+    bound = 2 * len(alphabet)
+    for c in codes:
+        if type(c) is not int or not 0 <= c < bound:
+            raise AlphabetError(f"letter code {c!r} out of range for {alphabet.generators}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FreeWord:
-    """A freely reduced word; the empty sequence is the identity."""
+    """A freely reduced word; the empty sequence is the identity.  Equal words
+    have equal letters, so the hash reads only those."""
 
     alphabet: Alphabet
-    letters: tuple[SignedLetter, ...]
+    letters: tuple[int, ...]
 
     def __post_init__(self):
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a.letter == b.letter and a.sign == -b.sign:
-                raise ValueError("FreeWord must be freely reduced; use reduce()")
+        _check_codes(self.alphabet, self.letters)
+        if any(a == b ^ 1 for a, b in zip(self.letters, self.letters[1:])):
+            raise ValueError("FreeWord must be freely reduced; use reduce()")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FreeWord:
+            return NotImplemented
+        return self.letters == other.letters and self.alphabet == other.alphabet
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -129,10 +154,10 @@ class FreeWord:
 
 @dataclass(frozen=True)
 class MonoidWord:
-    """A word with no reduction applied (letters may carry signs)."""
+    """A word with no reduction applied (letters may be inverses)."""
 
     alphabet: Alphabet
-    letters: tuple[SignedLetter, ...]
+    letters: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -148,9 +173,9 @@ _SET_WORD_ALPHABET = FreeWord.alphabet.__set__
 _SET_WORD_LETTERS = FreeWord.letters.__set__
 
 
-def _word(alphabet: Alphabet, letters: tuple[SignedLetter, ...]) -> FreeWord:
+def _word(alphabet: Alphabet, letters: tuple[int, ...]) -> FreeWord:
     """Trusted constructor: ``letters`` must already be freely reduced
-    signed letters of ``alphabet``."""
+    letter codes of ``alphabet``."""
     w = object.__new__(FreeWord)
     _SET_WORD_ALPHABET(w, alphabet)
     _SET_WORD_LETTERS(w, letters)
@@ -162,31 +187,29 @@ def empty_word(alphabet: Alphabet) -> FreeWord:
 
 
 def generator(alphabet: Alphabet, name: str, sign: int = 1) -> FreeWord:
-    return FreeWord(alphabet, (SignedLetter(alphabet.index(name), sign),))
+    return FreeWord(alphabet, (letter(alphabet.index(name), sign),))
 
 
-def reduce(alphabet: Alphabet, raw: Sequence[SignedLetter]) -> FreeWord:
-    """Freely reduce a raw letter sequence.  Idempotent."""
-    return _reduce(alphabet, _check_raw(alphabet, raw))
+def reduce(alphabet: Alphabet, raw: Sequence[int]) -> FreeWord:
+    """Freely reduce a raw sequence of letter codes.  Idempotent."""
+    _check_codes(alphabet, raw)
+    return _reduce(alphabet, raw)
 
 
-def _reduce(alphabet: Alphabet, letters: Iterable[SignedLetter]) -> FreeWord:
-    """``reduce`` for letters already known to be signed letters of
-    ``alphabet``."""
-    stack: list[SignedLetter] = []
-    for sl in letters:
-        if stack and stack[-1].letter == sl.letter and stack[-1].sign == -sl.sign:
+def _reduce(alphabet: Alphabet, letters: Iterable[int]) -> FreeWord:
+    """``reduce`` for letters already known to be codes of ``alphabet``."""
+    stack: list[int] = []
+    for c in letters:
+        if stack and stack[-1] == c ^ 1:
             stack.pop()
         else:
-            stack.append(sl)
+            stack.append(c)
     return _word(alphabet, tuple(stack))
 
 
 def _require_same_alphabet(u: FreeWord, v: FreeWord) -> None:
     if u.alphabet != v.alphabet:
-        raise AlphabetError(
-            f"alphabet mismatch: {u.alphabet.generators} vs {v.alphabet.generators}"
-        )
+        raise AlphabetError(f"alphabet mismatch: {u.alphabet.generators} vs {v.alphabet.generators}")
 
 
 def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -199,9 +222,8 @@ def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
         return v
     # both factors are reduced, so letters can only cancel at the junction
     i, j, n = len(ul), 0, len(vl)
-    while i and j < n and ul[i - 1] == _INVERSE[vl[j]]:
-        i -= 1
-        j += 1
+    while i and j < n and ul[i - 1] == vl[j] ^ 1:
+        i, j = i - 1, j + 1
     return _word(u.alphabet, ul[:i] + vl[j:])
 
 
@@ -212,82 +234,101 @@ def product(alphabet: Alphabet, words: Iterable[FreeWord]) -> FreeWord:
     return acc
 
 
+def _inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([c ^ 1 for c in reversed(letters)])
+
+
 def invert(u: FreeWord) -> FreeWord:
-    return _word(u.alphabet, tuple(map(_INVERSE.__getitem__, reversed(u.letters))))
+    return _word(u.alphabet, _inverse_letters(u.letters))
 
 
 def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:
     """u v u^-1, reduced.  Left action: conjugate(uw, v) == conjugate(u, conjugate(w, v))."""
-    return multiply(multiply(u, v), invert(u))
+    if u.alphabet is not v.alphabet:
+        _require_same_alphabet(u, v)
+    ul, vl = u.letters, v.letters
+    if not ul:
+        return v
+    n, m = len(ul), len(vl)
+    # u v = ul[:i] vl[j:]: the tail of u cancels against the head of v
+    i, j = n, 0
+    while i and j < m and ul[i - 1] == vl[j] ^ 1:
+        i, j = i - 1, j + 1
+    # (u v) u^-1: the tail of u v cancels against the head of u^-1, which is
+    # u read from its end; first the surviving part of v, then that of u
+    e, k = m, n
+    while e > j and k and vl[e - 1] == ul[k - 1]:
+        e, k = e - 1, k - 1
+    if e == j:
+        while i and k and ul[i - 1] == ul[k - 1]:
+            i, k = i - 1, k - 1
+    return _word(u.alphabet, ul[:i] + vl[j:e] + _inverse_letters(ul[:k]))
 
 
 def exponent_sum(u: FreeWord, x: str | int) -> int:
     idx = u.alphabet.index(x) if isinstance(x, str) else x
     if not 0 <= idx < len(u.alphabet):
         raise AlphabetError(f"letter index {idx} out of range")
-    return sum(s for l, s in u.letters if l == idx)
+    return u.letters.count(2 * idx + 1) - u.letters.count(2 * idx)
 
 
 def abelianize(u: FreeWord) -> tuple[int, ...]:
     counts = [0] * len(u.alphabet)
-    for l, s in u.letters:
-        counts[l] += s
+    for c in u.letters:
+        counts[c >> 1] += 1 if c & 1 else -1
     return tuple(counts)
 
 
-class _EmbedTables(dict):
-    """(small, big) alphabet pair -> the signed-letter map of ``embed``, each
-    built once on first use."""
-
-    def __missing__(self, key: tuple[Alphabet, Alphabet]) -> dict[SignedLetter, SignedLetter]:
-        small, big = key
-        if not set(small.generators) <= set(big.generators):
-            raise AlphabetError(
-                f"cannot embed: {small.generators} is not a subset of {big.generators}"
-            )
-        table = self[key] = {
-            SignedLetter(l, s): SignedLetter(big.index(name), s)
-            for l, name in enumerate(small.generators)
-            for s in (1, -1)
-        }
-        return table
-
-
-_EMBED = _EmbedTables()
+@functools.cache
+def _rename_table(source: Alphabet, target: Alphabet) -> tuple[tuple[int | None, ...], bool]:
+    """The code of the same-named target letter for every source code (None
+    where the target lacks the name), and whether that map is total."""
+    names = target.generators
+    table = tuple(
+        2 * names.index(name) + bit if name in names else None
+        for name in source.generators
+        for bit in (0, 1)
+    )
+    return table, None not in table
 
 
 def embed(u: FreeWord, big: Alphabet) -> FreeWord:
     """Reinterpret u over a larger alphabet (identity on shared names)."""
-    return _word(big, tuple(map(_EMBED[u.alphabet, big].__getitem__, u.letters)))
+    table, total = _rename_table(u.alphabet, big)
+    if not total:
+        raise AlphabetError(
+            f"cannot embed: {u.alphabet.generators} is not a subset of {big.generators}"
+        )
+    return _word(big, tuple(map(table.__getitem__, u.letters)))
 
 
 def restrict(u: FreeWord, small: Alphabet) -> FreeWord:
     """Reinterpret u over a smaller alphabet holding every generator u uses;
     the inverse of ``embed``."""
-    names = u.alphabet.generators
-    try:
-        return _word(small, tuple(SignedLetter(small.index(names[l]), s) for l, s in u.letters))
-    except AlphabetError:
+    table, _ = _rename_table(u.alphabet, small)
+    letters = tuple(map(table.__getitem__, u.letters))
+    if None in letters:
         raise AlphabetError(
             f"cannot restrict: {word_to_text(u)!r} uses a generator outside {small.generators}"
-        ) from None
+        )
+    return _word(small, letters)
 
 
 # --- textual syntax ---------------------------------------------------------
 
 
-def parse_letters(alphabet: Alphabet, text: str) -> tuple[SignedLetter, ...]:
+def parse_letters(alphabet: Alphabet, text: str) -> tuple[int, ...]:
     letters = []
     for token in text.split():
         if token == "1":
             continue
         if token.endswith("^-1"):
-            name, sign = token[:-3], -1
+            name, bit = token[:-3], 0
         elif "^" in token:
             raise WordSyntaxError(f"bad token {token!r} (only ^-1 exponents are supported)")
         else:
-            name, sign = token, 1
-        letters.append(SignedLetter(alphabet.index(name), sign))
+            name, bit = token, 1
+        letters.append(2 * alphabet.index(name) + bit)
     return tuple(letters)
 
 
@@ -297,17 +338,16 @@ def word_from_text(alphabet: Alphabet, text: str) -> FreeWord:
 
 def monoid_word_from_text(alphabet: Alphabet, text: str, allow_signs: bool = True) -> MonoidWord:
     letters = parse_letters(alphabet, text)
-    if not allow_signs and any(s < 0 for _, s in letters):
+    if not allow_signs and any(letter_sign(c) < 0 for c in letters):
         raise WordSyntaxError("inverse letters are not allowed here")
     return MonoidWord(alphabet, letters)
 
 
-def letters_to_text(alphabet: Alphabet, letters: Sequence[SignedLetter]) -> str:
+def letters_to_text(alphabet: Alphabet, letters: Sequence[int]) -> str:
     if not letters:
         return "1"
-    return " ".join(
-        alphabet.name(l) if s > 0 else f"{alphabet.name(l)}^-1" for l, s in letters
-    )
+    names = alphabet.generators
+    return " ".join(names[c >> 1] if c & 1 else f"{names[c >> 1]}^-1" for c in letters)
 
 
 def word_to_text(u: FreeWord | MonoidWord) -> str:
@@ -319,7 +359,5 @@ def word_to_text(u: FreeWord | MonoidWord) -> str:
 
 def random_word(alphabet: Alphabet, rng, max_len: int = 6) -> FreeWord:
     n = rng.randrange(max_len + 1)
-    raw = [
-        SignedLetter(rng.randrange(len(alphabet)), rng.choice((1, -1))) for _ in range(n)
-    ]
+    raw = [2 * rng.randrange(len(alphabet)) + (rng.choice((1, -1)) > 0) for _ in range(n)]
     return _reduce(alphabet, raw)

@@ -51,11 +51,12 @@ from .words import (
     Alphabet,
     AlphabetError,
     FreeWord,
-    SignedLetter,
     conjugate,
     embed,
     empty_word,
+    generator,
     invert,
+    letter_index,
     multiply,
     random_word,
     restrict,
@@ -126,8 +127,7 @@ def _kernel_generator(retr: Retraction) -> tuple[FreeWord, FreeWord]:
     """z · solved^-1, which the retraction kills and whose normal closure is
     the kernel, with its inverse; built once per retraction."""
     big = retr.big_alphabet
-    z = FreeWord(big, (SignedLetter(big.index(retr.z), 1),))
-    gen = multiply(z, invert(embed(retr.solved, big)))
+    gen = multiply(generator(big, retr.z), invert(embed(retr.solved, big)))
     return gen, invert(gen)
 
 
@@ -320,7 +320,7 @@ class ReducibleFixture:
         for name, word in gp.relators:
             if name == retr.source_relator:
                 continue
-            if any(gp.alphabet.name(l) == z for l, _ in word.letters):
+            if any(gp.alphabet.name(letter_index(c)) == z for c in word.letters):
                 raise ValueError(f"relator {name!r} also uses the eliminated generator")
             sub_relators.append((name, restrict(word, small)))
         sub = GroupPresentation(f"{gp.name}_sub", small, tuple(sub_relators))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from asphere.presentations import parse
-from asphere.words import Alphabet, SignedLetter
+from asphere.words import Alphabet, letter
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def sym3():
 def raw_letters(n_gens: int, max_len: int = 10):
     return st.lists(
         st.tuples(st.integers(0, n_gens - 1), st.sampled_from((1, -1))).map(
-            lambda t: SignedLetter(*t)
+            lambda t: letter(*t)
         ),
         max_size=max_len,
     )

@@ -25,6 +25,8 @@ from asphere.presentations import (
 from asphere.words import (
     generator,
     invert,
+    letter_index,
+    letter_sign,
     multiply,
     product,
     reduce,
@@ -166,14 +168,14 @@ class TestRetractAndDecompose:
         # oracle: multiply the images of the letters one at a time
         big, small = retr.big_alphabet, retr.small_alphabet
 
-        def image(sl):
-            name = big.name(sl.letter)
+        def image(c):
+            name, sign = big.name(letter_index(c)), letter_sign(c)
             if name == retr.z:
-                return retr.solved if sl.sign > 0 else invert(retr.solved)
-            return generator(small, name, sl.sign)
+                return retr.solved if sign > 0 else invert(retr.solved)
+            return generator(small, name, sign)
 
         u = reduce(big, data.draw(raw_letters(len(big), 16)))
-        assert retract(retr, u) == product(small, (image(sl) for sl in u.letters))
+        assert retract(retr, u) == product(small, (image(c) for c in u.letters))
 
 
 class TestLot:
@@ -214,7 +216,8 @@ class TestIsReducible:
         gp = lot_presentation(3, [(2, 3, 1), (3, 3, 2)])
         counts = {}
         for _, w in gp.relators:
-            for l, _ in w.letters:
+            for c in w.letters:
+                l = letter_index(c)
                 counts[l] = counts.get(l, 0) + 1
         assert counts[gp.alphabet.index("x1")] == 1
         assert is_reducible_lot(gp) == "x1"

@@ -8,7 +8,6 @@ from asphere.words import (
     Alphabet,
     AlphabetError,
     FreeWord,
-    SignedLetter,
     WordSyntaxError,
     abelianize,
     conjugate,
@@ -16,6 +15,10 @@ from asphere.words import (
     empty_word,
     exponent_sum,
     invert,
+    letter,
+    letter_column,
+    letter_index,
+    letter_sign,
     monoid_word_from_text,
     multiply,
     random_word,
@@ -30,9 +33,15 @@ from conftest import raw_letters
 AB = Alphabet(("a", "b"))
 
 
+def decode(letters):
+    """(index, sign) pairs of letter codes, read through the helpers."""
+    return tuple((letter_index(c), letter_sign(c)) for c in letters)
+
+
 def naive_reduce(letters):
-    """Oracle: repeat single-pass cancellation until nothing changes."""
-    current = list(letters)
+    """Oracle: repeat single-pass cancellation of decoded (index, sign) pairs
+    until nothing changes."""
+    current = list(decode(letters))
     while True:
         out = []
         i = 0
@@ -74,24 +83,24 @@ class TestAlphabet:
 
 class TestReduce:
     def test_adjacent_pair_cancels(self):
-        assert reduce(AB, [SignedLetter(0, 1), SignedLetter(0, -1), SignedLetter(1, 1)]) == w("b")
+        assert reduce(AB, [letter(0, 1), letter(0, -1), letter(1, 1)]) == w("b")
 
     def test_empty_is_identity(self):
         assert reduce(AB, []) == empty_word(AB)
 
     def test_nested_cancellation(self):
         # oracle: naive cancellation to fixpoint
-        raw = [SignedLetter(0, 1), SignedLetter(1, 1), SignedLetter(1, -1), SignedLetter(0, -1), SignedLetter(0, 1)]
-        assert naive_reduce(raw) == (SignedLetter(0, 1),)
+        raw = [letter(0, 1), letter(1, 1), letter(1, -1), letter(0, -1), letter(0, 1)]
+        assert naive_reduce(raw) == ((0, 1),)
         assert reduce(AB, raw) == w("a")
 
     def test_unknown_letter_rejected(self):
         with pytest.raises(AlphabetError):
-            reduce(AB, [SignedLetter(5, 1)])
+            reduce(AB, [letter(5, 1)])
 
     @given(raw_letters(2))
     def test_matches_naive_oracle(self, raw):
-        assert reduce(AB, raw).letters == naive_reduce(raw)
+        assert decode(reduce(AB, raw).letters) == naive_reduce(raw)
 
     @given(raw_letters(2))
     def test_idempotent(self, raw):
@@ -148,7 +157,7 @@ class TestInvert:
     def test_matches_letterwise_definition(self, raw):
         # oracle: reverse the letters and flip every sign
         u = reduce(AB, raw)
-        assert invert(u).letters == tuple((l, -s) for l, s in reversed(u.letters))
+        assert decode(invert(u).letters) == tuple((l, -s) for l, s in reversed(decode(u.letters)))
 
 
 class TestConjugate:
@@ -160,6 +169,38 @@ class TestConjugate:
 
     def test_self_conjugation_fixes(self):
         assert conjugate(w("a"), w("a")) == w("a")
+
+    @staticmethod
+    def three_products(u, v):
+        # oracle: two junction-cancelled products and an inverse
+        return multiply(multiply(u, v), invert(u))
+
+    @given(raw_letters(2), raw_letters(2), st.sampled_from(("v", "u^-1 v u", "u^-1", "u", "1")))
+    def test_matches_three_products(self, r1, r2, shape):
+        # the shapes of v force cancellation at one junction, at both, or all
+        # the way through
+        u, t = reduce(AB, r1), reduce(AB, r2)
+        v = {
+            "v": t,
+            "u^-1 v u": multiply(multiply(invert(u), t), u),
+            "u^-1": invert(u),
+            "u": u,
+            "1": empty_word(AB),
+        }[shape]
+        assert conjugate(u, v) == self.three_products(u, v)
+        assert conjugate(v, u) == self.three_products(v, u)
+
+    def test_edge_cases(self):
+        cases = [
+            ("1", "1"),
+            ("1", "a b"),
+            ("a b", "1"),
+            ("a b", "b^-1 a^-1"),
+            ("a b", "b^-1 a b a^-1 b"),
+            ("a b a", "a^-1 b^-1 a^-1"),
+        ]
+        for u, v in cases:
+            assert conjugate(w(u), w(v)) == self.three_products(w(u), w(v))
 
     def test_left_action(self):
         rng = random.Random(0)
@@ -180,7 +221,7 @@ class TestExponentAndAbelianization:
 
     def test_count_by_scan(self):
         word = w("a a b^-1 a")
-        assert exponent_sum(word, "a") == sum(s for l, s in word.letters if l == 0) == 3
+        assert exponent_sum(word, "a") == sum(s for l, s in decode(word.letters) if l == 0) == 3
 
     def test_abelianize_examples(self):
         assert abelianize(w("a b a^-1")) == (0, 1)
@@ -227,7 +268,49 @@ class TestEmbedAndText:
 
 def test_freeword_rejects_unreduced_letters():
     with pytest.raises(ValueError):
-        FreeWord(AB, (SignedLetter(0, 1), SignedLetter(0, -1)))
+        FreeWord(AB, (letter(0, 1), letter(0, -1)))
+
+
+@pytest.mark.parametrize("code", (4, -1, 7, "a", (0, 1), 1.0, None))
+def test_freeword_rejects_codes_outside_its_alphabet(code):
+    # AB has the codes 0..3; anything else must fail at construction, not
+    # later when the word is printed
+    with pytest.raises(AlphabetError):
+        FreeWord(AB, (code,))
+    with pytest.raises(AlphabetError):
+        reduce(AB, [letter(0, 1), code])
+
+
+class TestEncoding:
+    """One int per letter: generator i is 2*i + 1, its inverse 2*i."""
+
+    INDICES = st.integers(0, 50)
+    SIGNS = st.sampled_from((1, -1))
+
+    @given(INDICES, SIGNS)
+    def test_helpers_round_trip(self, index, sign):
+        c = letter(index, sign)
+        assert (letter_index(c), letter_sign(c)) == (index, sign)
+        assert letter(letter_index(c), letter_sign(c)) == c
+
+    @given(st.integers(0, 101))
+    def test_every_code_decodes(self, c):
+        assert letter(letter_index(c), letter_sign(c)) == c
+
+    @given(INDICES, SIGNS)
+    def test_column_alternates_generator_and_inverse(self, index, sign):
+        assert letter_column(letter(index, sign)) == 2 * index + (0 if sign > 0 else 1)
+
+    def test_rejects_a_bad_sign(self):
+        with pytest.raises(AlphabetError):
+            letter(0, 0)
+
+    @given(raw_letters(3), raw_letters(3))
+    def test_codes_sort_like_index_sign_pairs(self, r1, r2):
+        # certificates, pools and relation-module keys sort by ``letters``,
+        # and a sort is fixed by its pairwise comparisons
+        u, v = (reduce(Alphabet(("a", "b", "c")), r).letters for r in (r1, r2))
+        assert (u < v, u == v) == (decode(u) < decode(v), decode(u) == decode(v))
 
 
 class TestEmbedTable:
@@ -243,7 +326,7 @@ class TestEmbedTable:
         if not set(u.alphabet.generators) <= set(big.generators):
             raise AlphabetError("not a subset")
         names = u.alphabet.generators
-        return FreeWord(big, tuple(SignedLetter(big.index(names[l]), s) for l, s in u.letters))
+        return FreeWord(big, tuple(letter(big.index(names[l]), s) for l, s in decode(u.letters)))
 
     @given(ALPHABETS, ALPHABETS, st.data())
     def test_matches_the_per_name_mapping(self, small, big, data):
@@ -269,7 +352,7 @@ class TestRestrict:
     @given(raw_letters(3))
     def test_rejects_exactly_the_words_using_the_dropped_generator(self, raw):
         u = reduce(self.BIG, raw)
-        if any(l == 1 for l, _ in u.letters):
+        if any(l == 1 for l, _ in decode(u.letters)):
             with pytest.raises(AlphabetError):
                 restrict(u, AB)
         else:

@@ -16,7 +16,7 @@ from asphere.peiffer import (
     search_trivialization,
     verify_certificate,
 )
-from asphere.presentations import decompose, in_kernel, lot_presentation, parse, retract
+from asphere.presentations import Retraction, decompose, in_kernel, lot_presentation, parse, retract
 from asphere.suite import FIXTURE_BATTERY_TABLE
 from asphere.words import (
     Alphabet,
@@ -509,6 +509,18 @@ class TestFastPathsAgainstDefinitions:
         expected = multiply(generator(b, retr.z), invert(embed(retr.solved, b)))
         assert xmod._kernel_generator(retr) == (expected, invert(expected))
         assert in_kernel(retr, expected)
+
+    @pytest.mark.parametrize("fx", (TOY, *LOTS), ids=lambda fx: fx.presentation.name)
+    def test_an_equal_new_retraction_hits_the_cache(self, fx):
+        # every suite run solves its fixtures afresh; the hash is computed
+        # once per retraction, and equal retractions still share cache entries
+        retr = fx.retraction
+        twin = Retraction(
+            retr.big_alphabet, retr.small_alphabet, retr.z, retr.solved, retr.source_relator
+        )
+        assert twin is not retr and twin == retr and hash(twin) == hash(retr)
+        assert xmod._kernel_generator(twin) is xmod._kernel_generator(retr)
+        assert kernel_self_xmod(twin) is kernel_self_xmod(retr)
 
 
 class TestNegativeControls:
