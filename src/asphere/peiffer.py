@@ -13,13 +13,14 @@ certificate or EXHAUSTED, never a refutation.
 
 Validation happens once, at the boundary: the public ``YSymbol`` and
 ``YSequence`` constructors check every sign, relator name and conjugator
-alphabet.  Symbols and sequences the calculus proves valid (a move applied
-to a valid sequence, an inverse, a concatenation) go through the private
-``_symbol`` and ``_sequence``, which check nothing and set the slots
-directly, and the moves ``legal_moves`` enumerates go through ``_move``.
-The one symbol a move brings in from outside, an ``Insert`` move's, is
-checked on its own by ``apply_move``, so a replayed certificate still fails
-on a bad symbol.
+alphabet.  Symbols, sequences and moves the calculus proves valid (a move
+applied to a valid sequence, an inverse, a concatenation, the moves of
+``legal_moves``) are built unchecked by setting their slots, through
+``_symbol``, ``_sequence`` and ``_move`` or, on the search's per-child
+paths, inline.  The one per-child validation is ``apply_move``'s check of
+an ``Insert`` move's symbol, the one thing a move brings in from outside:
+its relator must belong to the presentation and its conjugator must be over
+its alphabet, so a replayed certificate still fails on a bad symbol.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .words import (
     empty_word,
     multiply,
     random_word,
+    shortlex_key,
     word_from_text,
     word_to_text,
 )
@@ -80,8 +82,12 @@ class YSequence:
     def __post_init__(self):
         if not isinstance(self.symbols, tuple):
             object.__setattr__(self, "symbols", tuple(self.symbols))
+        gp = self.presentation
         for s in self.symbols:
-            _check_symbol(self.presentation, s)
+            if s.relator not in gp:
+                raise KeyError(f"unknown relator {s.relator!r}")
+            if s.conjugator.alphabet != gp.alphabet:
+                raise AlphabetError(f"conjugator of {s.relator!r} over the wrong alphabet")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -92,13 +98,7 @@ class YSequence:
         return _sequence(self.presentation, self.symbols + other.symbols)
 
 
-def _check_symbol(gp: GroupPresentation, s: YSymbol) -> None:
-    if s.relator not in gp:
-        raise KeyError(f"unknown relator {s.relator!r}")
-    if s.conjugator.alphabet is not gp.alphabet and s.conjugator.alphabet != gp.alphabet:
-        raise AlphabetError(f"conjugator of {s.relator!r} over the wrong alphabet")
-
-
+_NEW = object.__new__
 _SET_RELATOR = YSymbol.relator.__set__
 _SET_CONJUGATOR = YSymbol.conjugator.__set__
 _SET_SIGN = YSymbol.sign.__set__
@@ -108,7 +108,7 @@ _SET_SYMBOLS = YSequence.symbols.__set__
 
 def _symbol(relator: str, conjugator: FreeWord, sign: int) -> YSymbol:
     """Trusted constructor: ``sign`` must be +1 or -1."""
-    s = object.__new__(YSymbol)
+    s = _NEW(YSymbol)
     _SET_RELATOR(s, relator)
     _SET_CONJUGATOR(s, conjugator)
     _SET_SIGN(s, sign)
@@ -118,7 +118,7 @@ def _symbol(relator: str, conjugator: FreeWord, sign: int) -> YSymbol:
 def _sequence(gp: GroupPresentation, symbols: tuple[YSymbol, ...]) -> YSequence:
     """Trusted constructor: every symbol must name a relator of ``gp`` and
     carry a conjugator over its alphabet."""
-    d = object.__new__(YSequence)
+    d = _NEW(YSequence)
     _SET_PRESENTATION(d, gp)
     _SET_SYMBOLS(d, symbols)
     return d
@@ -180,6 +180,8 @@ class MoveKind(enum.Enum):
     INSERT = "Insert"
 
 
+_DELETE, _EXCHANGE_L, _EXCHANGE_R, _INSERT = MoveKind
+
 _KIND_RANK = {
     MoveKind.DELETE: 0,
     MoveKind.EXCHANGE_L: 1,
@@ -210,7 +212,7 @@ _SET_MOVE_SYMBOL = Move.symbol.__set__
 
 def _move(kind: MoveKind, pos: int, symbol: YSymbol | None = None) -> Move:
     """Trusted constructor: ``symbol`` must be given exactly for an Insert."""
-    m = object.__new__(Move)
+    m = _NEW(Move)
     _SET_KIND(m, kind)
     _SET_POS(m, pos)
     _SET_MOVE_SYMBOL(m, symbol)
@@ -230,35 +232,53 @@ def _deletable(a: YSymbol, b: YSymbol) -> bool:
     return a.relator == b.relator and a.conjugator == b.conjugator and a.sign == -b.sign
 
 
+def _inverse_boundary(gp: GroupPresentation, s: YSymbol) -> FreeWord:
+    """The boundary of ``s.inverse()``, without building that symbol."""
+    return conjugate(s.conjugator, gp.signed_relator(s.relator, -s.sign))
+
+
 def apply_move(d: YSequence, m: Move) -> YSequence:
     gp = d.presentation
     syms = d.symbols
     n = len(syms)
-    if m.kind is MoveKind.INSERT:
-        if not 0 <= m.pos <= n:
-            raise IllegalMoveError(f"insert position {m.pos} out of range 0..{n}")
+    pos = m.pos
+    if m.kind is _INSERT:
+        if not 0 <= pos <= n:
+            raise IllegalMoveError(f"insert position {pos} out of range 0..{n}")
+        # the one per-child check: the symbol comes from outside the sequence
         a = m.symbol
-        assert a is not None
-        _check_symbol(gp, a)
-        return _sequence(gp, syms[: m.pos] + (a, a.inverse()) + syms[m.pos :])
-    if not 0 <= m.pos <= n - 2:
-        raise IllegalMoveError(f"position {m.pos} has no adjacent pair in length {n}")
-    a, b = syms[m.pos], syms[m.pos + 1]
-    if m.kind is MoveKind.DELETE:
-        if not _deletable(a, b):
-            raise IllegalMoveError(f"pair at {m.pos} is not an adjacent inverse pair")
-        return _sequence(gp, syms[: m.pos] + syms[m.pos + 2 :])
-    if m.kind is MoveKind.EXCHANGE_L:
-        # (a, b) -> (b twisted by a's boundary, a)
-        twist = multiply(symbol_boundary(gp, a), b.conjugator)
-        new = _symbol(b.relator, twist, b.sign)
-        return _sequence(gp, syms[: m.pos] + (new, a) + syms[m.pos + 2 :])
-    if m.kind is MoveKind.EXCHANGE_R:
-        # (a, b) -> (b, a twisted by b's inverse boundary)
-        twist = multiply(symbol_boundary(gp, b.inverse()), a.conjugator)
-        new = _symbol(a.relator, twist, a.sign)
-        return _sequence(gp, syms[: m.pos] + (b, new) + syms[m.pos + 2 :])
-    raise IllegalMoveError(f"unknown move kind {m.kind}")
+        relator, conjugator = a.relator, a.conjugator
+        if relator not in gp._by_name:
+            raise KeyError(f"unknown relator {relator!r}")
+        if conjugator.alphabet is not gp.alphabet and conjugator.alphabet != gp.alphabet:
+            raise AlphabetError(f"conjugator of {relator!r} over the wrong alphabet")
+        inv = _NEW(YSymbol)
+        _SET_RELATOR(inv, relator)
+        _SET_CONJUGATOR(inv, conjugator)
+        _SET_SIGN(inv, -a.sign)
+        out = syms[:pos] + (a, inv) + syms[pos:]
+    else:
+        if not 0 <= pos <= n - 2:
+            raise IllegalMoveError(f"position {pos} has no adjacent pair in length {n}")
+        a, b = syms[pos], syms[pos + 1]
+        if m.kind is _DELETE:
+            if not _deletable(a, b):
+                raise IllegalMoveError(f"pair at {pos} is not an adjacent inverse pair")
+            out = syms[:pos] + syms[pos + 2 :]
+        elif m.kind is _EXCHANGE_L:
+            # (a, b) -> (b twisted by a's boundary, a)
+            twist = multiply(symbol_boundary(gp, a), b.conjugator)
+            out = syms[:pos] + (_symbol(b.relator, twist, b.sign), a) + syms[pos + 2 :]
+        elif m.kind is _EXCHANGE_R:
+            # (a, b) -> (b, a twisted by b's inverse boundary)
+            twist = multiply(_inverse_boundary(gp, b), a.conjugator)
+            out = syms[:pos] + (b, _symbol(a.relator, twist, a.sign)) + syms[pos + 2 :]
+        else:
+            raise IllegalMoveError(f"unknown move kind {m.kind}")
+    child = _NEW(YSequence)
+    _SET_PRESENTATION(child, gp)
+    _SET_SYMBOLS(child, out)
+    return child
 
 
 def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]:
@@ -266,10 +286,16 @@ def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]
     then exchanges, then insertions of pool symbols."""
     syms = d.symbols
     n = len(syms)
-    moves = [_move(MoveKind.DELETE, i) for i in range(n - 1) if _deletable(syms[i], syms[i + 1])]
-    moves += [_move(MoveKind.EXCHANGE_L, i) for i in range(n - 1)]
-    moves += [_move(MoveKind.EXCHANGE_R, i) for i in range(n - 1)]
-    moves += [_move(MoveKind.INSERT, i, sym) for i in range(n + 1) for sym in insert_pool]
+    moves = [_move(_DELETE, i) for i in range(n - 1) if _deletable(syms[i], syms[i + 1])]
+    moves += [_move(_EXCHANGE_L, i) for i in range(n - 1)]
+    moves += [_move(_EXCHANGE_R, i) for i in range(n - 1)]
+    for i in range(n + 1):
+        for sym in insert_pool:
+            m = _NEW(Move)
+            _SET_KIND(m, _INSERT)
+            _SET_POS(m, i)
+            _SET_MOVE_SYMBOL(m, sym)
+            moves.append(m)
     return moves
 
 
@@ -295,22 +321,18 @@ def base_insert_pool(gp: GroupPresentation) -> list[YSymbol]:
 def dynamic_insert_pool(d: YSequence, conj_cap: int = 8) -> list[YSymbol]:
     """Symbols built from relators and conjugators already present in the
     sequence, plus their one-step exchange products, capped by conjugator
-    length."""
+    length.  Emitted in ``YSymbol.sort_key`` order: relator, then conjugator
+    in shortlex order, then sign -1 before +1."""
     gp = d.presentation
-    relators = sorted({s.relator for s in d.symbols})
-    conjugators = {s.conjugator for s in d.symbols}
-    for i in range(len(d.symbols) - 1):
-        a, b = d.symbols[i], d.symbols[i + 1]
+    syms = d.symbols
+    relators = sorted({s.relator for s in syms})
+    conjugators = {s.conjugator for s in syms}
+    for i in range(len(syms) - 1):
+        a, b = syms[i], syms[i + 1]
         conjugators.add(multiply(symbol_boundary(gp, a), b.conjugator))
-        conjugators.add(multiply(symbol_boundary(gp, b.inverse()), a.conjugator))
-    pool = [
-        _symbol(rel, u, sign)
-        for rel in relators
-        for u in conjugators
-        if len(u.letters) <= conj_cap
-        for sign in (1, -1)
-    ]
-    return sorted(pool, key=YSymbol.sort_key)
+        conjugators.add(multiply(_inverse_boundary(gp, b), a.conjugator))
+    kept = sorted((u for u in conjugators if len(u.letters) <= conj_cap), key=shortlex_key)
+    return [_symbol(rel, u, sign) for rel in relators for u in kept for sign in (-1, 1)]
 
 
 # --- random symbols and scrambles (test-case generators) ----------------------
@@ -517,14 +539,15 @@ def symbol_to_json(s: YSymbol) -> dict:
 
 
 def _check_shape(data, fields: dict[str, type], what: str) -> None:
-    """Reject ``data`` unless it is a JSON object whose ``fields`` have the given types."""
-    if not isinstance(data, dict) or any(not isinstance(data.get(k), t) for k, t in fields.items()):
+    """Reject ``data`` unless it is a JSON object whose ``fields`` have exactly
+    the given types (so a JSON boolean is not an int)."""
+    if not isinstance(data, dict) or any(type(data.get(k)) is not t for k, t in fields.items()):
         raise FormatError(f"a {what} is an object with fields {sorted(fields)}, got {data!r}")
 
 
 def symbol_from_json(gp: GroupPresentation, data: dict) -> YSymbol:
     _check_shape(data, {"rel": str, "conj": str, "sign": int}, "symbol")
-    return YSymbol(data["rel"], word_from_text(gp.alphabet, data["conj"]), int(data["sign"]))
+    return YSymbol(data["rel"], word_from_text(gp.alphabet, data["conj"]), data["sign"])
 
 
 def ysequence_to_json(d: YSequence) -> list[dict]:
@@ -548,7 +571,7 @@ def move_from_json(gp: GroupPresentation, data: dict) -> Move:
     _check_shape(data, {"kind": str, "pos": int}, "move")
     kind = MoveKind(data["kind"])
     symbol = symbol_from_json(gp, data["symbol"]) if "symbol" in data else None
-    return Move(kind, int(data["pos"]), symbol)
+    return Move(kind, data["pos"], symbol)
 
 
 def certificate_to_json(c: Certificate) -> dict:
@@ -557,7 +580,7 @@ def certificate_to_json(c: Certificate) -> dict:
 
 def certificate_from_json(gp: GroupPresentation, data: dict) -> Certificate:
     _check_shape(data, {"moves": list}, "certificate")
-    return Certificate(
-        tuple(move_from_json(gp, m) for m in data["moves"]),
-        pool_spec=data.get("pool_spec", ""),
-    )
+    pool_spec = data.get("pool_spec", "")
+    if type(pool_spec) is not str:
+        raise FormatError(f"a certificate's pool_spec is a string, got {pool_spec!r}")
+    return Certificate(tuple(move_from_json(gp, m) for m in data["moves"]), pool_spec=pool_spec)

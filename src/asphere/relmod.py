@@ -17,7 +17,7 @@ from typing import Iterable, Protocol, Sequence
 from .partial import EXHAUSTED, Tri
 from .peiffer import YSequence
 from .presentations import GroupPresentation, UnionFind, coset_table
-from .words import Alphabet, FreeWord, abelianize, invert, multiply
+from .words import Alphabet, FreeWord, abelianize, invert, multiply, shortlex_key
 
 
 class PartialResultError(ValueError):
@@ -153,10 +153,6 @@ class AbelianizationOracle:
 # --- elements -----------------------------------------------------------------
 
 
-def _word_key(w: FreeWord):
-    return (len(w.letters), w.letters)
-
-
 @dataclass(frozen=True)
 class RelModElement:
     """Finite map (coset representative, relator name) -> nonzero integer."""
@@ -171,7 +167,7 @@ class RelModElement:
             acc[key] = acc.get(key, 0) + coeff
         terms = tuple(
             (rel, w, c)
-            for (rel, w), c in sorted(acc.items(), key=lambda kv: (kv[0][0], _word_key(kv[0][1])))
+            for (rel, w), c in sorted(acc.items(), key=lambda kv: (kv[0][0], shortlex_key(kv[0][1])))
             if c != 0
         )
         return cls(terms)

@@ -227,6 +227,11 @@ def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     return _word(u.alphabet, ul[:i] + vl[j:])
 
 
+def shortlex_key(u: FreeWord) -> tuple[int, tuple[int, ...]]:
+    """Sort key ordering words by length, then letter by letter."""
+    return (len(u.letters), u.letters)
+
+
 def product(alphabet: Alphabet, words: Iterable[FreeWord]) -> FreeWord:
     acc = empty_word(alphabet)
     for w in words:

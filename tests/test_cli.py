@@ -56,6 +56,10 @@ class TestExitCodes:
             (("peiffer", "boundary", C3), [1]),
             (("monoid", "validate"), []),
             (("peiffer", "verify", C3, "{seq}"), {"moves": ["x"]}),
+            # JSON booleans are not integers, and pool_spec is a string
+            (("peiffer", "boundary", C3), [{"rel": "r", "conj": "a", "sign": True}]),
+            (("peiffer", "verify", C3, "{seq}"), {"moves": [{"kind": "Delete", "pos": False}]}),
+            (("peiffer", "verify", C3, "{seq}"), {"moves": [], "pool_spec": 5}),
         ],
     )
     def test_wrong_json_shape_is_three(self, capsys, tmp_files, command, data):

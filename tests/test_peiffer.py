@@ -44,6 +44,7 @@ from asphere.xmod import ReducibleFixture
 from asphere.words import (
     AlphabetError,
     empty_word,
+    multiply,
     random_word,
     word_from_text,
     word_to_text,
@@ -402,6 +403,36 @@ class TestDynamicPool:
         long_word = word_from_text(GP.alphabet, "a b a b a b")
         d = seq(sym(conj=long_word))
         assert all(len(s.conjugator.letters) <= 2 for s in dynamic_insert_pool(d, conj_cap=2))
+
+    @given(st.integers(0, 10_000), st.integers(0, 6), st.sampled_from((0, 1, 3, 8)))
+    @settings(max_examples=40, deadline=None)
+    def test_pool_and_insert_children_match_their_definitions(self, seed, max_len, cap):
+        # the pool is emitted in order and Insert children are built in place;
+        # both must equal the plain construction over public constructors
+        rng = random.Random(seed)
+        for gp in load_fixtures().peiffer_presentations():
+            d = peiffer.random_sequence(gp, rng, max_len=max_len)
+            syms = d.symbols
+            conjugators = {s.conjugator for s in syms}
+            for a, b in zip(syms, syms[1:]):
+                conjugators.add(multiply(peiffer.symbol_boundary(gp, a), b.conjugator))
+                conjugators.add(multiply(peiffer.symbol_boundary(gp, b.inverse()), a.conjugator))
+            expected = sorted(
+                (
+                    YSymbol(rel, u, sign)
+                    for rel in {s.relator for s in syms}
+                    for u in conjugators
+                    if len(u.letters) <= cap
+                    for sign in (1, -1)
+                ),
+                key=YSymbol.sort_key,
+            )
+            pool = dynamic_insert_pool(d, conj_cap=cap)
+            assert pool == expected
+            for i in range(len(syms) + 1):
+                for a in pool:
+                    child = apply_move(d, Move(MoveKind.INSERT, i, a))
+                    assert child == YSequence(gp, syms[:i] + (a, a.inverse()) + syms[i:])
 
 
 class TestRandomSamplers:
