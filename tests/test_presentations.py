@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from asphere.actions import all_submonoids, enveloping_group_presentation
 from asphere.fixtures import load_fixtures
 from asphere.partial import EXHAUSTED
 from asphere.presentations import (
@@ -23,8 +27,10 @@ from asphere.presentations import (
     universal_group_presentation,
 )
 from asphere.words import (
+    FreeWord,
     generator,
     invert,
+    letter,
     letter_index,
     letter_sign,
     multiply,
@@ -293,6 +299,82 @@ class TestCosetEnumeration:
         assert coset_enumeration(d4, (), 200) == 8
         rotation = [word_from_text(d4.alphabet, "a")]
         assert coset_enumeration(d4, rotation, 200) == 2
+
+
+PINNED_GROUPS = (
+    "group a4\ngens a b\nrel r1 = a a a\nrel r2 = b b b\nrel r3 = a b a b\n",
+    "group q8\ngens a b\nrel r1 = a a a a\nrel r2 = a a b^-1 b^-1\nrel r3 = b^-1 a b a\n",
+    "group d4\ngens a b\nrel r1 = a a a a\nrel r2 = b b\nrel r3 = b a b a\n",
+    "group s4\ngens a b\nrel r1 = a a\nrel r2 = b b b\nrel r3 = a b a b a b a b\n",
+    "group a5\ngens a b\nrel r1 = a a\nrel r2 = b b b\nrel r3 = a b a b a b a b a b\n",
+    "group free\ngens a\n",
+)
+
+
+def pinned_enumerations():
+    """(presentation, subgroup, budget) for every enumeration the digest pins."""
+    fixtures = load_fixtures()
+    for gp in fixtures.presentations.values():
+        for budget in (1, 5, 50, 200, 2000):
+            yield gp, (), budget
+    for text in PINNED_GROUPS:
+        gp = parse(text)
+        subgroups = [()]
+        for w in ("a", "b", "a b", "a b^-1"):
+            try:
+                subgroups.append((word_from_text(gp.alphabet, w),))
+            except ValueError:
+                pass
+        for budget in (1, 10, 100, 500):
+            for sub in subgroups:
+                yield gp, sub, budget
+    for m in fixtures.monoids.values():
+        gp = enveloping_group_presentation(m)
+        for u in all_submonoids(m):
+            gens = [FreeWord(gp.alphabet, (letter(x, 1),)) for x in u.sorted_elements]
+            for budget in (30, 1000):
+                yield gp, gens, budget
+
+
+class TestCosetTablePins:
+    def test_tables_and_representatives_are_pinned(self):
+        outcomes = []
+        for gp, sub, budget in pinned_enumerations():
+            t = coset_table(gp, sub, budget)
+            if t is EXHAUSTED:
+                outcomes.append("EXHAUSTED")
+            else:
+                outcomes.append([t.rows, [list(r.letters) for r in t.representatives()]])
+        assert len(outcomes) == 399 and outcomes.count("EXHAUSTED") == 66
+        digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+        assert digest == "2f66c404638720e80d1fa036850c21fb2f2be06fbbb144b0b76ffd3d6646d704"
+
+    @given(
+        st.lists(raw_letters(2, 7), min_size=1, max_size=3),
+        st.lists(raw_letters(2, 7), max_size=2),
+        st.sampled_from((20, 100, 400)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_completed_tables_are_coset_actions(self, raw_relators, raw_subgroup, budget):
+        gp = parse("group g\ngens a b\n")
+        words = [reduce(gp.alphabet, raw) for raw in raw_relators]
+        relators = tuple((f"r{i}", w) for i, w in enumerate(words) if not w.is_identity)
+        assume(relators)
+        gp = GroupPresentation("g", gp.alphabet, relators)
+        subgroup = [reduce(gp.alphabet, raw) for raw in raw_subgroup]
+        t = coset_table(gp, subgroup, budget)
+        if t is EXHAUSTED:
+            return
+        cosets = list(range(t.index))
+        for col in range(4):
+            column = [row[col] for row in t.rows]
+            assert sorted(column) == cosets
+            assert [t.rows[d][col ^ 1] for d in column] == cosets
+        for _, r in gp.relators:
+            assert all(t.trace(r, c) == c for c in cosets)
+        for w in subgroup:
+            assert t.trace(w) == 0
+        assert [t.trace(rep) for rep in t.representatives()] == cosets
 
 
 class TestUnionFind:
