@@ -68,56 +68,30 @@ def diamond_semilattice() -> FiniteMonoid:
     return validate_monoid(meet)
 
 
+def _identity_adjoined(size: int, product) -> FiniteMonoid:
+    """Table on 0..size-1 with 0 the adjoined identity and ``product`` on the
+    rest."""
+    table = tuple(
+        tuple(y if x == 0 else x if y == 0 else product(x, y) for y in range(size))
+        for x in range(size)
+    )
+    return FiniteMonoid(table, 0)
+
+
 def null_monoid_plus_one(k: int) -> FiniteMonoid:
     """k nilpotents with every product the absorbing zero, identity adjoined.
     Elements: 0 = identity, 1..k nilpotents, k+1 = zero."""
-    size = k + 2
-    zero = k + 1
-    table = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            if x == 0:
-                row.append(y)
-            elif y == 0:
-                row.append(x)
-            else:
-                row.append(zero)
-        table.append(tuple(row))
-    return FiniteMonoid(tuple(table), 0)
+    return _identity_adjoined(k + 2, lambda x, y: k + 1)
 
 
 def left_zero_plus_one(k: int) -> FiniteMonoid:
     """x·y = x on k elements, identity adjoined."""
-    size = k + 1
-    table = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            if x == 0:
-                row.append(y)
-            elif y == 0:
-                row.append(x)
-            else:
-                row.append(x)
-        table.append(tuple(row))
-    return FiniteMonoid(tuple(table), 0)
+    return _identity_adjoined(k + 1, lambda x, y: x)
 
 
 def right_zero_plus_one(k: int) -> FiniteMonoid:
-    size = k + 1
-    table = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            if x == 0:
-                row.append(y)
-            elif y == 0:
-                row.append(x)
-            else:
-                row.append(y)
-        table.append(tuple(row))
-    return FiniteMonoid(tuple(table), 0)
+    """x·y = y on k elements, identity adjoined."""
+    return _identity_adjoined(k + 1, lambda x, y: y)
 
 
 def transformations_of_two_points() -> FiniteMonoid:

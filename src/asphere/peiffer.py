@@ -182,14 +182,6 @@ class MoveKind(enum.Enum):
 
 _DELETE, _EXCHANGE_L, _EXCHANGE_R, _INSERT = MoveKind
 
-_KIND_RANK = {
-    MoveKind.DELETE: 0,
-    MoveKind.EXCHANGE_L: 1,
-    MoveKind.EXCHANGE_R: 2,
-    MoveKind.INSERT: 3,
-}
-
-
 @dataclass(frozen=True, slots=True)
 class Move:
     kind: MoveKind
@@ -199,10 +191,6 @@ class Move:
     def __post_init__(self):
         if (self.kind is MoveKind.INSERT) != (self.symbol is not None):
             raise ValueError("exactly the Insert move carries a symbol")
-
-    def sort_key(self):
-        sym = self.symbol.sort_key() if self.symbol is not None else ()
-        return (_KIND_RANK[self.kind], self.pos, sym)
 
 
 _SET_KIND = Move.kind.__set__
@@ -363,6 +351,8 @@ def scramble(
     is legal), so the result grows; it is an identity sequence by
     construction.  Returns the sequence and the replayable move list.
     """
+    if k < 0 or conj_cap < 0:
+        raise ValueError("k and conj_cap must be >= 0")
     rng = random.Random(seed)
     seq = empty_sequence(gp)
     moves = []
@@ -433,15 +423,6 @@ def verify_certificate(d: YSequence, cert: Certificate) -> ReplayReport:
 # --- bounded trivialization search --------------------------------------------
 
 
-class _Budget:
-    def __init__(self, nodes: int):
-        self.remaining = nodes
-
-    def spend(self) -> bool:
-        self.remaining -= 1
-        return self.remaining >= 0
-
-
 def search_trivialization(
     d: YSequence,
     node_budget: int = 50_000,
@@ -455,28 +436,33 @@ def search_trivialization(
     certificates the lexicographically least move list is produced.  Returns
     a Certificate or EXHAUSTED.
     """
+    if node_budget < 0 or (depth_limit is not None and depth_limit < 0) or conj_cap < 0:
+        raise ValueError("node_budget, depth_limit and conj_cap must be >= 0")
     if not is_identity(d):
         raise NotIdentityError("cannot trivialize: boundary is not the empty word")
     if depth_limit is None:
         depth_limit = 2 * len(d.symbols)
     if not d.symbols:
         return Certificate((), pool_spec=f"dynamic(cap={conj_cap})")
-    # Admissible bound: every move keeps the length's parity, and each
-    # deletion removes two symbols.  So an odd length never reaches empty,
-    # and an even length n needs at least n // 2 more moves.
+    # Admissible bound: every move changes the length by 0 or 2, so it keeps
+    # the length's parity, and each deletion removes two symbols.  So an odd
+    # length never reaches empty, every sequence the search meets from an
+    # even root is even, and a length n needs at least n // 2 more moves.
     if len(d.symbols) % 2:
         return EXHAUSTED
 
-    budget = _Budget(node_budget)
+    remaining = node_budget
 
     def dfs(seq: YSequence, g: int, limit: int, visited: dict, trail: list[Move]):
         """Expand a nonempty ``seq`` at depth g that the bound admits.  Each
         child is tested in the loop, and only an admitted one is entered."""
+        nonlocal remaining
         seen = visited.get(seq.symbols)
         if seen is not None and seen <= g:
             return None
         visited[seq.symbols] = g
-        if not budget.spend():
+        remaining -= 1
+        if remaining < 0:
             raise _OutOfBudget
         g += 1
         for m in legal_moves(seq, dynamic_insert_pool(seq, conj_cap)):
@@ -484,7 +470,7 @@ def search_trivialization(
             n = len(child.symbols)
             if not n:
                 return trail + [m]
-            if n % 2 or g + n // 2 > limit:
+            if g + n // 2 > limit:
                 continue
             trail.append(m)
             found = dfs(child, g, limit, visited, trail)

@@ -14,6 +14,7 @@ File grammar (UTF-8 text, ``#`` starts a comment)::
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -431,9 +432,9 @@ class CosetTable:
         alphabet = self.presentation.alphabet
         reps: list[FreeWord | None] = [None] * self.index
         reps[0] = empty_word(alphabet)
-        queue = [0]
+        queue = deque([0])
         while queue:
-            c = queue.pop(0)
+            c = queue.popleft()
             for l in range(len(alphabet)):
                 for sign in (1, -1):
                     code = letter(l, sign)
@@ -445,7 +446,15 @@ class CosetTable:
 
 
 class _Enumeration:
-    """HLT-style relator scanning with a hard coset cap; no lookahead."""
+    """One HLT pass (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005): scan the subgroup words at coset 0, then at each live
+    coset in order scan every relator, defining cosets to close each scan, and
+    fill the coset's row.  A hard cap on cosets defined; no lookahead.
+
+    ``_set`` is the only writer of table entries.  A conflicting entry queues a
+    coincidence; ``_process_coincidences`` merges the two cosets and moves the
+    dead row's entries through ``_set``.
+    """
 
     def __init__(self, gp: GroupPresentation, budget: int):
         self.gp = gp
@@ -454,7 +463,7 @@ class _Enumeration:
         self.table: list[list[int | None]] = []
         self.cosets = UnionFind()  # coincident cosets share a representative
         self._rep = self.cosets.find
-        self.queue: list[tuple[int, int]] = []
+        self.queue: deque[tuple[int, int]] = deque()
         self._new_coset()
 
     def _new_coset(self) -> int | None:
@@ -463,151 +472,100 @@ class _Enumeration:
         self.table.append([None] * self.ncols)
         return self.cosets.add()
 
-    @staticmethod
-    def _inv(col: int) -> int:
-        return col ^ 1
-
     def _set(self, c: int, col: int, d: int) -> None:
+        """c·col = d and d·col⁻¹ = c, or a queued coincidence where an entry
+        already says otherwise."""
         c, d = self._rep(c), self._rep(d)
         existing = self.table[c][col]
         if existing is not None and self._rep(existing) != d:
             self.queue.append((existing, d))
             return
         self.table[c][col] = d
-        back = self.table[d][self._inv(col)]
+        back = self.table[d][col ^ 1]
         if back is None:
-            self.table[d][self._inv(col)] = c
+            self.table[d][col ^ 1] = c
         elif self._rep(back) != c:
             self.queue.append((back, c))
 
     def _process_coincidences(self) -> None:
         while self.queue:
-            a, b = self.queue.pop(0)
+            a, b = self.queue.popleft()
             a, b = self._rep(a), self._rep(b)
             if a == b:
                 continue
             if b < a:
                 a, b = b, a
             self.cosets.union(a, b)
-            for col in range(self.ncols):
-                d = self.table[b][col]
-                if d is None:
-                    continue
-                d = self._rep(d)
-                existing = self.table[a][col]
-                if existing is None:
-                    self.table[a][col] = d
-                    back = self.table[d][self._inv(col)]
-                    if back is None:
-                        self.table[d][self._inv(col)] = a
-                    elif self._rep(back) != a:
-                        self.queue.append((back, a))
-                elif self._rep(existing) != d:
-                    self.queue.append((existing, d))
+            # nothing writes the dead row b: every _set target is a live coset
+            for col, d in enumerate(self.table[b]):
+                if d is not None:
+                    self._set(a, col, d)
 
-    @staticmethod
-    def _cols(word: FreeWord) -> list[int]:
-        return list(map(letter_column, word.letters))
-
-    def _scan_and_fill(self, start: int, word: FreeWord) -> bool:
-        """Scan word at start, defining cosets to close the cycle.
-        Returns False when the coset cap is hit.
+    def _scan_and_fill(self, start: int, cols: list[int]) -> bool:
+        """Scan the word with these columns at start, defining cosets to close
+        the cycle.  Returns False when the coset cap is hit.
         """
-        cols = self._cols(word)
-        if not cols:
-            return True
-        start = self._rep(start)
+        table, rep = self.table, self._rep
+        start = rep(start)
         f, i = start, 0
-        while i < len(cols):
-            nxt = self.table[f][cols[i]]
-            if nxt is None:
-                break
-            f, i = self._rep(nxt), i + 1
+        while i < len(cols) and (nxt := table[f][cols[i]]) is not None:
+            f, i = rep(nxt), i + 1
         if i == len(cols):
-            if f != start:
-                self.queue.append((f, start))
-                self._process_coincidences()
-            return True
-        b, j = start, len(cols) - 1
-        while j > i:
-            prev = self.table[b][self._inv(cols[j])]
-            if prev is None:
-                break
-            b, j = self._rep(prev), j - 1
-        while j > i:
-            # fill the gap with fresh cosets
-            d = self._new_coset()
-            if d is None:
-                return False
-            self._set(f, cols[i], d)
-            self._process_coincidences()
-            f, i = self._rep(d), i + 1
-        self._set(f, cols[i], b)
+            self.queue.append((f, start))  # the scan closed: its ends coincide
+        else:
+            b, j = start, len(cols) - 1
+            while j > i and (prev := table[b][cols[j] ^ 1]) is not None:
+                b, j = rep(prev), j - 1
+            # fill the gap with fresh cosets; reduced words make each fresh
+            # entry free, so only the last, deduced entry can conflict
+            while j > i:
+                d = self._new_coset()
+                if d is None:
+                    return False
+                self._set(f, cols[i], d)
+                f, i = d, i + 1
+            self._set(f, cols[i], b)
         self._process_coincidences()
         return True
 
-    def _live(self) -> list[int]:
-        return [c for c in range(len(self.table)) if self._rep(c) == c]
-
-    def _complete_and_closed(self, subgroup: Sequence[FreeWord]) -> bool:
-        live = self._live()
-        for c in live:
-            if any(e is None for e in self.table[c]):
-                return False
-        for w in subgroup:
-            f = 0
-            for col in self._cols(w):
-                f = self._rep(self.table[self._rep(f)][col])  # type: ignore[arg-type]
-            if self._rep(f) != self._rep(0):
-                return False
-        for c in live:
-            for _, r in self.gp.relators:
-                f = c
-                for col in self._cols(r):
-                    f = self._rep(self.table[self._rep(f)][col])  # type: ignore[arg-type]
-                if self._rep(f) != self._rep(c):
-                    return False
-        return True
-
-    def _state_count(self) -> tuple[int, int]:
-        dead = sum(1 for c in range(len(self.table)) if self._rep(c) != c)
-        return len(self.table), dead
+    def _closes(self, c: int, cols: list[int]) -> bool:
+        """Does the word with these columns lead live coset c back to c?"""
+        f = c
+        for col in cols:
+            f = self._rep(self.table[f][col])  # type: ignore[arg-type]
+        return f == c
 
     def run(self, subgroup: Sequence[FreeWord]) -> CosetTable | None:
-        for w in subgroup:
-            if not self._scan_and_fill(0, w):
-                return None
-        while True:
-            before = self._state_count()
-            c = 0
-            while c < len(self.table):
-                if self._rep(c) != c:
-                    c += 1
-                    continue
-                for _, r in self.gp.relators:
-                    if not self._scan_and_fill(c, r):
-                        return None
-                    if self._rep(c) != c:
-                        break
-                if self._rep(c) == c:
-                    for col in range(self.ncols):
-                        if self.table[c][col] is None:
-                            d = self._new_coset()
-                            if d is None:
-                                return None
-                            self._set(c, col, d)
-                            self._process_coincidences()
-                c += 1
-            if self._complete_and_closed(subgroup):
-                break
-            if self._state_count() == before:
-                raise AssertionError("enumeration stalled without closing")
-        live = self._live()
+        table, rep = self.table, self._rep
+        words = [list(map(letter_column, w.letters)) for w in subgroup]
+        relators = [list(map(letter_column, r.letters)) for _, r in self.gp.relators]
+        if not all(self._scan_and_fill(0, cols) for cols in words):
+            return None
+        c = 0
+        while c < len(table):
+            for cols in relators:
+                if rep(c) != c:
+                    break
+                if not self._scan_and_fill(c, cols):
+                    return None
+            if rep(c) == c:
+                # a fresh coset's row is empty, so these entries never conflict
+                for col in range(self.ncols):
+                    if table[c][col] is None:
+                        d = self._new_coset()
+                        if d is None:
+                            return None
+                        self._set(c, col, d)
+            c += 1
+        live = [c for c in range(len(table)) if rep(c) == c]
+        if not (
+            all(None not in table[c] for c in live)
+            and all(self._closes(0, cols) for cols in words)
+            and all(self._closes(c, cols) for c in live for cols in relators)
+        ):
+            raise AssertionError("internal invariant violation: the HLT pass left the table open")
         relabel = {old: new for new, old in enumerate(live)}
-        rows = [
-            [relabel[self._rep(self.table[c][col])] for col in range(self.ncols)]  # type: ignore[arg-type]
-            for c in live
-        ]
+        rows = [[relabel[rep(d)] for d in table[c]] for c in live]  # type: ignore[arg-type]
         return CosetTable(self.gp, rows)
 
 

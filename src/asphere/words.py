@@ -129,6 +129,8 @@ class FreeWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.letters, tuple):
+            object.__setattr__(self, "letters", tuple(self.letters))
         _check_codes(self.alphabet, self.letters)
         if any(a == b ^ 1 for a, b in zip(self.letters, self.letters[1:])):
             raise ValueError("FreeWord must be freely reduced; use reduce()")

@@ -56,7 +56,6 @@ from .words import (
     empty_word,
     generator,
     invert,
-    letter_index,
     multiply,
     random_word,
     restrict,
@@ -315,15 +314,13 @@ class ReducibleFixture:
         if z is None:
             raise ValueError("presentation has no single-occurrence generator")
         retr = solve_single_occurrence(gp, z)
-        small = retr.small_alphabet
-        sub_relators = []
-        for name, word in gp.relators:
-            if name == retr.source_relator:
-                continue
-            if any(gp.alphabet.name(letter_index(c)) == z for c in word.letters):
-                raise ValueError(f"relator {name!r} also uses the eliminated generator")
-            sub_relators.append((name, restrict(word, small)))
-        sub = GroupPresentation(f"{gp.name}_sub", small, tuple(sub_relators))
+        # z occurs once, in the source relator, so the others restrict cleanly
+        sub_relators = tuple(
+            (name, restrict(word, retr.small_alphabet))
+            for name, word in gp.relators
+            if name != retr.source_relator
+        )
+        sub = GroupPresentation(f"{gp.name}_sub", retr.small_alphabet, sub_relators)
         return cls(gp, retr, sub)
 
     def relator_words(self) -> list[tuple[str, FreeWord]]:

@@ -76,6 +76,23 @@ class TestExitCodes:
         code, out, _ = run(capsys, "present", "cosets", str(free), "--budget", "50")
         assert code == 2 and out.strip() == "Exhausted"
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("peiffer", "search", C3, "{seq}", "--budget", "-1"),
+            ("peiffer", "search", C3, "{seq}", "--depth", "-3"),
+            ("peiffer", "search", C3, "{seq}", "--cap", "-2"),
+            ("peiffer", "scramble", C3, "--k", "-3"),
+        ],
+    )
+    def test_negative_search_budget_is_three(self, capsys, tmp_files, command):
+        # a negative budget is an input error, not an exhausted search
+        seq = tmp_files / "seq.json"
+        seq.write_text(json.dumps([ONE_SYMBOL, {**ONE_SYMBOL, "sign": -1}]))
+        argv = [arg.format(seq=seq) for arg in command]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("error: ")
+
     def test_cosets_index(self, capsys):
         code, out, _ = run(capsys, "--json", "present", "cosets", str(DEFAULT_DIR / "sym3.pres"))
         assert code == 0 and json.loads(out)["index"] == 6

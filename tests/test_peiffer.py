@@ -201,6 +201,11 @@ class TestScramble:
         assert d.symbols[1] == d.symbols[0].inverse()
         assert cert.moves[0].kind == MoveKind.INSERT
 
+    @pytest.mark.parametrize("k,conj_cap", [(-1, 8), (2, -1)])
+    def test_negative_arguments_rejected(self, k, conj_cap):
+        with pytest.raises(ValueError):
+            scramble(GP, seed=0, k=k, conj_cap=conj_cap)
+
     @given(st.integers(0, 10_000), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_always_identity(self, seed, k):
@@ -219,6 +224,19 @@ class TestSearch:
         cert = search_trivialization(d)
         assert len(cert.moves) == 1 and cert.moves[0].kind == MoveKind.DELETE
         assert verify_certificate(d, cert)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"node_budget": -1}, {"depth_limit": -3}, {"conj_cap": -2}]
+    )
+    def test_negative_budgets_rejected(self, kwargs):
+        # a negative budget is an input error, not an exhausted search;
+        # zero stays legal everywhere
+        d = seq(sym(conj=A), sym(conj=A, sign=-1))
+        with pytest.raises(ValueError):
+            search_trivialization(d, **kwargs)
+        assert search_trivialization(d, node_budget=0) is EXHAUSTED
+        assert search_trivialization(d, conj_cap=0) is not EXHAUSTED
+        assert search_trivialization(d, depth_limit=0) is EXHAUSTED
 
     def test_rejects_non_identity(self):
         with pytest.raises(NotIdentityError):

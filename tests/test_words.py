@@ -271,6 +271,15 @@ def test_freeword_rejects_unreduced_letters():
         FreeWord(AB, (letter(0, 1), letter(0, -1)))
 
 
+def test_freeword_from_a_list_is_the_same_hashable_word():
+    # letters given as a list or any iterable are stored as a tuple, so the
+    # word equals and hashes like the parsed one
+    built = FreeWord(AB, [letter(1, 1)])
+    assert built.letters == (letter(1, 1),)
+    assert built == w("b") and hash(built) == hash(w("b"))
+    assert FreeWord(AB, iter([letter(0, 1), letter(1, -1)])) == w("a b^-1")
+
+
 @pytest.mark.parametrize("code", (4, -1, 7, "a", (0, 1), 1.0, None))
 def test_freeword_rejects_codes_outside_its_alphabet(code):
     # AB has the codes 0..3; anything else must fail at construction, not
