@@ -1,9 +1,14 @@
+import argparse
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asphere.cli import cmd_relmod_gmap
+from asphere.fixtures import DEFAULT_DIR, PRESENTATION_FILES, load_fixtures
 from asphere.partial import Tri
 from asphere.peiffer import (
     Move,
@@ -11,7 +16,11 @@ from asphere.peiffer import (
     YSequence,
     YSymbol,
     apply_move,
+    conjugate_sequence,
+    empty_sequence,
     insertion_generator,
+    scramble,
+    ysequence_to_json,
 )
 from asphere.presentations import parse
 from asphere.relmod import (
@@ -323,3 +332,49 @@ class TestExchangeInvariance:
         before = module_image(d, FREE)
         after = module_image(apply_move(d, Move(MoveKind.EXCHANGE_L, 0)), FREE)
         assert before != after
+
+
+# sha256 of the relation-module outputs over the fixture corpus, taken before
+# elements became order-free; any change of answer or of CLI bytes moves it
+PIN_DIGEST = "a29a1e50147136a0ec8bffb6403039e1f38f061093c4763b8dc8f15ceae60350"
+
+
+def test_relmod_outputs_are_pinned(tmp_path):
+    """``relmod gmap`` (code, payload, human) rows, signed and unsigned, plus
+    per oracle the signed zero verdict and whether the action agrees with
+    conjugating the sequence, for the empty sequence and 20 scrambles of
+    every fixture.  Coset oracles run where the quotient closes at 2000."""
+    presentations = load_fixtures().presentations
+    gmap_rows, verdict_rows, closed = [], [], []
+    for name in PRESENTATION_FILES:
+        gp = presentations[name]
+        oracles = {"free": FreeOracle(gp.alphabet), "abelian": AbelianizationOracle(gp)}
+        try:
+            oracles["cosets"] = CosetOracle(gp, 2000)
+            closed.append(name)
+        except ValueError:
+            pass
+        sequences = [empty_sequence(gp)] + [scramble(gp, s, 1 + s % 6)[0] for s in range(20)]
+        for i, d in enumerate(sequences):
+            path = tmp_path / f"{name}-{i}.json"
+            path.write_text(json.dumps(ysequence_to_json(d)))
+            w = random_word(gp.alphabet, random.Random(i), 4)
+            for kind, o in oracles.items():
+                for signed in (False, True):
+                    args = argparse.Namespace(
+                        presentation=str(DEFAULT_DIR / f"{name}.pres"),
+                        sequence=str(path),
+                        oracle=kind,
+                        budget=2000,
+                        signed=signed,
+                    )
+                    gmap_rows.append([name, i, kind, signed, list(cmd_relmod_gmap(args))])
+                acts = module_action(w, module_image(d, o), o) == module_image(
+                    conjugate_sequence(invert(w), d), o
+                )
+                zero = is_zero(module_image(d, o, signed=True), o).value
+                verdict_rows.append([name, i, kind, zero, acts])
+    assert closed == ["c3", "sym3"]
+    assert (len(gmap_rows), len(verdict_rows)) == (672, 336)
+    blob = json.dumps([gmap_rows, verdict_rows], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PIN_DIGEST
