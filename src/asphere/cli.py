@@ -256,7 +256,7 @@ def cmd_relmod_gmap(args):
         oracle = relmod.AbelianizationOracle(gp)
     element = relmod.module_image(d, oracle, signed=args.signed)
     nested: dict[str, dict[str, int]] = {}
-    for rel, w, coeff in element.terms:
+    for (rel, w), coeff in element.terms:
         nested.setdefault(rel, {})[word_to_text(w)] = coeff
     return 0, {"image": nested}, json.dumps(nested, sort_keys=True)
 

@@ -19,7 +19,7 @@ DEFAULT_DIR = Path(__file__).parent / "fixtures"
 
 PEIFFER_NAMES = ("c3", "sym3", "klein", "ab2", "lot3")
 REDUCIBLE_NAMES = ("lot3", "lot4", "lot3b")
-PRESENTATION_FILES = ("c3", "sym3", "klein", "ab2", "lot3", "lot4", "lot3b")
+PRESENTATION_FILES = tuple(dict.fromkeys(PEIFFER_NAMES + REDUCIBLE_NAMES))
 
 
 class FixtureError(ValueError):

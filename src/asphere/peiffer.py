@@ -25,9 +25,11 @@ its alphabet, so a replayed certificate still fails on a bad symbol.
 from __future__ import annotations
 
 import enum
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .partial import EXHAUSTED
@@ -342,6 +344,11 @@ def random_sequence(gp: GroupPresentation, rng: random.Random, max_len: int = 4)
     return _sequence(gp, tuple(random_symbol(gp, rng) for _ in range(count)))
 
 
+def _merge_pools(a: list[YSymbol], b: list[YSymbol]) -> list[YSymbol]:
+    """Union of two duplicate-free pools, both in ``YSymbol.sort_key`` order."""
+    return [s for s, _ in groupby(heapq.merge(a, b, key=YSymbol.sort_key))]
+
+
 def scramble(
     gp: GroupPresentation, seed: int, k: int, conj_cap: int = 8
 ) -> tuple[YSequence, Certificate]:
@@ -358,9 +365,9 @@ def scramble(
     moves = []
     base = base_insert_pool(gp)
     for _ in range(k):
-        pool = sorted(set(base) | set(dynamic_insert_pool(seq, conj_cap)), key=YSymbol.sort_key)
         candidates = legal_moves(seq, ())
         if not candidates or rng.random() < 0.6:
+            pool = _merge_pools(base, dynamic_insert_pool(seq, conj_cap))
             m = Move(MoveKind.INSERT, rng.randrange(len(seq) + 1), rng.choice(pool))
         else:
             m = rng.choice(candidates)

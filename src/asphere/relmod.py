@@ -1,31 +1,24 @@
 """Relation-module bookkeeping over pluggable word-problem oracles.
 
-Elements are finite integer combinations of basis pairs (coset
-representative, relator name).  The image of a Y-sequence adds one basis
-element per symbol regardless of its sign; the group-ring action relabels
-coset keys by w^-1 · u.  Equality of coset keys is delegated to an oracle,
-which may be exact (free group, finite quotient via a coset table) or a
-refutation-only partial decider (abelianized comparison modulo the relator
-lattice); zero-testing is therefore three-valued.
+Elements are finite integer combinations of basis pairs (relator name, coset
+representative).  The image of a Y-sequence adds one basis element per
+symbol regardless of its sign; the group-ring action relabels coset keys by
+w^-1 · u.  Every oracle canonicalizes every word over its own alphabet (an
+oracle of another presentation over it decides a quotient).  Only equality
+may be partial: exact in the free group or a finite quotient, refutation-only
+modulo the relator lattice, so zero-testing is three-valued.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Protocol, Sequence
 
 from .partial import EXHAUSTED, Tri
 from .peiffer import YSequence
 from .presentations import GroupPresentation, UnionFind, coset_table
-from .words import Alphabet, FreeWord, abelianize, invert, multiply, shortlex_key
-
-
-class PartialResultError(ValueError):
-    """An oracle could not canonicalize every key."""
-
-    def __init__(self, undecided: Sequence[FreeWord]):
-        self.undecided = tuple(undecided)
-        super().__init__(f"oracle left {len(self.undecided)} key(s) undecided")
+from .words import Alphabet, AlphabetError, FreeWord, abelianize, invert, multiply
 
 
 class GroupOracle(Protocol):
@@ -33,7 +26,12 @@ class GroupOracle(Protocol):
 
     def equal(self, u: FreeWord, v: FreeWord) -> Tri: ...
 
-    def canon(self, w: FreeWord) -> FreeWord | None: ...
+    def canon(self, w: FreeWord) -> FreeWord: ...
+
+
+def _require_alphabet(alphabet: Alphabet, oracle: GroupOracle) -> None:
+    if alphabet != oracle.alphabet:
+        raise AlphabetError(f"oracle over {oracle.alphabet.generators}, word over {alphabet.generators}")
 
 
 @dataclass(frozen=True)
@@ -155,60 +153,47 @@ class AbelianizationOracle:
 
 @dataclass(frozen=True)
 class RelModElement:
-    """Finite map (coset representative, relator name) -> nonzero integer."""
+    """Finite map (relator name, coset representative) -> nonzero integer,
+    held as an order-free set of (key, coefficient) pairs."""
 
-    terms: tuple[tuple[str, FreeWord, int], ...]
+    terms: frozenset[tuple[tuple[str, FreeWord], int]]
 
     @classmethod
-    def from_items(cls, items: Iterable[tuple[str, FreeWord, int]]) -> RelModElement:
+    def from_items(cls, items: Iterable[tuple[tuple[str, FreeWord], int]]) -> RelModElement:
         acc: dict[tuple[str, FreeWord], int] = {}
-        for rel, w, coeff in items:
-            key = (rel, w)
+        for key, coeff in items:
             acc[key] = acc.get(key, 0) + coeff
-        terms = tuple(
-            (rel, w, c)
-            for (rel, w), c in sorted(acc.items(), key=lambda kv: (kv[0][0], shortlex_key(kv[0][1])))
-            if c != 0
-        )
-        return cls(terms)
+        return cls(frozenset((key, c) for key, c in acc.items() if c))
 
     @classmethod
     def zero(cls) -> RelModElement:
-        return cls(())
+        return cls(frozenset())
 
     @classmethod
     def basis(cls, rel: str, w: FreeWord, coeff: int = 1) -> RelModElement:
-        return cls.from_items([(rel, w, coeff)])
+        return cls.from_items([((rel, w), coeff)])
 
     def add(self, other: RelModElement) -> RelModElement:
-        return RelModElement.from_items(self.terms + other.terms)
+        # not a set union: a pair both sides hold must count twice
+        return RelModElement.from_items(chain(self.terms, other.terms))
 
     def neg(self) -> RelModElement:
-        return RelModElement(tuple((rel, w, -c) for rel, w, c in self.terms))
+        return RelModElement(frozenset((key, -c) for key, c in self.terms))
 
     def subtract(self, other: RelModElement) -> RelModElement:
         return self.add(other.neg())
 
 
-def module_image(
-    d: YSequence, oracle: GroupOracle, signed: bool = False
-) -> RelModElement:
-    """Image of a Y-sequence: one basis element (canon(u), r) per symbol.
+def module_image(d: YSequence, oracle: GroupOracle, signed: bool = False) -> RelModElement:
+    """Image of a Y-sequence: one basis element (r, canon(u)) per symbol.
 
     The symbol's sign is dropped; the ``signed`` variant (off by default)
     sends it to the coefficient instead.
     """
-    items = []
-    undecided = []
-    for s in d.symbols:
-        rep = oracle.canon(s.conjugator)
-        if rep is None:
-            undecided.append(s.conjugator)
-            continue
-        items.append((s.relator, rep, s.sign if signed else 1))
-    if undecided:
-        raise PartialResultError(undecided)
-    return RelModElement.from_items(items)
+    _require_alphabet(d.presentation.alphabet, oracle)
+    return RelModElement.from_items(
+        ((s.relator, oracle.canon(s.conjugator)), s.sign if signed else 1) for s in d.symbols
+    )
 
 
 def module_action(w: FreeWord, e: RelModElement, oracle: GroupOracle) -> RelModElement:
@@ -216,20 +201,13 @@ def module_action(w: FreeWord, e: RelModElement, oracle: GroupOracle) -> RelModE
 
     The empty word acts as the identity and action by w then w^-1 restores
     the element; composition reverses order (act(w1, act(w2, e)) equals
-    act(w2·w1, e)).
+    act(w2·w1, e)); a key over another alphabet than w's fails in multiply.
     """
+    _require_alphabet(w.alphabet, oracle)
     w_inv = invert(w)
-    items = []
-    undecided = []
-    for rel, u, coeff in e.terms:
-        rep = oracle.canon(multiply(w_inv, u))
-        if rep is None:
-            undecided.append(u)
-            continue
-        items.append((rel, rep, coeff))
-    if undecided:
-        raise PartialResultError(undecided)
-    return RelModElement.from_items(items)
+    return RelModElement.from_items(
+        ((rel, oracle.canon(multiply(w_inv, u))), c) for (rel, u), c in e.terms
+    )
 
 
 def is_zero(e: RelModElement, oracle: GroupOracle) -> Tri:
@@ -240,11 +218,12 @@ def is_zero(e: RelModElement, oracle: GroupOracle) -> Tri:
     definite zero only where merging could still cancel the residue.
     """
     by_rel: dict[str, list[tuple[FreeWord, int]]] = {}
-    for rel, w, c in e.terms:
+    for (rel, w), c in e.terms:
+        _require_alphabet(w.alphabet, oracle)
         by_rel.setdefault(rel, []).append((w, c))
 
     saw_unknown_residue = False
-    for rel, pairs in sorted(by_rel.items()):
+    for pairs in by_rel.values():
         n = len(pairs)
         # classes: keys the oracle proves equal.  linked: classes joined by an
         # UNKNOWN answer too; inside such a component further merging is

@@ -192,9 +192,9 @@ def trivial_derivation(xm: CrossedModule) -> Derivation:
     return Derivation(xm, lambda x: xm.top.identity(), label="1")
 
 
-def _inner_rule(c: FreeWord, c_inv: FreeWord) -> Callable[[FreeWord], FreeWord]:
-    """x -> (c x c^-1) x^-1, with c^-1 given."""
-    return lambda x: multiply(multiply(multiply(c, x), c_inv), invert(x))
+def _inner_rule(c: FreeWord) -> Callable[[FreeWord], FreeWord]:
+    """x -> (c x c^-1) x^-1."""
+    return lambda x: multiply(conjugate(c, x), invert(x))
 
 
 def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) -> Derivation:
@@ -206,10 +206,9 @@ def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) ->
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     c = embed(conjugate(u, r if sign > 0 else invert(r)), retr.big_alphabet)
-    c_inv = invert(c)
     xm = kernel_self_xmod(retr)
-    inv = Derivation(xm, _inner_rule(c_inv, c), label=f"relator({-sign:+d})")
-    return Derivation(xm, _inner_rule(c, c_inv), label=f"relator({sign:+d})", inverse_hint=inv)
+    inv = Derivation(xm, _inner_rule(invert(c)), label=f"relator({-sign:+d})")
+    return Derivation(xm, _inner_rule(c), label=f"relator({sign:+d})", inverse_hint=inv)
 
 
 def induced_base_map(d: Derivation) -> Callable[[FreeWord], FreeWord]:
@@ -679,9 +678,7 @@ def check_projection(
             failures.append(f"sequence {i}: {exc}")
             continue
         searched += 1
-        cert = search_trivialization(
-            d1, node_budget=node_budget, depth_limit=2 * max(len(d1.symbols), 1)
-        )
+        cert = search_trivialization(d1, node_budget=node_budget)
         if cert is EXHAUSTED:
             continue
         if not verify_certificate(d1, cert):

@@ -206,6 +206,21 @@ class TestScramble:
         with pytest.raises(ValueError):
             scramble(GP, seed=0, k=k, conj_cap=conj_cap)
 
+    def test_merged_pool_is_the_sorted_union(self):
+        # scramble merges its two ordered pools; the reference sorts their union
+        steps = 0
+        for gp in load_fixtures().presentations.values():
+            base = base_insert_pool(gp)
+            for seed in range(40):
+                d = empty_sequence(gp)
+                for m in scramble(gp, seed, 1 + seed % 8)[1].moves:
+                    dynamic = dynamic_insert_pool(d)
+                    reference = sorted(set(base) | set(dynamic), key=YSymbol.sort_key)
+                    assert peiffer._merge_pools(base, dynamic) == reference
+                    d = apply_move(d, m)
+                    steps += 1
+        assert steps == 1260
+
     @given(st.integers(0, 10_000), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_always_identity(self, seed, k):

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -27,13 +28,12 @@ from asphere.relmod import (
     AbelianizationOracle,
     CosetOracle,
     FreeOracle,
-    PartialResultError,
     RelModElement,
     is_zero,
     module_action,
     module_image,
 )
-from asphere.words import empty_word, invert, multiply, random_word, word_from_text
+from asphere.words import AlphabetError, empty_word, invert, multiply, random_word, word_from_text
 
 GP = parse("group P\ngens a b\nrel r = a a a\nrel s = b b\n")
 # same relators plus commutation: the quotient is the cyclic group of order 6
@@ -68,18 +68,6 @@ def rand_seq_fin(rng, max_len=4):
     )
 
 
-class StubOracle:
-    """Cannot canonicalize anything; exercises the partial-result path."""
-
-    alphabet = AB
-
-    def equal(self, u, v):
-        return Tri.UNKNOWN
-
-    def canon(self, w):
-        return None
-
-
 class TestModuleImage:
     def test_empty_sequence_is_zero(self):
         assert module_image(YSequence(GP, ()), FREE) == RelModElement.zero()
@@ -110,12 +98,6 @@ class TestModuleImage:
             extended = d.concat(insertion_generator(a, GP))
             delta = module_image(extended, FREE).subtract(module_image(d, FREE))
             assert delta == RelModElement.basis(a.relator, a.conjugator, 2)
-
-    def test_stub_oracle_raises_partial(self):
-        d = YSequence(GP, (YSymbol("r", A, 1),))
-        with pytest.raises(PartialResultError) as exc:
-            module_image(d, StubOracle())
-        assert exc.value.undecided == (A,)
 
 
 class TestModuleAction:
@@ -179,7 +161,7 @@ class TestIsZero:
         # 1 = a proven (YES); a vs a a unknown; 1 vs a a refuted (NO).  The
         # class {1, a} sums to 2 and a a can still cancel it, so UNKNOWN
         oracle = PartitionOracle([0, 0, 1], frozenset({frozenset((1, 2))}))
-        e = RelModElement.from_items(("r", POWERS[k], c) for k, c in [(0, 1), (1, 1), (2, -2)])
+        e = RelModElement.from_items((("r", POWERS[k]), c) for k, c in [(0, 1), (1, 1), (2, -2)])
         assert is_zero(e, oracle) is Tri.UNKNOWN
 
 
@@ -272,12 +254,81 @@ def test_is_zero_under_a_partition_oracle_sums_each_class(labels, unknown, data)
         sums[rel, labels[k]] = sums.get((rel, labels[k]), 0) + c
     truth = Tri.YES if not any(sums.values()) else Tri.NO
 
-    e = RelModElement.from_items((rel, POWERS[k], c) for rel, k, c in items)
+    e = RelModElement.from_items(((rel, POWERS[k]), c) for rel, k, c in items)
     got = is_zero(e, PartitionOracle(labels, unknown))
     assert got is expected_is_zero(coeff, labels, unknown)
     assert got in (truth, Tri.UNKNOWN)
     if not unknown:
         assert got is truth
+
+
+ELEMENT_ITEMS = st.lists(
+    st.tuples(st.tuples(st.sampled_from(("r", "s")), st.sampled_from(POWERS[:4])), st.integers(-3, 3)),
+    max_size=10,
+)
+
+
+def counter_terms(items):
+    """The reference: coefficients summed per key in a Counter, zeros dropped."""
+    acc = Counter()
+    for key, c in items:
+        acc[key] += c
+    return {key: c for key, c in acc.items() if c}
+
+
+@given(ELEMENT_ITEMS, ELEMENT_ITEMS, st.data())
+def test_element_arithmetic_agrees_with_a_counter(xs, ys, data):
+    e, f = RelModElement.from_items(xs), RelModElement.from_items(ys)
+    assert dict(e.terms) == counter_terms(xs)
+    assert RelModElement.from_items(data.draw(st.permutations(xs))) == e
+    assert dict(e.add(f).terms) == counter_terms(xs + ys)
+    assert dict(e.add(e).terms) == counter_terms(xs + xs)
+    assert e.add(f) == f.add(e)
+    assert e.subtract(e) == RelModElement.zero()
+
+
+class TestAlphabetCheck:
+    """An oracle answers only about words over its own alphabet."""
+
+    FX = load_fixtures().presentations
+
+    def lot3_sequence(self):
+        lot3 = self.FX["lot3"]
+        x1 = word_from_text(lot3.alphabet, "x1")
+        return YSequence(lot3, (YSymbol(lot3.relator_names[0], x1, 1),))
+
+    def test_image_under_an_oracle_over_another_alphabet(self):
+        with pytest.raises(AlphabetError):
+            module_image(self.lot3_sequence(), FreeOracle(self.FX["sym3"].alphabet))
+
+    def test_coset_oracle_of_a_smaller_alphabet(self):
+        klein = self.FX["klein"]
+        d = YSequence(klein, (YSymbol("r", word_from_text(klein.alphabet, "b"), 1),))
+        with pytest.raises(AlphabetError):
+            module_image(d, CosetOracle(self.FX["c3"]))
+
+    def test_zero_test_cannot_refute_over_another_alphabet(self):
+        lot3 = self.FX["lot3"]
+        x1, x3 = (word_from_text(lot3.alphabet, x) for x in ("x1", "x3"))
+        rel = lot3.relator_names[0]
+        e = RelModElement.basis(rel, x3).subtract(RelModElement.basis(rel, x1))
+        assert is_zero(e, AbelianizationOracle(lot3)) is Tri.UNKNOWN
+        with pytest.raises(AlphabetError):
+            is_zero(e, AbelianizationOracle(self.FX["c3"]))
+
+    def test_action_under_an_oracle_over_another_alphabet(self):
+        lot3 = self.FX["lot3"]
+        x1 = word_from_text(lot3.alphabet, "x1")
+        e = RelModElement.basis(lot3.relator_names[0], x1)
+        with pytest.raises(AlphabetError):
+            module_action(x1, e, FREE)
+
+    def test_oracle_of_a_quotient_over_the_same_alphabet(self):
+        # GP_FIN adds a relator to GP: its oracle decides in a quotient of GP
+        d = YSequence(GP, (YSymbol("r", A, 1), YSymbol("r", word_from_text(AB, "a a a a"), -1)))
+        oracle = CosetOracle(GP_FIN, 500)
+        assert module_image(d, oracle) == RelModElement.basis("r", A, 2)
+        assert is_zero(module_image(d, oracle, signed=True), oracle) is Tri.YES
 
 
 class TestOracles:
