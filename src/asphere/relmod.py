@@ -31,7 +31,7 @@ class GroupOracle(Protocol):
 
 def _require_alphabet(alphabet: Alphabet, oracle: GroupOracle) -> None:
     if alphabet != oracle.alphabet:
-        raise AlphabetError(f"oracle over {oracle.alphabet.generators}, word over {alphabet.generators}")
+        raise AlphabetError(f"word over {alphabet.generators}, oracle {oracle.alphabet.generators}")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ AB = GP.alphabet
 ONE = empty_word(AB)
 A = word_from_text(AB, "a")
 FREE = FreeOracle(AB)
+FX = load_fixtures().presentations
 
 
 def rand_seq(rng, max_len=4):
@@ -262,10 +263,8 @@ def test_is_zero_under_a_partition_oracle_sums_each_class(labels, unknown, data)
         assert got is truth
 
 
-ELEMENT_ITEMS = st.lists(
-    st.tuples(st.tuples(st.sampled_from(("r", "s")), st.sampled_from(POWERS[:4])), st.integers(-3, 3)),
-    max_size=10,
-)
+ELEMENT_KEYS = st.tuples(st.sampled_from(("r", "s")), st.sampled_from(POWERS[:4]))
+ELEMENT_ITEMS = st.lists(st.tuples(ELEMENT_KEYS, st.integers(-3, 3)), max_size=10)
 
 
 def counter_terms(items):
@@ -290,34 +289,32 @@ def test_element_arithmetic_agrees_with_a_counter(xs, ys, data):
 class TestAlphabetCheck:
     """An oracle answers only about words over its own alphabet."""
 
-    FX = load_fixtures().presentations
-
     def lot3_sequence(self):
-        lot3 = self.FX["lot3"]
+        lot3 = FX["lot3"]
         x1 = word_from_text(lot3.alphabet, "x1")
         return YSequence(lot3, (YSymbol(lot3.relator_names[0], x1, 1),))
 
     def test_image_under_an_oracle_over_another_alphabet(self):
         with pytest.raises(AlphabetError):
-            module_image(self.lot3_sequence(), FreeOracle(self.FX["sym3"].alphabet))
+            module_image(self.lot3_sequence(), FreeOracle(FX["sym3"].alphabet))
 
     def test_coset_oracle_of_a_smaller_alphabet(self):
-        klein = self.FX["klein"]
+        klein = FX["klein"]
         d = YSequence(klein, (YSymbol("r", word_from_text(klein.alphabet, "b"), 1),))
         with pytest.raises(AlphabetError):
-            module_image(d, CosetOracle(self.FX["c3"]))
+            module_image(d, CosetOracle(FX["c3"]))
 
     def test_zero_test_cannot_refute_over_another_alphabet(self):
-        lot3 = self.FX["lot3"]
+        lot3 = FX["lot3"]
         x1, x3 = (word_from_text(lot3.alphabet, x) for x in ("x1", "x3"))
         rel = lot3.relator_names[0]
         e = RelModElement.basis(rel, x3).subtract(RelModElement.basis(rel, x1))
         assert is_zero(e, AbelianizationOracle(lot3)) is Tri.UNKNOWN
         with pytest.raises(AlphabetError):
-            is_zero(e, AbelianizationOracle(self.FX["c3"]))
+            is_zero(e, AbelianizationOracle(FX["c3"]))
 
     def test_action_under_an_oracle_over_another_alphabet(self):
-        lot3 = self.FX["lot3"]
+        lot3 = FX["lot3"]
         x1 = word_from_text(lot3.alphabet, "x1")
         e = RelModElement.basis(lot3.relator_names[0], x1)
         with pytest.raises(AlphabetError):
@@ -395,10 +392,9 @@ def test_relmod_outputs_are_pinned(tmp_path):
     per oracle the signed zero verdict and whether the action agrees with
     conjugating the sequence, for the empty sequence and 20 scrambles of
     every fixture.  Coset oracles run where the quotient closes at 2000."""
-    presentations = load_fixtures().presentations
     gmap_rows, verdict_rows, closed = [], [], []
     for name in PRESENTATION_FILES:
-        gp = presentations[name]
+        gp = FX[name]
         oracles = {"free": FreeOracle(gp.alphabet), "abelian": AbelianizationOracle(gp)}
         try:
             oracles["cosets"] = CosetOracle(gp, 2000)
