@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from asphere.peiffer import (
     YSymbol,
     empty_sequence,
     is_identity,
+    random_sequence,
     random_symbol,
     scramble,
     search_trivialization,
@@ -539,3 +541,57 @@ class TestNegativeControls:
             # the stop is at the first failing sample: one draw fewer detects nothing
             shorter = fn(fx, random.Random(label), result.samples - 1, perturb=True)
             assert shorter.passed, label
+
+
+def _symbols_text(m):
+    return " ".join(f"{s.relator}:{word_to_text(s.conjugator)}:{s.sign:+d}" for s in m.symbols)
+
+
+def _pinned_values(fx):
+    """Values of the derivation arithmetic and the projection at seeded
+    kernel draws, computed only through the public derivation, action and
+    projection functions, one line per value."""
+    retr, sub = fx.retraction, fx.subpresentation
+    kernel = KernelCarrier(retr)
+    rng = random.Random(f"xmod-values/{fx.presentation.name}")
+    out = []
+    for _ in range(6):
+        for name, r in fx.relator_words():
+            u = random_word(retr.small_alphabet, rng, 3)
+            for sign in (1, -1):
+                x = kernel.random_element(rng)
+                out.append(word_to_text(relator_derivation(retr, u, r, sign)(x)))
+        d1 = xmod.symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+        d2 = xmod.symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+        x = kernel.random_element(rng)
+        out.append(word_to_text(compose_derivations(d1, d2)(x)))
+        out.append(word_to_text(compose_alternative(d1, d2)(x)))
+        for m in (empty_sequence(sub), random_sequence(sub, rng, max_len=3)):
+            x = kernel.random_element(rng)
+            out.append(word_to_text(sequence_derivation(retr, m)(x)))
+        t, g = kernel.random_element(rng), kernel.random_element(rng)
+        p = random_word(retr.small_alphabet, rng, 3)
+        t2, m2 = semidirect_action(retr, g, p, t, random_sequence(sub, rng, max_len=3))
+        out.append(f"{word_to_text(t2)} | {_symbols_text(m2)}")
+        d, _ = scramble(fx.presentation, seed=rng.randrange(1 << 30), k=rng.randrange(1, 7))
+        residue, d_1 = project_identity_sequence(fx, d)
+        out.append(f"{word_to_text(residue)} | {_symbols_text(d_1)}")
+    return out
+
+
+class TestPinnedValues:
+    """The suite report records only failure counts, so a change that moves
+    these values on both sides of a law would leave it unchanged; the
+    digests pin the values themselves."""
+
+    DIGESTS = {
+        "toy": "0be0204285871c83bfc76bf0c6b89dd0b6331fae67045f467496dd632841df4b",
+        "lot3": "b47fc64a25ea02a1196cd2f9780cc3fed201c08c6ccaee1df01952f120e586f1",
+        "lot4": "2b89b9da1ee9bcf44b48dcf0d46939e08c3f1164fe4bfa5c55db03da77a0650b",
+        "lot3b": "f75adf3bb1717294c5449ad118d4582f4167135962a27b575ee9227b51f14538",
+    }
+
+    @pytest.mark.parametrize("fx", (TOY, *LOTS), ids=lambda fx: fx.presentation.name)
+    def test_values_are_unchanged(self, fx):
+        text = "\n".join(_pinned_values(fx))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[fx.presentation.name]
