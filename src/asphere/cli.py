@@ -298,10 +298,12 @@ def cmd_suite(args):
     )
     report = suite_mod.run_suite(config)
     payload = report.to_json()
-    lines = [
-        f"{'ok ' if b.passed else 'FAIL'} {b.name} ({b.samples} samples, {b.failures} failures)"
-        for b in report.batteries
-    ]
+    lines = []
+    for b in report.batteries:
+        state = "ok " if b.passed else "FAIL"
+        counters = "".join(f" {k}={v}" for k, v in b.counters)
+        lines.append(f"{state} {b.name} ({b.samples} samples, {b.failures} failures){counters}")
+        lines.extend(f"      {line}" for line in b.detail)
     lines.append(f"seed {report.seed}: {'all batteries passed' if report.passed else 'FAILURES'}")
     return (0 if report.passed else 1), payload, "\n".join(lines)
 

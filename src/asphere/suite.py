@@ -55,6 +55,12 @@ class RunConfig:
     node_budget: int = 50_000
     fixtures_dir: str | None = None
 
+    def __post_init__(self):
+        if self.samples is not None and self.samples < 0:
+            raise ValueError(f"samples must be non-negative, got {self.samples}")
+        if self.node_budget < 0:
+            raise ValueError(f"node budget must be non-negative, got {self.node_budget}")
+
     def count(self, default: int) -> int:
         return default if self.samples is None else self.samples
 

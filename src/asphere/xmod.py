@@ -1,13 +1,14 @@
-"""Crossed modules over computable groups and the projection pipeline.
+"""The kernel crossed module, derivations, and the projection pipeline.
 
 The central fixture is a presentation with one generator eliminable by a
 single-occurrence relator.  The retraction splits the ambient free group as
-kernel x complement; the kernel plays the part of a crossed module top group
-with decidable equality (words killed by the retraction), and every
-construction here stays inside that decidable territory: derivations are
-evaluation rules, automorphisms are sampled, and quotient elements on the
-complement side are carried as Y-sequences whose equality is never decided,
-only their boundaries.
+kernel x complement.  The kernel, with decidable equality (words killed by
+the retraction), is a crossed module over the free group: the boundary is
+the inclusion and the action is conjugation.  Every construction here stays
+inside that decidable territory: derivations are evaluation rules, their
+automorphisms x -> d(x) · x are checked for regularity on samples, and
+quotient elements on the complement side are carried as Y-sequences whose
+equality is never decided, only their boundaries.
 
 Verification is sampled: each structural law (derivation law, regularity,
 the two composition expressions, the actor diagram, the semidirect action
@@ -48,7 +49,6 @@ from .presentations import (
     solve_single_occurrence,
 )
 from .words import (
-    Alphabet,
     AlphabetError,
     FreeWord,
     conjugate,
@@ -79,27 +79,20 @@ class InconsistencyError(RuntimeError):
         self.residue = residue
 
 
-# --- computable carriers -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FreeGroupCarrier:
-    alphabet: Alphabet
-
-    def contains(self, w: FreeWord) -> bool:
-        return w.alphabet == self.alphabet
-
-    def identity(self) -> FreeWord:
-        return empty_word(self.alphabet)
-
-    def random_element(self, rng: random.Random) -> FreeWord:
-        return random_word(self.alphabet, rng)
+# --- the kernel crossed module ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class KernelCarrier:
-    """The normal closure of the source relator, as words over the big
-    alphabet killed by the retraction.  Membership and equality are exact."""
+    """The kernel N of the retraction F(X + z) -> F(X): the normal closure of
+    the source relator, as words over the big alphabet killed by the
+    retraction.  Membership and equality are exact.
+
+    N is normal in the ambient free group F, so N -> F is a crossed module
+    whose boundary is the inclusion and whose action is conjugation
+    (Whitehead, "Combinatorial homotopy II"; Brown and Huebschmann,
+    "Identities among relations").  It is the only crossed module here: the
+    boundary is never written out and the action is ``words.conjugate``."""
 
     retraction: Retraction
 
@@ -130,66 +123,28 @@ def _kernel_generator(retr: Retraction) -> tuple[FreeWord, FreeWord]:
     return gen, invert(gen)
 
 
-# --- crossed modules ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossedModule:
-    top: FreeGroupCarrier | KernelCarrier
-    base: FreeGroupCarrier | KernelCarrier
-    boundary_map: Callable[[FreeWord], FreeWord]
-    action: Callable[[FreeWord, FreeWord], FreeWord]
-    label: str = ""
-
-
-def conjugation_xmod(retr: Retraction) -> CrossedModule:
-    """Kernel into the ambient free group, boundary the inclusion, action by
-    conjugation.  Both crossed-module axioms hold exactly."""
-    big = retr.big_alphabet
-    return CrossedModule(
-        top=KernelCarrier(retr),
-        base=FreeGroupCarrier(big),
-        boundary_map=lambda t: t,
-        action=conjugate,
-        label="kernel-in-free",
-    )
-
-
-@functools.cache
-def kernel_self_xmod(retr: Retraction) -> CrossedModule:
-    """The kernel over itself with identity boundary; the carrier on which
-    relator derivations live.  Built once per retraction."""
-    return CrossedModule(
-        top=KernelCarrier(retr),
-        base=KernelCarrier(retr),
-        boundary_map=lambda t: t,
-        action=conjugate,
-        label="kernel-self",
-    )
-
-
 # --- derivations ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Derivation:
-    """Map d from the base group to the top group with
-    d(xy) = d(x) · ^x d(y); represented by an evaluation rule.  A call checks
-    that its argument lies in the base; ``rule`` evaluates unchecked."""
+    """Map d from the kernel to itself with d(xy) = d(x) · x d(y) x^-1;
+    represented by an evaluation rule.  A call checks that its argument lies
+    in the kernel; ``rule`` evaluates unchecked."""
 
-    xm: CrossedModule
+    kernel: KernelCarrier
     rule: Callable[[FreeWord], FreeWord]
-    label: str = ""
     inverse_hint: "Derivation | None" = None
 
     def __call__(self, x: FreeWord) -> FreeWord:
-        if not self.xm.base.contains(x):
-            raise MembershipError("argument is not in the base group")
+        if not self.kernel.contains(x):
+            raise MembershipError("argument is not in the kernel")
         return self.rule(x)
 
 
-def trivial_derivation(xm: CrossedModule) -> Derivation:
-    return Derivation(xm, lambda x: xm.top.identity(), label="1")
+def trivial_derivation(retr: Retraction) -> Derivation:
+    kernel = KernelCarrier(retr)
+    return Derivation(kernel, lambda x: kernel.identity())
 
 
 def _inner_rule(c: FreeWord) -> Callable[[FreeWord], FreeWord]:
@@ -206,62 +161,47 @@ def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) ->
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     c = embed(conjugate(u, r if sign > 0 else invert(r)), retr.big_alphabet)
-    xm = kernel_self_xmod(retr)
-    inv = Derivation(xm, _inner_rule(invert(c)), label=f"relator({-sign:+d})")
-    return Derivation(xm, _inner_rule(c), label=f"relator({sign:+d})", inverse_hint=inv)
+    kernel = KernelCarrier(retr)
+    inv = Derivation(kernel, _inner_rule(invert(c)))
+    return Derivation(kernel, _inner_rule(c), inverse_hint=inv)
 
 
-def induced_base_map(d: Derivation) -> Callable[[FreeWord], FreeWord]:
-    """Base endomorphism x -> boundary(d(x)) x."""
-    return lambda x: multiply(d.xm.boundary_map(d(x)), x)
-
-
-def induced_top_map(d: Derivation) -> Callable[[FreeWord], FreeWord]:
-    """Top endomorphism t -> d(boundary(t)) t."""
-    return lambda t: multiply(d(d.xm.boundary_map(t)), t)
+def induced_map(d: Derivation) -> Callable[[FreeWord], FreeWord]:
+    """The endomorphism x -> d(x) · x of the kernel.  With the inclusion as
+    boundary, the top map t -> d(boundary t) · t and the base map
+    x -> boundary(d x) · x are both this one formula."""
+    return lambda x: multiply(d(x), x)
 
 
 def compose_derivations(d1: Derivation, d2: Derivation) -> Derivation:
-    """Whitehead composition: x -> d1(boundary(d2(x)) x) · d2(x).  The inner
-    arguments lie in the base by construction, so the rules run unchecked."""
-    rule1, rule2, boundary2 = d1.rule, d2.rule, d2.xm.boundary_map
+    """Whitehead composition: x -> d1(d2(x) · x) · d2(x).  The inner argument
+    lies in the kernel by construction, so the rules run unchecked."""
+    rule1, rule2 = d1.rule, d2.rule
 
     def rule(x: FreeWord) -> FreeWord:
         v = rule2(x)
-        return multiply(rule1(multiply(boundary2(v), x)), v)
+        return multiply(rule1(multiply(v, x)), v)
 
-    inv = None
-    if d1.inverse_hint is not None and d2.inverse_hint is not None:
-        inv = compose_derivations(d2.inverse_hint, d1.inverse_hint)
-    return Derivation(d1.xm, rule, label=f"({d1.label})o({d2.label})", inverse_hint=inv)
+    return Derivation(d1.kernel, rule)
 
 
 def compose_alternative(d1: Derivation, d2: Derivation) -> Callable[[FreeWord], FreeWord]:
     """The other expression for the composition: push d2's value through the
-    first derivation's induced top map; must agree with compose_derivations
+    first derivation's induced map; must agree with compose_derivations
     pointwise."""
-    top1 = induced_top_map(d1)
-    return lambda x: multiply(top1(d2(x)), d1(x))
+    map1 = induced_map(d1)
+    return lambda x: multiply(map1(d2(x)), d1(x))
 
 
-@dataclass(frozen=True)
-class AutPair:
-    """Automorphism pair (top, base) of a crossed module; maps are stored as
-    rules."""
-
-    top: Callable[[FreeWord], FreeWord]
-    base: Callable[[FreeWord], FreeWord]
-    label: str = ""
-
-
-def derivation_automorphisms(
+def derivation_automorphism(
     d: Derivation,
     d_inverse: Derivation | None = None,
     rng: random.Random | None = None,
     samples: int = 16,
-) -> AutPair:
-    """Automorphism pair of a regular derivation; regularity is verified on
-    samples against the supplied (or hinted) compositional inverse."""
+) -> Callable[[FreeWord], FreeWord]:
+    """The automorphism x -> d(x) · x of a regular derivation; regularity is
+    verified on samples against the supplied (or hinted) compositional
+    inverse."""
     if d_inverse is None:
         d_inverse = d.inverse_hint
     if d_inverse is None:
@@ -269,30 +209,11 @@ def derivation_automorphisms(
     rng = rng or random.Random(0)
     left = compose_derivations(d, d_inverse)
     right = compose_derivations(d_inverse, d)
-    top = d.xm.top
     for _ in range(samples):
-        x = top.random_element(rng)
+        x = d.kernel.random_element(rng)
         if not left(x).is_identity or not right(x).is_identity:
             raise NonRegularError("witness does not invert the derivation on samples")
-    return AutPair(
-        top=induced_top_map(d),
-        base=induced_base_map(d),
-        label=f"aut({d.label})",
-    )
-
-
-def conjugation_aut_pair(retr: Retraction, u: FreeWord) -> AutPair:
-    """Both components act by conjugation with u (a word avoiding the
-    eliminated generator); the square with the identity boundary commutes on
-    the nose."""
-    if u.alphabet != retr.small_alphabet:
-        raise AlphabetError("conjugating word must avoid the eliminated generator")
-    ub = embed(u, retr.big_alphabet)
-    return AutPair(
-        top=lambda t: conjugate(ub, t),
-        base=lambda x: conjugate(ub, x),
-        label="conjugation",
-    )
+    return induced_map(d)
 
 
 # --- fixtures -------------------------------------------------------------------
@@ -341,7 +262,7 @@ def sequence_derivation(retr: Retraction, m: YSequence) -> Derivation:
     for s in m.symbols:
         d = symbol_derivation(retr, m.presentation, s)
         acc = d if acc is None else compose_derivations(acc, d)
-    return trivial_derivation(kernel_self_xmod(retr)) if acc is None else acc
+    return trivial_derivation(retr) if acc is None else acc
 
 
 def semidirect_action(
@@ -473,24 +394,26 @@ class BatteryResult:
 def check_crossed_module_axioms(
     fx: ReducibleFixture, rng: random.Random, samples: int
 ) -> BatteryResult:
-    xm = conjugation_xmod(fx.retraction)
+    """Sampled axioms of the kernel crossed module: conjugation by the free
+    group keeps the kernel (normality), composes, and is a homomorphism.
+    Equivariance and the Peiffer identity are not sampled: with the inclusion
+    as boundary, both sides of each are the same conjugate."""
+    retr = fx.retraction
+    kernel = KernelCarrier(retr)
+    big = retr.big_alphabet
     failures = []
     for i in range(samples):
-        t = xm.top.random_element(rng)
-        t2 = xm.top.random_element(rng)
-        g = xm.base.random_element(rng)
-        h = xm.base.random_element(rng)
-        gt = xm.action(g, t)
-        if not xm.top.contains(gt):
+        t = kernel.random_element(rng)
+        t2 = kernel.random_element(rng)
+        g = random_word(big, rng)
+        h = random_word(big, rng)
+        gt = conjugate(g, t)
+        if not kernel.contains(gt):
             failures.append(f"sample {i}: action left the kernel")
             continue
-        if xm.boundary_map(gt) != conjugate(g, xm.boundary_map(t)):
-            failures.append(f"sample {i}: equivariance fails")
-        if xm.action(xm.boundary_map(t), t2) != conjugate(t, t2):
-            failures.append(f"sample {i}: peiffer identity fails")
-        if xm.action(multiply(g, h), t) != xm.action(g, xm.action(h, t)):
+        if conjugate(multiply(g, h), t) != conjugate(g, conjugate(h, t)):
             failures.append(f"sample {i}: action composition fails")
-        if xm.action(g, multiply(t, t2)) != multiply(gt, xm.action(g, t2)):
+        if conjugate(g, multiply(t, t2)) != multiply(gt, conjugate(g, t2)):
             failures.append(f"sample {i}: action is not homomorphic")
     return BatteryResult.collect("crossed-module-axioms", samples, failures)
 
@@ -557,13 +480,13 @@ def check_composition_formulas(
         composed = compose_derivations(d1, d2)
         alt = compose_alternative(d1, d2)
         if perturb:
-            top1 = induced_top_map(d1)
-            alt = lambda x, _t=top1, _d1=d1, _d2=d2: multiply(_d1(x), _t(_d2(x)))  # noqa: E731
+            map1 = induced_map(d1)
+            alt = lambda x, _m=map1, _d1=d1, _d2=d2: multiply(_d1(x), _m(_d2(x)))  # noqa: E731
         x = kernel.random_element(rng)
         if composed(x) != alt(x):
             failures.append(f"sample {i}: the two composition expressions disagree")
     d_any = relator_derivation(retr, empty_word(retr.small_alphabet), fx.relator_words()[0][1], 1)
-    triv = trivial_derivation(kernel_self_xmod(retr))
+    triv = trivial_derivation(retr)
     probe = kernel.random_element(rng)
     left, right = compose_derivations(d_any, triv), compose_derivations(triv, d_any)
     if not left(probe) == d_any(probe) == right(probe):
@@ -575,8 +498,8 @@ def check_actor_diagram(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
     """Sampled commutation of the derivation/automorphism square: the
-    automorphism pair of a relator derivation equals conjugation by the
-    relator conjugate, on both components."""
+    automorphism of a relator derivation is conjugation by the relator
+    conjugate, checked at a top and a base sample."""
     retr, sub = fx.retraction, fx.subpresentation
     kernel = KernelCarrier(retr)
     failures = []
@@ -586,17 +509,16 @@ def check_actor_diagram(
         if perturb and failures:  # a control stops at its first detection
             return BatteryResult.collect("actor-diagram", i, failures)
         s = random_symbol(sub, rng, conj_len=4)
-        d = symbol_derivation(retr, sub, s)
-        pair = derivation_automorphisms(d, rng=rng, samples=2)
+        aut = derivation_automorphism(symbol_derivation(retr, sub, s), rng=rng, samples=2)
         c = symbol_boundary(sub, s)
         if perturb:
             c = invert(c)
-        conj_pair = conjugation_aut_pair(retr, c)
+        c = embed(c, retr.big_alphabet)
         t = kernel.random_element(rng)
         x = kernel.random_element(rng)
-        if pair.top(t) != conj_pair.top(t):
+        if aut(t) != conjugate(c, t):
             failures.append(f"sample {i}: top components disagree for {s.relator}")
-        if pair.base(x) != conj_pair.base(x):
+        if aut(x) != conjugate(c, x):
             failures.append(f"sample {i}: base components disagree for {s.relator}")
     return BatteryResult.collect("actor-diagram", samples, failures)
 

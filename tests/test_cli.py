@@ -265,6 +265,10 @@ class TestXmodCommands:
         code, out, _ = run(capsys, "--json", "xmod", "project", LOT, str(seq))
         assert code == 0 and json.loads(out)["kernel_component"] == "1"
 
+    def test_negative_samples_are_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "--json", "xmod", "check", LOT, "--samples", "-2")
+        assert code == 3 and out == "" and "non-negative" in err
+
 
 class TestSuiteCommand:
     def test_smoke_mode(self, capsys):
@@ -285,5 +289,13 @@ class TestSuiteCommand:
         for f in DEFAULT_DIR.iterdir():
             shutil.copy(f, tmp_files / f.name)
         (tmp_files / "c3.pres").write_text("group c3\ngens a\nrel r = a a a a\n")
-        code, _, _ = run(capsys, "suite", "--samples", "1", "--fixtures", str(tmp_files))
+        code, out, _ = run(capsys, "suite", "--samples", "1", "--fixtures", str(tmp_files))
         assert code == 1
+        # the text report carries each battery's counters and kept failure details
+        assert "FAIL envelope-probe (4 samples, 1 failures)\n      c3: index 4 != 3\n" in out
+        assert "ok  scramble-recover (1 samples, 0 failures) found=1\n" in out
+
+    @pytest.mark.parametrize("flag", ("--samples", "--budget"))
+    def test_negative_counts_are_usage_errors(self, capsys, flag):
+        code, out, err = run(capsys, "--json", "suite", flag, "-1")
+        assert code == 3 and out == "" and "non-negative" in err

@@ -16,6 +16,7 @@ from asphere.peiffer import (
     random_symbol,
     scramble,
     search_trivialization,
+    symbol_boundary,
     verify_certificate,
 )
 from asphere.presentations import Retraction, decompose, in_kernel, lot_presentation, parse, retract
@@ -48,12 +49,8 @@ from asphere.xmod import (
     check_regularity,
     compose_alternative,
     compose_derivations,
-    conjugation_aut_pair,
-    conjugation_xmod,
-    derivation_automorphisms,
-    induced_base_map,
-    induced_top_map,
-    kernel_self_xmod,
+    derivation_automorphism,
+    induced_map,
     project_identity_sequence,
     project_symbol,
     recombine,
@@ -73,6 +70,7 @@ LOT3 = ReducibleFixture.from_presentation(
         "rel r1 = x3 x1 x3^-1 x2^-1\nrel r2 = x3 x2 x3^-1 x3^-1\neliminate x1\n"
     )
 )
+LOTS = load_fixtures().reducible_fixtures()
 BIG = TOY.presentation.alphabet
 SMALL = TOY.retraction.small_alphabet
 
@@ -87,25 +85,12 @@ def small(text):
 
 class TestConjugationXmod:
     def test_action_stays_in_kernel(self):
-        xm = conjugation_xmod(TOY.retraction)
+        kernel = KernelCarrier(TOY.retraction)
         t = big("z a")
-        assert xm.top.contains(t)
-        moved = xm.action(big("b"), t)
+        assert kernel.contains(t)
+        moved = conjugate(big("b"), t)
         assert word_to_text(moved) == "b z a b^-1"
-        assert xm.top.contains(moved)
-
-    def test_peiffer_identity_is_conjugation(self):
-        xm = conjugation_xmod(TOY.retraction)
-        rng = random.Random(0)
-        for _ in range(100):
-            t = xm.top.random_element(rng)
-            t2 = xm.top.random_element(rng)
-            assert xm.action(xm.boundary_map(t), t2) == conjugate(t, t2)
-
-    def test_boundary_is_injective_inclusion(self):
-        xm = conjugation_xmod(TOY.retraction)
-        t = big("z a")
-        assert xm.boundary_map(t) == t
+        assert kernel.contains(moved)
 
     def test_sampled_axioms(self):
         result = check_crossed_module_axioms(TOY, random.Random(1), 500)
@@ -152,7 +137,7 @@ class TestComposition:
         rng = random.Random(5)
         kernel = KernelCarrier(TOY.retraction)
         d = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
-        triv = trivial_derivation(kernel_self_xmod(TOY.retraction))
+        triv = trivial_derivation(TOY.retraction)
         for _ in range(50):
             x = kernel.random_element(rng)
             assert compose_derivations(d, triv)(x) == d(x)
@@ -177,78 +162,34 @@ class TestComposition:
 
 class TestAutomorphismPairs:
     def test_trivial_derivation_gives_identity_pair(self):
-        triv = trivial_derivation(kernel_self_xmod(TOY.retraction))
-        pair = derivation_automorphisms(triv, triv)
+        triv = trivial_derivation(TOY.retraction)
+        aut = derivation_automorphism(triv, triv)
         x = big("z a")
-        assert pair.base(x) == x and pair.top(x) == x
+        assert aut(x) == x
 
-    def test_sigma_of_relator_derivation_is_conjugation(self):
-        u = small("a")
-        r = small("b")
-        d = relator_derivation(TOY.retraction, u, r, 1)
-        base_map = induced_base_map(d)
-        c = embed(conjugate(u, r), BIG)
-        rng = random.Random(9)
-        kernel = KernelCarrier(TOY.retraction)
+    @pytest.mark.parametrize("fx", (TOY, *LOTS), ids=lambda fx: fx.presentation.name)
+    def test_sigma_of_relator_derivation_is_conjugation(self, fx):
+        retr, sub = fx.retraction, fx.subpresentation
+        kernel = KernelCarrier(retr)
+        rng = random.Random(f"sigma/{fx.presentation.name}")
         for _ in range(100):
+            s = random_symbol(sub, rng, conj_len=4)
+            aut = induced_map(xmod.symbol_derivation(retr, sub, s))
+            c = embed(symbol_boundary(sub, s), retr.big_alphabet)
             n0 = kernel.random_element(rng)
-            assert base_map(n0) == conjugate(c, n0)
-
-    def test_boundary_intertwines_pair(self):
-        # with the identity boundary the two components agree pointwise
-        d = relator_derivation(LOT3.retraction, small_word_lot("x2"), LOT3.relator_words()[0][1], 1)
-        rng = random.Random(10)
-        kernel = KernelCarrier(LOT3.retraction)
-        xm = d.xm
-        top, base = induced_top_map(d), induced_base_map(d)
-        for _ in range(200):
-            t = kernel.random_element(rng)
-            assert xm.boundary_map(top(t)) == base(xm.boundary_map(t))
+            assert aut(n0) == conjugate(c, n0)
 
     def test_missing_witness_raises(self):
-        triv = trivial_derivation(kernel_self_xmod(TOY.retraction))
-        bare = Derivation(triv.xm, triv.rule)
+        triv = trivial_derivation(TOY.retraction)
+        bare = Derivation(triv.kernel, triv.rule)
         with pytest.raises(NonRegularError):
-            derivation_automorphisms(bare)
+            derivation_automorphism(bare)
 
     def test_bad_witness_rejected(self):
         d = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
         same = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
         with pytest.raises(NonRegularError):
-            derivation_automorphisms(d, same, random.Random(11), samples=24)
-
-
-def small_word_lot(text):
-    return word_from_text(LOT3.retraction.small_alphabet, text)
-
-
-class TestConjugationAutPair:
-    def test_identity_word(self):
-        pair = conjugation_aut_pair(TOY.retraction, small("1"))
-        x = big("z a")
-        assert pair.top(x) == x and pair.base(x) == x
-
-    def test_homomorphism_on_samples(self):
-        rng = random.Random(12)
-        kernel = KernelCarrier(TOY.retraction)
-        for _ in range(100):
-            u = random_word(SMALL, rng, 3)
-            v = random_word(SMALL, rng, 3)
-            uv_pair = conjugation_aut_pair(TOY.retraction, multiply(u, v))
-            u_pair = conjugation_aut_pair(TOY.retraction, u)
-            v_pair = conjugation_aut_pair(TOY.retraction, v)
-            t = kernel.random_element(rng)
-            assert uv_pair.top(t) == u_pair.top(v_pair.top(t))
-
-    def test_square_commutes_trivially(self):
-        rng = random.Random(13)
-        kernel = KernelCarrier(TOY.retraction)
-        xm = kernel_self_xmod(TOY.retraction)
-        for _ in range(100):
-            u = random_word(SMALL, rng, 3)
-            pair = conjugation_aut_pair(TOY.retraction, u)
-            t = kernel.random_element(rng)
-            assert xm.boundary_map(pair.top(t)) == pair.base(xm.boundary_map(t))
+            derivation_automorphism(d, same, random.Random(11), samples=24)
 
 
 class TestActorDiagram:
@@ -433,8 +374,6 @@ class TestFixtureConstruction:
         assert retract(fx.retraction, w).is_identity
 
 
-LOTS = load_fixtures().reducible_fixtures()
-
 
 class TestMembershipChecks:
     """Calling a derivation checks its argument once, at the call; every
@@ -463,13 +402,10 @@ class TestMembershipChecks:
     @pytest.mark.parametrize("alphabet,text", OUTSIDE)
     def test_induced_maps_and_pairs_reject_non_kernel_arguments(self, alphabet, text):
         d = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
-        pair = derivation_automorphisms(d, rng=random.Random(0), samples=2)
         checked = (
-            induced_base_map(d),
-            induced_top_map(d),
+            induced_map(d),
             compose_alternative(d, d.inverse_hint),
-            pair.top,
-            pair.base,
+            derivation_automorphism(d, rng=random.Random(0), samples=2),
         )
         for f in checked:
             with pytest.raises(MembershipError):
@@ -481,7 +417,7 @@ class TestMembershipChecks:
             semidirect_action(TOY.retraction, big("z a"), small("1"), big("a"), m)
 
     def test_trivial_derivation_rejects_a_foreign_alphabet(self):
-        triv = trivial_derivation(kernel_self_xmod(TOY.retraction))
+        triv = trivial_derivation(TOY.retraction)
         with pytest.raises(MembershipError):
             triv(word_from_text(Alphabet(("p", "q")), "p q"))
         with pytest.raises(MembershipError):
@@ -500,7 +436,6 @@ class TestFastPathsAgainstDefinitions:
             r = sub.relator(s.relator)
             hint = relator_derivation(retr, s.conjugator, r, s.sign).inverse_hint
             slow = relator_derivation(retr, s.conjugator, r, -s.sign)
-            assert hint.label == slow.label
             x = kernel.random_element(rng)
             assert hint(x) == slow(x)
 
@@ -522,7 +457,6 @@ class TestFastPathsAgainstDefinitions:
         )
         assert twin is not retr and twin == retr and hash(twin) == hash(retr)
         assert xmod._kernel_generator(twin) is xmod._kernel_generator(retr)
-        assert kernel_self_xmod(twin) is kernel_self_xmod(retr)
 
 
 class TestNegativeControls:
