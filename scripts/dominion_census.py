@@ -17,7 +17,7 @@ def main():
     witnesses = []
     for name, m in monoid_corpus().items():
         for u in all_submonoids(m):
-            dom = dominion(m, u)
+            dom = dominion(u)
             closed = dom == u.elements
             inverse = is_inverse_monoid(u)
             tally[(inverse, closed)] += 1

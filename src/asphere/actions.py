@@ -11,7 +11,7 @@ it may answer UNKNOWN.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .partial import EXHAUSTED, Tri
@@ -35,25 +35,28 @@ class ActionError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteMonoid:
+    """A monoid on {0..n-1} given by its multiplication table, which fixes
+    the identity: the e with e·x = x = x·e for every x."""
+
     table: tuple[tuple[int, ...], ...]
-    identity: int
+    identity: int = field(init=False)
 
     def __post_init__(self):
-        n = len(self.table)
-        for row in self.table:
+        table = tuple(tuple(row) for row in self.table)
+        object.__setattr__(self, "table", table)
+        n = len(table)
+        for row in table:
             if len(row) != n or any(not 0 <= x < n for x in row):
                 raise MonoidError("table must be square over {0..n-1}")
-        if not 0 <= self.identity < n:
-            raise MonoidError("identity index out of range")
-        e = self.identity
-        for x in range(n):
-            if self.table[e][x] != x or self.table[x][e] != x:
-                raise MonoidError(f"identity law fails at {x}")
+        identities = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+        if not identities:
+            raise MonoidError("no identity element")
+        object.__setattr__(self, "identity", identities[0])
         for x in range(n):
             for y in range(n):
-                xy = self.table[x][y]
+                xy = table[x][y]
                 for z in range(n):
-                    if self.table[xy][z] != self.table[x][self.table[y][z]]:
+                    if table[xy][z] != table[x][table[y][z]]:
                         raise MonoidError(f"not associative at ({x},{y},{z})")
 
     @property
@@ -64,22 +67,6 @@ class FiniteMonoid:
         return self.table[x][y]
 
 
-def validate_monoid(table: Sequence[Sequence[int]]) -> FiniteMonoid:
-    """Check a raw table and locate its identity."""
-    rows = tuple(tuple(row) for row in table)
-    n = len(rows)
-    identity = None
-    for e in range(n):
-        if len(rows[e]) == n and all(
-            rows[e][x] == x and len(rows[x]) == n and rows[x][e] == x for x in range(n)
-        ):
-            identity = e
-            break
-    if identity is None:
-        raise MonoidError("no identity element")
-    return FiniteMonoid(rows, identity)
-
-
 @dataclass(frozen=True)
 class Submonoid:
     parent: FiniteMonoid
@@ -88,11 +75,12 @@ class Submonoid:
     def __post_init__(self):
         if not isinstance(self.elements, frozenset):
             object.__setattr__(self, "elements", frozenset(self.elements))
+        for x in sorted(self.elements):
+            if not 0 <= x < self.parent.size:
+                raise MonoidError(f"element {x} out of range")
         if self.parent.identity not in self.elements:
             raise MonoidError("submonoid must contain the identity")
         for x in self.elements:
-            if not 0 <= x < self.parent.size:
-                raise MonoidError(f"element {x} out of range")
             for y in self.elements:
                 if self.parent.mul(x, y) not in self.elements:
                     raise MonoidError(f"not closed: {x}*{y} escapes")
@@ -100,12 +88,6 @@ class Submonoid:
     @property
     def sorted_elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))
-
-    def restricted_table(self) -> FiniteMonoid:
-        order = self.sorted_elements
-        index = {x: i for i, x in enumerate(order)}
-        table = tuple(tuple(index[self.parent.mul(x, y)] for y in order) for x in order)
-        return FiniteMonoid(table, index[self.parent.identity])
 
 
 def all_submonoids(m: FiniteMonoid) -> list[Submonoid]:
@@ -231,18 +213,17 @@ def same_class(t: TensorPartition, p: tuple[int, int], q: tuple[int, int]) -> bo
     return t.class_id(*p) == t.class_id(*q)
 
 
-def multiplication_tensor(s: FiniteMonoid, u: Submonoid) -> TensorPartition:
-    if u.parent != s:
-        raise MonoidError("submonoid of a different monoid")
+def multiplication_tensor(u: Submonoid) -> TensorPartition:
+    """S ⊗_U S for S = ``u.parent`` acting on itself from both sides."""
+    s = u.parent
     return tensor_product(s.table, s.table, u)
 
 
-def dominion(s: FiniteMonoid, u: Submonoid) -> frozenset[int]:
-    t = multiplication_tensor(s, u)
+def dominion(u: Submonoid) -> frozenset[int]:
+    s = u.parent
+    t = multiplication_tensor(u)
     e = s.identity
-    dom = frozenset(
-        d for d in range(s.size) if same_class(t, (d, e), (e, d))
-    )
+    dom = frozenset(d for d in range(s.size) if same_class(t, (d, e), (e, d)))
     if not u.elements <= dom:
         raise AssertionError("dominion does not contain the submonoid")
     for x in dom:
@@ -253,30 +234,25 @@ def dominion(s: FiniteMonoid, u: Submonoid) -> frozenset[int]:
 
 
 def is_inverse_monoid(u: Submonoid | FiniteMonoid) -> bool:
-    """True when every element has a unique generalized inverse."""
-    m = u.restricted_table() if isinstance(u, Submonoid) else u
-    for x in range(m.size):
-        partners = [
-            y
-            for y in range(m.size)
-            if m.mul(m.mul(x, y), x) == x and m.mul(m.mul(y, x), y) == y
-        ]
-        if len(partners) != 1:
-            return False
-    return True
+    """True when every element has a unique generalized inverse; a
+    submonoid is tested in place, under its parent's table."""
+    if isinstance(u, Submonoid):
+        elems, mul = u.sorted_elements, u.parent.mul
+    else:
+        elems, mul = range(u.size), u.mul
+    return all(
+        sum(mul(mul(x, y), x) == x and mul(mul(y, x), y) == y for y in elems) == 1
+        for x in elems
+    )
 
 
 # --- weak dominion through the universal enveloping group --------------------
 
 
-def element_names(s: FiniteMonoid) -> tuple[str, ...]:
-    return tuple(f"m{i}" for i in range(s.size))
-
-
 def table_monoid_presentation(s: FiniteMonoid) -> MonoidPresentation:
-    """Monoid presentation with one generator per element and all n^2 table
-    relations (x·y, xy)."""
-    alphabet = Alphabet(element_names(s))
+    """Monoid presentation with one generator m<i> per element and all n^2
+    table relations (x·y, xy)."""
+    alphabet = Alphabet(tuple(f"m{i}" for i in range(s.size)))
     relations = []
     for x in range(s.size):
         for y in range(s.size):
@@ -290,21 +266,16 @@ def enveloping_group_presentation(s: FiniteMonoid) -> GroupPresentation:
     return universal_group_presentation(table_monoid_presentation(s))
 
 
-def weak_dominion_membership(
-    s: FiniteMonoid, u: Submonoid, d: int, budget: int = 1000
-) -> Tri:
+def weak_dominion_membership(u: Submonoid, d: int, budget: int = 1000) -> Tri:
     """Is the image of d inside the subgroup generated by the image of u in
-    the enveloping group?  Budgeted: UNKNOWN when the enumeration does not
-    close.
+    the enveloping group of ``u.parent``?  Budgeted: UNKNOWN when the
+    enumeration does not close.
     """
-    if u.parent != s:
-        raise MonoidError("submonoid of a different monoid")
+    s = u.parent
     if not 0 <= d < s.size:
         raise MonoidError(f"element {d} out of range")
     gp = enveloping_group_presentation(s)
-    gens = [
-        FreeWord(gp.alphabet, (letter(x, 1),)) for x in u.sorted_elements
-    ]
+    gens = [FreeWord(gp.alphabet, (letter(x, 1),)) for x in u.sorted_elements]
     table = coset_table(gp, gens, budget)
     if table is EXHAUSTED:
         return Tri.UNKNOWN

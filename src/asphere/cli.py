@@ -163,7 +163,7 @@ def cmd_monoid_validate(args):
 def cmd_monoid_tensor(args):
     m = _load_table(args.file)
     u = Submonoid(m, _parse_subset(args.u))
-    t = multiplication_tensor(m, u)
+    t = multiplication_tensor(u)
     payload = {
         "classes": t.num_classes,
         "partition": [sorted(map(list, cls)) for cls in t.classes()],
@@ -174,14 +174,14 @@ def cmd_monoid_tensor(args):
 def cmd_monoid_dominion(args):
     m = _load_table(args.file)
     u = Submonoid(m, _parse_subset(args.u))
-    dom = sorted(dominion(m, u))
+    dom = sorted(dominion(u))
     return 0, {"dominion": dom}, "{" + ", ".join(map(str, dom)) + "}"
 
 
 def cmd_monoid_wdom(args):
     m = _load_table(args.file)
     u = Submonoid(m, _parse_subset(args.u))
-    answer = weak_dominion_membership(m, u, args.d, args.budget)
+    answer = weak_dominion_membership(u, args.d, args.budget)
     payload = {"element": args.d, "answer": answer.value}
     code = {Tri.YES: 0, Tri.NO: 1, Tri.UNKNOWN: 2}[answer]
     return code, payload, answer.value
@@ -261,6 +261,16 @@ def cmd_relmod_gmap(args):
     return 0, {"image": nested}, json.dumps(nested, sort_keys=True)
 
 
+def _battery_lines(batteries) -> list[str]:
+    lines = []
+    for b in batteries:
+        state = "ok " if b.passed else "FAIL"
+        counters = "".join(f" {k}={v}" for k, v in b.counters)
+        lines.append(f"{state} {b.name} ({b.samples} samples, {b.failures} failures){counters}")
+        lines.extend(f"      {line}" for line in b.detail)
+    return lines
+
+
 def cmd_xmod_check(args):
     gp = _load_group(args.fixture)
     fx = ReducibleFixture.from_presentation(gp)
@@ -273,8 +283,7 @@ def cmd_xmod_check(args):
         "passed": passed,
         "batteries": [b.to_json() for b in batteries],
     }
-    lines = [f"{'ok ' if b.passed else 'FAIL'} {b.name} ({b.failures} failures)" for b in batteries]
-    return (0 if passed else 1), payload, "\n".join(lines)
+    return (0 if passed else 1), payload, "\n".join(_battery_lines(batteries))
 
 
 def cmd_xmod_project(args):
@@ -298,12 +307,7 @@ def cmd_suite(args):
     )
     report = suite_mod.run_suite(config)
     payload = report.to_json()
-    lines = []
-    for b in report.batteries:
-        state = "ok " if b.passed else "FAIL"
-        counters = "".join(f" {k}={v}" for k, v in b.counters)
-        lines.append(f"{state} {b.name} ({b.samples} samples, {b.failures} failures){counters}")
-        lines.extend(f"      {line}" for line in b.detail)
+    lines = _battery_lines(report.batteries)
     lines.append(f"seed {report.seed}: {'all batteries passed' if report.passed else 'FAILURES'}")
     return (0 if report.passed else 1), payload, "\n".join(lines)
 
@@ -422,7 +426,7 @@ def build_parser() -> _Parser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=None)
     s.add_argument("--budget", type=int, default=50_000)
-    s.add_argument("--fixtures", default=None, help="override the fixture directory")
+    s.add_argument("--fixtures", default=None, help="directory of the .pres presentation files")
     s.set_defaults(handler=cmd_suite)
 
     return parser

@@ -1,17 +1,16 @@
 """Built-in fixture corpus: presentation files and small monoid tables.
 
-The presentation fixtures live as ``.pres`` files next to this module; the
-monoid corpus is generated here and shipped as ``monoids.json`` (a test
-asserts the file matches the generators).  Everything is loadable from an
-alternative directory so the suite can be pointed at modified fixtures.
+The presentation fixtures live as ``.pres`` files next to this module and
+can be loaded from an alternative directory, so the suite can be pointed at
+modified presentations.  The monoid corpus is built by the functions here;
+they are its only source.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .actions import FiniteMonoid, validate_monoid
+from .actions import FiniteMonoid
 from .presentations import GroupPresentation, parse
 from .xmod import ReducibleFixture
 
@@ -39,7 +38,7 @@ def cyclic_monoid(index: int, period: int) -> FiniteMonoid:
         return e
 
     table = tuple(tuple(fold(x + y) for y in range(size)) for x in range(size))
-    return FiniteMonoid(table, 0)
+    return FiniteMonoid(table)
 
 
 def cyclic_group(n: int) -> FiniteMonoid:
@@ -48,13 +47,13 @@ def cyclic_group(n: int) -> FiniteMonoid:
 
 def klein_four() -> FiniteMonoid:
     table = tuple(tuple(x ^ y for y in range(4)) for x in range(4))
-    return FiniteMonoid(table, 0)
+    return FiniteMonoid(table)
 
 
 def chain_semilattice(n: int) -> FiniteMonoid:
     """Meet of a chain, identity on top."""
     table = tuple(tuple(max(x, y) for y in range(n)) for x in range(n))
-    return FiniteMonoid(table, 0)
+    return FiniteMonoid(table)
 
 
 def diamond_semilattice() -> FiniteMonoid:
@@ -65,7 +64,7 @@ def diamond_semilattice() -> FiniteMonoid:
         [2, 3, 2, 3],
         [3, 3, 3, 3],
     ]
-    return validate_monoid(meet)
+    return FiniteMonoid(meet)
 
 
 def _identity_adjoined(size: int, product) -> FiniteMonoid:
@@ -75,7 +74,7 @@ def _identity_adjoined(size: int, product) -> FiniteMonoid:
         tuple(y if x == 0 else x if y == 0 else product(x, y) for y in range(size))
         for x in range(size)
     )
-    return FiniteMonoid(table, 0)
+    return FiniteMonoid(table)
 
 
 def null_monoid_plus_one(k: int) -> FiniteMonoid:
@@ -101,7 +100,7 @@ def transformations_of_two_points() -> FiniteMonoid:
     table = tuple(
         tuple(index[(g[f[0]], g[f[1]])] for g in maps) for f in maps
     )
-    return FiniteMonoid(table, 0)
+    return FiniteMonoid(table)
 
 
 def monoid_corpus() -> dict[str, FiniteMonoid]:
@@ -134,17 +133,12 @@ def monoid_from_json(data: dict) -> FiniteMonoid:
         isinstance(row, list) and all(isinstance(x, int) for x in row) for row in table
     ):
         raise FixtureError(f'a monoid is {{"table": [[int, ...], ...]}}, got {data!r}')
-    m = validate_monoid(table)
+    m = FiniteMonoid(table)
     if m.size != data.get("size", m.size):
         raise FixtureError("declared size does not match the table")
     if m.identity != data.get("identity", m.identity):
         raise FixtureError("declared identity does not match the table")
     return m
-
-
-def corpus_json_text() -> str:
-    corpus = {name: monoid_to_json(m) for name, m in monoid_corpus().items()}
-    return json.dumps(corpus, indent=1, sort_keys=True) + "\n"
 
 
 # --- loading -------------------------------------------------------------------
@@ -166,6 +160,7 @@ class FixtureSet:
 
 
 def load_fixtures(directory: str | Path | None = None) -> FixtureSet:
+    """The ``.pres`` files of ``directory`` and the built corpus, by name."""
     base = Path(directory) if directory is not None else DEFAULT_DIR
     presentations = {}
     for name in PRESENTATION_FILES:
@@ -176,12 +171,4 @@ def load_fixtures(directory: str | Path | None = None) -> FixtureSet:
         if not isinstance(gp, GroupPresentation):
             raise FixtureError(f"{path} is not a group presentation")
         presentations[name] = gp
-    monoid_path = base / "monoids.json"
-    if not monoid_path.exists():
-        raise FixtureError(f"missing fixture file {monoid_path}")
-    try:
-        raw = json.loads(monoid_path.read_text())
-        monoids = {name: monoid_from_json(data) for name, data in raw.items()}
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise FixtureError(f"bad monoid corpus: {exc}") from exc
-    return FixtureSet(presentations, monoids)
+    return FixtureSet(presentations, dict(sorted(monoid_corpus().items())))

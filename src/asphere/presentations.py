@@ -244,8 +244,8 @@ def parse(text: str) -> GroupPresentation | MonoidPresentation:
             group_relators.append((rel_name, word))
         else:
             try:
-                lhs = monoid_word_from_text(alphabet, " ".join(lhs_tokens), allow_signs=False)
-                rhs = monoid_word_from_text(alphabet, " ".join(rhs_tokens), allow_signs=False)
+                lhs = monoid_word_from_text(alphabet, " ".join(lhs_tokens))
+                rhs = monoid_word_from_text(alphabet, " ".join(rhs_tokens))
             except (AlphabetError, ValueError) as exc:
                 raise ParseError(str(exc), lineno) from None
             monoid_relations.append((lhs, rhs))

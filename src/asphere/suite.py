@@ -58,6 +58,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples is not None and self.samples < 0:
             raise ValueError(f"samples must be non-negative, got {self.samples}")
+        if self.samples == 0:
+            raise ValueError("samples must be positive: zero draws would pass vacuously")
         if self.node_budget < 0:
             raise ValueError(f"node budget must be non-negative, got {self.node_budget}")
 
@@ -259,7 +261,7 @@ def battery_tensor_dominion(config: RunConfig, fixtures: FixtureSet) -> BatteryR
             if uf != naive:
                 failures.append(f"{name} U={sorted(sub.elements)}: closures disagree")
                 continue
-            dom = actions.dominion(m, sub)
+            dom = actions.dominion(sub)
             if not sub.elements <= dom:
                 failures.append(f"{name} U={sorted(sub.elements)}: dominion misses U")
             if sub.elements == {m.identity} and dom != frozenset({m.identity}):
@@ -278,7 +280,7 @@ def battery_envelope_probe(config: RunConfig, fixtures: FixtureSet) -> BatteryRe
     idx = coset_enumeration(gp, (), 100)
     if idx != 2:
         failures.append(f"three-element cyclic monoid: envelope index {idx} != 2")
-    wd = actions.weak_dominion_membership(cyc, actions.Submonoid(cyc, frozenset({0})), 1, 100)
+    wd = actions.weak_dominion_membership(actions.Submonoid(cyc, frozenset({0})), 1, 100)
     if wd is not Tri.NO:
         failures.append(f"weak dominion of the generator should be NO, got {wd.value}")
     for name, expected in (("c3", 3), ("sym3", 6)):

@@ -156,7 +156,7 @@ class FreeWord:
 
 @dataclass(frozen=True)
 class MonoidWord:
-    """A word with no reduction applied (letters may be inverses)."""
+    """A word of positive letters, with no reduction applied."""
 
     alphabet: Alphabet
     letters: tuple[int, ...]
@@ -343,9 +343,9 @@ def word_from_text(alphabet: Alphabet, text: str) -> FreeWord:
     return reduce(alphabet, parse_letters(alphabet, text))
 
 
-def monoid_word_from_text(alphabet: Alphabet, text: str, allow_signs: bool = True) -> MonoidWord:
+def monoid_word_from_text(alphabet: Alphabet, text: str) -> MonoidWord:
     letters = parse_letters(alphabet, text)
-    if not allow_signs and any(letter_sign(c) < 0 for c in letters):
+    if any(letter_sign(c) < 0 for c in letters):
         raise WordSyntaxError("inverse letters are not allowed here")
     return MonoidWord(alphabet, letters)
 

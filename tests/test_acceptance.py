@@ -83,7 +83,7 @@ def test_criterion_3_zigzag_dominion():
             instances += 1
             fast = tensor_product(m.table, m.table, u)
             slow = tensor_product_naive(m.table, m.table, u)
-            dom = dominion(m, u)  # raises if U is missed or closure fails
+            dom = dominion(u)  # raises if U is missed or closure fails
             if fast != slow:
                 failures += 1
             if u.elements == {m.identity} and dom != frozenset({m.identity}):

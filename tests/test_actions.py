@@ -5,6 +5,7 @@ import pytest
 
 from asphere.actions import (
     ActionError,
+    FiniteMonoid,
     MonoidError,
     Submonoid,
     all_submonoids,
@@ -15,17 +16,16 @@ from asphere.actions import (
     same_class,
     tensor_product,
     tensor_product_naive,
-    validate_monoid,
     weak_dominion_membership,
 )
 from asphere.fixtures import monoid_corpus
 from asphere.partial import Tri
 from asphere.presentations import coset_enumeration
 
-Z3 = validate_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-SL3 = validate_monoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]])  # chain 1 > e > f
-NULL3 = validate_monoid([[0, 1, 2], [1, 2, 2], [2, 2, 2]])  # a^2 = 0, 0 absorbing
-CYC3 = validate_monoid([[0, 1, 2], [1, 2, 1], [2, 1, 2]])  # a^3 = a
+Z3 = FiniteMonoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+SL3 = FiniteMonoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]])  # chain 1 > e > f
+NULL3 = FiniteMonoid([[0, 1, 2], [1, 2, 2], [2, 2, 2]])  # a^2 = 0, 0 absorbing
+CYC3 = FiniteMonoid([[0, 1, 2], [1, 2, 1], [2, 1, 2]])  # a^3 = a
 
 
 def sub(m, elems):
@@ -34,39 +34,57 @@ def sub(m, elems):
 
 class TestValidate:
     def test_trivial(self):
-        assert validate_monoid([[0]]).size == 1
+        assert FiniteMonoid([[0]]).size == 1
 
     def test_z2(self):
-        assert validate_monoid([[0, 1], [1, 0]]).identity == 0
+        assert FiniteMonoid([[0, 1], [1, 0]]).identity == 0
 
     def test_two_element_semilattice_all_triples(self):
         table = [[0, 1], [1, 1]]
-        m = validate_monoid(table)
+        m = FiniteMonoid(table)
         for x, y, z in itertools.product(range(2), repeat=3):
             assert table[table[x][y]][z] == table[x][table[y][z]]
         assert m.size == 2
 
     def test_no_identity_rejected(self):
         with pytest.raises(MonoidError):
-            validate_monoid([[0, 0], [0, 0]])
+            FiniteMonoid([[0, 0], [0, 0]])
 
     def test_non_associative_rejected(self):
         # x*y = x except 1 acts as identity; force (1*2)*2 != 1*(2*2)
         with pytest.raises(MonoidError):
-            validate_monoid([[0, 1, 2], [1, 1, 2], [2, 1, 1]])
+            FiniteMonoid([[0, 1, 2], [1, 1, 2], [2, 1, 1]])
 
     def test_submonoid_must_be_closed(self):
         with pytest.raises(MonoidError):
             sub(Z3, {0, 1})
 
+    def test_identity_is_found_anywhere(self):
+        # meet of the chain 0 < 1 < 2: the top element 2 is the identity
+        meet = FiniteMonoid([[0, 0, 0], [0, 1, 1], [0, 1, 2]])
+        assert meet.identity == 2
+        assert FiniteMonoid(meet.table) == meet
+
+    def test_non_square_rejected(self):
+        with pytest.raises(MonoidError, match="square"):
+            FiniteMonoid([[0, 1], [1, 0], [1, 1]])
+        with pytest.raises(MonoidError, match="square"):
+            FiniteMonoid([[0, 1], [1]])
+
+    @pytest.mark.parametrize("bad", (5, -1))
+    def test_submonoid_element_out_of_range(self, bad):
+        # checked before closure, so neither an index error nor a wrapped index
+        with pytest.raises(MonoidError, match=f"element {bad} out of range"):
+            sub(Z3, {0, bad})
+
 
 class TestTensor:
     def test_trivial_submonoid_discrete(self):
-        t = multiplication_tensor(Z3, sub(Z3, {0}))
+        t = multiplication_tensor(sub(Z3, {0}))
         assert t.num_classes == Z3.size * Z3.size
 
     def test_group_case_collapses_to_group_size(self):
-        t = multiplication_tensor(Z3, sub(Z3, {0, 1, 2}))
+        t = multiplication_tensor(sub(Z3, {0, 1, 2}))
         assert t.num_classes == 3
         assert same_class(t, (1, 2), (0, Z3.mul(1, 2)))
 
@@ -85,11 +103,11 @@ class TestTensor:
         assert fast == slow
 
     def test_same_class_reflexive(self):
-        t = multiplication_tensor(SL3, sub(SL3, {0}))
+        t = multiplication_tensor(sub(SL3, {0}))
         assert same_class(t, (1, 2), (1, 2))
 
     def test_out_of_range_rejected(self):
-        t = multiplication_tensor(SL3, sub(SL3, {0}))
+        t = multiplication_tensor(sub(SL3, {0}))
         with pytest.raises(IndexError):
             same_class(t, (5, 0), (0, 0))
 
@@ -132,14 +150,14 @@ class TestTensor:
 
 class TestDominion:
     def test_identity_always_inside(self):
-        assert 0 in dominion(SL3, sub(SL3, {0}))
+        assert 0 in dominion(sub(SL3, {0}))
 
     def test_whole_monoid(self):
-        assert dominion(Z3, sub(Z3, {0, 1, 2})) == frozenset({0, 1, 2})
+        assert dominion(sub(Z3, {0, 1, 2})) == frozenset({0, 1, 2})
 
     def test_trivial_submonoid(self):
         for m in (Z3, SL3, NULL3, CYC3):
-            assert dominion(m, sub(m, {0})) == frozenset({0})
+            assert dominion(sub(m, {0})) == frozenset({0})
 
 
 class TestInverseMonoid:
@@ -147,7 +165,7 @@ class TestInverseMonoid:
         assert is_inverse_monoid(Z3)
 
     def test_semilattice_is_inverse(self):
-        assert is_inverse_monoid(validate_monoid([[0, 1], [1, 1]]))
+        assert is_inverse_monoid(FiniteMonoid([[0, 1], [1, 1]]))
 
     def test_null_monoid_is_not(self):
         # a x a stays in {0} for every candidate x, so a has no inverse
@@ -164,7 +182,7 @@ class TestAbsoluteClosure:
         for name, m in monoid_corpus().items():
             for u in all_submonoids(m):
                 if is_inverse_monoid(u):
-                    assert dominion(m, u) == u.elements, (name, sorted(u.elements))
+                    assert dominion(u) == u.elements, (name, sorted(u.elements))
 
     def test_union_find_matches_naive_across_corpus(self):
         for name, m in monoid_corpus().items():
@@ -176,31 +194,31 @@ class TestAbsoluteClosure:
 
 class TestWeakDominion:
     def test_member_of_u_is_yes(self):
-        assert weak_dominion_membership(CYC3, sub(CYC3, {0, 1, 2}), 1, 100) is Tri.YES
+        assert weak_dominion_membership(sub(CYC3, {0, 1, 2}), 1, 100) is Tri.YES
 
     def test_group_case_outside_subgroup(self):
         # Z/4 as a table; U generated by the square; odd elements are outside
-        z4 = validate_monoid([[(i + j) % 4 for j in range(4)] for i in range(4)])
+        z4 = FiniteMonoid([[(i + j) % 4 for j in range(4)] for i in range(4)])
         u = sub(z4, {0, 2})
-        assert weak_dominion_membership(z4, u, 1, 200) is Tri.NO
-        assert weak_dominion_membership(z4, u, 2, 200) is Tri.YES
+        assert weak_dominion_membership(u, 1, 200) is Tri.NO
+        assert weak_dominion_membership(u, 2, 200) is Tri.YES
 
     def test_three_element_cyclic_monoid(self):
         # envelope collapses the idempotent and leaves one involution,
         # matching the two-coset table built by hand
         gp = enveloping_group_presentation(CYC3)
         assert coset_enumeration(gp, (), 100) == 2
-        assert weak_dominion_membership(CYC3, sub(CYC3, {0}), 1, 100) is Tri.NO
-        assert weak_dominion_membership(CYC3, sub(CYC3, {0}), 0, 100) is Tri.YES
+        assert weak_dominion_membership(sub(CYC3, {0}), 1, 100) is Tri.NO
+        assert weak_dominion_membership(sub(CYC3, {0}), 0, 100) is Tri.YES
 
     def test_budget_exhaustion_is_unknown(self):
-        assert weak_dominion_membership(CYC3, sub(CYC3, {0}), 1, 1) is Tri.UNKNOWN
+        assert weak_dominion_membership(sub(CYC3, {0}), 1, 1) is Tri.UNKNOWN
 
     def test_dominion_implies_wdom_not_no(self):
         for name, m in monoid_corpus().items():
             if m.size > 4:
                 continue
             for u in all_submonoids(m):
-                for d in dominion(m, u):
-                    answer = weak_dominion_membership(m, u, d, 400)
+                for d in dominion(u):
+                    answer = weak_dominion_membership(u, d, 400)
                     assert answer in (Tri.YES, Tri.UNKNOWN), (name, sorted(u.elements), d)

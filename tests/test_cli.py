@@ -129,6 +129,20 @@ class TestMonoidCommands:
         code, out, _ = run(capsys, "monoid", "wdom", path, "--u", "0", "--d", "1", "--budget", "1")
         assert code == 2 and out.strip() == "unknown"
 
+    @pytest.mark.parametrize("u,bad", (("0,5", 5), ("0,-1", -1)))
+    def test_out_of_range_submonoid_is_three(self, capsys, tmp_files, u, bad):
+        path = write_monoid(tmp_files / "m.json")
+        code, out, err = run(capsys, "monoid", "dominion", path, "--u", u)
+        assert code == 3 and out == "" and f"element {bad} out of range" in err
+
+    @pytest.mark.parametrize("field,value", (("identity", 1), ("size", 4)))
+    def test_validate_rejects_a_wrong_declaration(self, capsys, tmp_files, field, value):
+        data = {**monoid_to_json(monoid_corpus()["cyc_1_2"]), field: value}
+        path = tmp_files / "m.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "monoid", "validate", str(path))
+        assert code == 3 and out == "" and f"declared {field}" in err
+
 
 class TestPeifferCommands:
     def scrambled(self, capsys, tmp_files, k=4):
@@ -269,6 +283,17 @@ class TestXmodCommands:
         code, out, err = run(capsys, "--json", "xmod", "check", LOT, "--samples", "-2")
         assert code == 3 and out == "" and "non-negative" in err
 
+    def test_zero_samples_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "xmod", "check", LOT, "--samples", "0")
+        assert code == 3 and out == "" and "samples must be positive" in err
+
+    def test_text_report_carries_counters(self, capsys):
+        code, out, _ = run(capsys, "xmod", "check", LOT, "--samples", "2")
+        assert code == 0
+        (line,) = [l for l in out.splitlines() if "lot3/projection-pipeline" in l]
+        assert line.startswith("ok  lot3/projection-pipeline (2 samples, 0 failures)")
+        assert " searched=" in line and " found=" in line
+
 
 class TestSuiteCommand:
     def test_smoke_mode(self, capsys):
@@ -299,3 +324,8 @@ class TestSuiteCommand:
     def test_negative_counts_are_usage_errors(self, capsys, flag):
         code, out, err = run(capsys, "--json", "suite", flag, "-1")
         assert code == 3 and out == "" and "non-negative" in err
+
+    def test_zero_samples_is_a_usage_error(self, capsys):
+        # a zero count would draw nothing and report every law battery as passed
+        code, out, err = run(capsys, "suite", "--samples", "0")
+        assert code == 3 and out == "" and "samples must be positive" in err

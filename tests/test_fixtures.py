@@ -1,18 +1,17 @@
+import pytest
+
 from asphere.actions import all_submonoids
 from asphere.fixtures import (
-    DEFAULT_DIR,
     PEIFFER_NAMES,
     REDUCIBLE_NAMES,
-    corpus_json_text,
+    FixtureError,
     load_fixtures,
     monoid_corpus,
+    monoid_from_json,
+    monoid_to_json,
 )
 from asphere.presentations import is_reducible_lot
 from asphere.words import word_to_text
-
-
-def test_shipped_monoid_file_matches_generators():
-    assert (DEFAULT_DIR / "monoids.json").read_text() == corpus_json_text()
 
 
 def test_corpus_is_large_enough_and_small():
@@ -31,6 +30,24 @@ def test_fixture_set_loads():
     assert set(PEIFFER_NAMES) <= set(fs.presentations)
     assert len(fs.peiffer_presentations()) == 5
     assert len(fs.reducible_fixtures()) == 3
+
+
+def test_loaded_corpus_is_the_built_one_in_name_order():
+    monoids = load_fixtures().monoids
+    assert list(monoids) == sorted(monoid_corpus())
+    assert monoids == monoid_corpus()
+
+
+def test_monoid_json_round_trip():
+    for m in monoid_corpus().values():
+        assert monoid_from_json(monoid_to_json(m)) == m
+
+
+@pytest.mark.parametrize("field,value", (("identity", 1), ("size", 4)))
+def test_monoid_json_declaration_must_match_the_table(field, value):
+    data = {**monoid_to_json(monoid_corpus()["cyc_1_2"]), field: value}
+    with pytest.raises(FixtureError, match=f"declared {field}"):
+        monoid_from_json(data)
 
 
 def test_reducible_fixtures_eliminate_a_single_occurrence_generator():
