@@ -1,4 +1,7 @@
+import argparse
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -18,7 +21,8 @@ from asphere.actions import (
     tensor_product_naive,
     weak_dominion_membership,
 )
-from asphere.fixtures import monoid_corpus
+from asphere.cli import cmd_monoid_dominion, cmd_monoid_tensor
+from asphere.fixtures import monoid_corpus, monoid_to_json
 from asphere.partial import Tri
 from asphere.presentations import coset_enumeration
 
@@ -222,3 +226,33 @@ class TestWeakDominion:
                 for d in dominion(u):
                     answer = weak_dominion_membership(u, d, 400)
                     assert answer in (Tri.YES, Tri.UNKNOWN), (name, sorted(u.elements), d)
+
+
+# sha256 of the monoid-layer outputs over the corpus, taken before the tensor
+# product lost its act-table parameters; any change of answer or of CLI bytes
+# moves it
+MONOID_PIN_DIGEST = "54cfb409fa2f5138d9d46cc1890a4724f5be9a4ca56dc1f4ffb09f0d955718f1"
+
+
+def test_monoid_outputs_are_pinned(tmp_path):
+    """``monoid tensor`` and ``monoid dominion`` (code, payload, human) rows
+    and ``is_inverse_monoid`` for every submonoid of every corpus monoid, in
+    name order."""
+    rows = []
+    for name, m in sorted(monoid_corpus().items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(monoid_to_json(m)))
+        for u in all_submonoids(m):
+            args = argparse.Namespace(file=str(path), u=",".join(map(str, u.sorted_elements)))
+            rows.append(
+                [
+                    name,
+                    list(u.sorted_elements),
+                    list(cmd_monoid_tensor(args)),
+                    list(cmd_monoid_dominion(args)),
+                    is_inverse_monoid(u),
+                ]
+            )
+    assert len(rows) == 128
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == MONOID_PIN_DIGEST
