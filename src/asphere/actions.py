@@ -1,18 +1,15 @@
-"""Finite monoids, their actions, tensor products, and dominions.
+"""Finite monoids, the tensor product S ⊗_U S, and dominions.
 
-Monoids are given by multiplication tables over {0..n-1}.  The tensor
-product of a right action and a left action over a common submonoid is the
-partition of the product set generated by (a·u, b) ~ (a, u·b); dominion
-membership is decided through that partition (two homomorphisms agreeing on
-the submonoid must agree exactly on the elements with d⊗1 = 1⊗d).  The weak
-dominion probe goes through the universal enveloping group and is budgeted:
-it may answer UNKNOWN.
+Monoids are given by multiplication tables over {0..n-1}.  For a submonoid
+U of S, S ⊗_U S is the partition of S × S generated by (a·s, b) ~ (a, s·b)
+over s in U; by Isbell's zigzag theorem, d lies in the dominion of U exactly
+when d⊗1 = 1⊗d.  The weak dominion probe goes through the universal
+enveloping group and is budgeted: it may answer UNKNOWN.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .partial import EXHAUSTED, Tri
 from .presentations import (
@@ -26,10 +23,6 @@ from .words import Alphabet, FreeWord, MonoidWord, letter
 
 
 class MonoidError(ValueError):
-    pass
-
-
-class ActionError(ValueError):
     pass
 
 
@@ -102,128 +95,78 @@ def all_submonoids(m: FiniteMonoid) -> list[Submonoid]:
     return found
 
 
-def _check_right_action(table: Sequence[Sequence[int]], size: int, u: Submonoid) -> None:
-    parent = u.parent
-    for x in range(size):
-        if table[x][parent.identity] != x:
-            raise ActionError(f"right action: {x}·1 != {x}")
-        for a in u.elements:
-            for b in u.elements:
-                if table[table[x][a]][b] != table[x][parent.mul(a, b)]:
-                    raise ActionError(f"right action not associative at ({x},{a},{b})")
-
-
-def _check_left_action(table: Sequence[Sequence[int]], size: int, u: Submonoid) -> None:
-    parent = u.parent
-    for x in range(size):
-        if table[parent.identity][x] != x:
-            raise ActionError(f"left action: 1·{x} != {x}")
-    for a in u.elements:
-        for b in u.elements:
-            ab = parent.mul(a, b)
-            for x in range(size):
-                if table[a][table[b][x]] != table[ab][x]:
-                    raise ActionError(f"left action not associative at ({a},{b},{x})")
-
-
 @dataclass(frozen=True)
 class TensorPartition:
-    """Partition of A x B; classes carry dense ids ordered by their minimal
+    """Partition of S × S; classes carry dense ids ordered by their minimal
     pair index, so the representation is independent of construction order.
     """
 
-    a_size: int
-    b_size: int
+    size: int
     class_of: tuple[int, ...]
     num_classes: int
 
     def class_id(self, a: int, b: int) -> int:
-        if not (0 <= a < self.a_size and 0 <= b < self.b_size):
-            raise IndexError(f"pair ({a},{b}) outside {self.a_size}x{self.b_size}")
-        return self.class_of[a * self.b_size + b]
+        if not (0 <= a < self.size and 0 <= b < self.size):
+            raise IndexError(f"pair ({a},{b}) outside {self.size}x{self.size}")
+        return self.class_of[a * self.size + b]
 
     def classes(self) -> list[list[tuple[int, int]]]:
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.num_classes)]
-        for a in range(self.a_size):
-            for b in range(self.b_size):
+        for a in range(self.size):
+            for b in range(self.size):
                 out[self.class_id(a, b)].append((a, b))
         return out
 
 
-def _canonical_partition(a_size: int, b_size: int, rep_of) -> TensorPartition:
-    reps = [rep_of(i) for i in range(a_size * b_size)]
+def _canonical_partition(n: int, rep_of) -> TensorPartition:
+    reps = [rep_of(i) for i in range(n * n)]
     ids: dict[int, int] = {}
     labels = []
     for i, r in enumerate(reps):
         if r not in ids:
             ids[r] = len(ids)
         labels.append(ids[r])
-    return TensorPartition(a_size, b_size, tuple(labels), len(ids))
+    return TensorPartition(n, tuple(labels), len(ids))
 
 
-def tensor_product(
-    a_right: Sequence[Sequence[int]],
-    b_left: Sequence[Sequence[int]],
-    u: Submonoid,
-) -> TensorPartition:
-    """Union-find closure of the relation (a·u, b) ~ (a, u·b).
-
-    ``a_right[a][s]`` and ``b_left[s][b]`` are indexed by the parent monoid;
-    only the columns of the submonoid are consulted.
-    """
-    a_size, b_size = len(a_right), len(b_left[0]) if b_left else 0
-    _check_right_action(a_right, a_size, u)
-    _check_left_action(b_left, b_size, u)
-    uf = UnionFind(a_size * b_size)
-    for a in range(a_size):
-        for b in range(b_size):
+def tensor_product(u: Submonoid) -> TensorPartition:
+    """S ⊗_U S for S = ``u.parent``: union-find closure of the relation
+    (a·s, b) ~ (a, s·b) over s in U."""
+    table, n = u.parent.table, u.parent.size
+    uf = UnionFind(n * n)
+    for a in range(n):
+        for b in range(n):
             for s in u.sorted_elements:
-                uf.union(a_right[a][s] * b_size + b, a * b_size + b_left[s][b])
-    return _canonical_partition(a_size, b_size, uf.find)
+                uf.union(table[a][s] * n + b, a * n + table[s][b])
+    return _canonical_partition(n, uf.find)
 
 
-def tensor_product_naive(
-    a_right: Sequence[Sequence[int]],
-    b_left: Sequence[Sequence[int]],
-    u: Submonoid,
-) -> TensorPartition:
+def tensor_product_naive(u: Submonoid) -> TensorPartition:
     """Independent closure by repeated scanning; cross-checks tensor_product."""
-    a_size, b_size = len(a_right), len(b_left[0]) if b_left else 0
-    _check_right_action(a_right, a_size, u)
-    _check_left_action(b_left, b_size, u)
-    label = list(range(a_size * b_size))
+    table, n = u.parent.table, u.parent.size
+    label = list(range(n * n))
     changed = True
     while changed:
         changed = False
-        for a in range(a_size):
-            for b in range(b_size):
+        for a in range(n):
+            for b in range(n):
                 for s in u.sorted_elements:
-                    p = label[a_right[a][s] * b_size + b]
-                    q = label[a * b_size + b_left[s][b]]
+                    p = label[table[a][s] * n + b]
+                    q = label[a * n + table[s][b]]
                     if p != q:
                         lo, hi = min(p, q), max(p, q)
                         for i, l in enumerate(label):
                             if l == hi:
                                 label[i] = lo
                         changed = True
-    return _canonical_partition(a_size, b_size, lambda i: label[i])
-
-
-def same_class(t: TensorPartition, p: tuple[int, int], q: tuple[int, int]) -> bool:
-    return t.class_id(*p) == t.class_id(*q)
-
-
-def multiplication_tensor(u: Submonoid) -> TensorPartition:
-    """S ⊗_U S for S = ``u.parent`` acting on itself from both sides."""
-    s = u.parent
-    return tensor_product(s.table, s.table, u)
+    return _canonical_partition(n, lambda i: label[i])
 
 
 def dominion(u: Submonoid) -> frozenset[int]:
     s = u.parent
-    t = multiplication_tensor(u)
+    t = tensor_product(u)
     e = s.identity
-    dom = frozenset(d for d in range(s.size) if same_class(t, (d, e), (e, d)))
+    dom = frozenset(d for d in range(s.size) if t.class_id(d, e) == t.class_id(e, d))
     if not u.elements <= dom:
         raise AssertionError("dominion does not contain the submonoid")
     for x in dom:
@@ -233,13 +176,10 @@ def dominion(u: Submonoid) -> frozenset[int]:
     return dom
 
 
-def is_inverse_monoid(u: Submonoid | FiniteMonoid) -> bool:
-    """True when every element has a unique generalized inverse; a
-    submonoid is tested in place, under its parent's table."""
-    if isinstance(u, Submonoid):
-        elems, mul = u.sorted_elements, u.parent.mul
-    else:
-        elems, mul = range(u.size), u.mul
+def is_inverse_monoid(u: Submonoid) -> bool:
+    """True when every element of ``u`` has a unique generalized inverse in
+    ``u``, under its parent's table."""
+    elems, mul = u.sorted_elements, u.parent.mul
     return all(
         sum(mul(mul(x, y), x) == x and mul(mul(y, x), y) == y for y in elems) == 1
         for x in elems

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import peiffer, relmod, suite as suite_mod, xmod
-from .actions import Submonoid, dominion, multiplication_tensor, weak_dominion_membership
+from .actions import Submonoid, dominion, tensor_product, weak_dominion_membership
 from .fixtures import monoid_from_json
 from .partial import EXHAUSTED, Tri
 from .peiffer import IllegalMoveError
@@ -22,6 +22,7 @@ from .presentations import (
     MonoidPresentation,
     ParseError,
     coset_enumeration,
+    coset_table,
     lot_presentation,
     parse,
     solve_single_occurrence,
@@ -163,7 +164,7 @@ def cmd_monoid_validate(args):
 def cmd_monoid_tensor(args):
     m = _load_table(args.file)
     u = Submonoid(m, _parse_subset(args.u))
-    t = multiplication_tensor(u)
+    t = tensor_product(u)
     payload = {
         "classes": t.num_classes,
         "partition": [sorted(map(list, cls)) for cls in t.classes()],
@@ -251,6 +252,8 @@ def cmd_relmod_gmap(args):
     if args.oracle == "free":
         oracle = relmod.FreeOracle(gp.alphabet)
     elif args.oracle == "cosets":
+        if coset_table(gp, (), args.budget) is EXHAUSTED:
+            return 2, {"result": "exhausted", "budget": args.budget}, "Exhausted"
         oracle = relmod.CosetOracle(gp, args.budget)
     else:
         oracle = relmod.AbelianizationOracle(gp)

@@ -129,15 +129,16 @@ def monoid_to_json(m: FiniteMonoid) -> dict:
 
 def monoid_from_json(data: dict) -> FiniteMonoid:
     table = data.get("table") if isinstance(data, dict) else None
+    # type(x) is int, since a JSON boolean is an int to isinstance
     if not isinstance(table, list) or not all(
-        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in table
+        isinstance(row, list) and all(type(x) is int for x in row) for row in table
     ):
         raise FixtureError(f'a monoid is {{"table": [[int, ...], ...]}}, got {data!r}')
     m = FiniteMonoid(table)
-    if m.size != data.get("size", m.size):
-        raise FixtureError("declared size does not match the table")
-    if m.identity != data.get("identity", m.identity):
-        raise FixtureError("declared identity does not match the table")
+    for key, value in (("size", m.size), ("identity", m.identity)):
+        declared = data.get(key, value)
+        if type(declared) is not int or declared != value:
+            raise FixtureError(f"declared {key} does not match the table")
     return m
 
 

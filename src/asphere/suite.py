@@ -256,8 +256,8 @@ def battery_tensor_dominion(config: RunConfig, fixtures: FixtureSet) -> BatteryR
             continue
         for sub in actions.all_submonoids(m):
             instances += 1
-            uf = actions.tensor_product(m.table, m.table, sub)
-            naive = actions.tensor_product_naive(m.table, m.table, sub)
+            uf = actions.tensor_product(sub)
+            naive = actions.tensor_product_naive(sub)
             if uf != naive:
                 failures.append(f"{name} U={sorted(sub.elements)}: closures disagree")
                 continue

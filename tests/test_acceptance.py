@@ -81,8 +81,8 @@ def test_criterion_3_zigzag_dominion():
     for name, m in small.items():
         for u in all_submonoids(m):
             instances += 1
-            fast = tensor_product(m.table, m.table, u)
-            slow = tensor_product_naive(m.table, m.table, u)
+            fast = tensor_product(u)
+            slow = tensor_product_naive(u)
             dom = dominion(u)  # raises if U is missed or closure fails
             if fast != slow:
                 failures += 1

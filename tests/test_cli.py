@@ -60,6 +60,9 @@ class TestExitCodes:
             (("peiffer", "boundary", C3), [{"rel": "r", "conj": "a", "sign": True}]),
             (("peiffer", "verify", C3, "{seq}"), {"moves": [{"kind": "Delete", "pos": False}]}),
             (("peiffer", "verify", C3, "{seq}"), {"moves": [], "pool_spec": 5}),
+            (("monoid", "validate"), {"table": [[False, True], [True, False]]}),
+            (("monoid", "validate"), {"table": [[0]], "size": True}),
+            (("monoid", "validate"), {"table": [[0, 1], [1, 0]], "identity": False}),
         ],
     )
     def test_wrong_json_shape_is_three(self, capsys, tmp_files, command, data):
@@ -74,6 +77,14 @@ class TestExitCodes:
         free = tmp_files / "free.pres"
         free.write_text("group F\ngens a\n")
         code, out, _ = run(capsys, "present", "cosets", str(free), "--budget", "50")
+        assert code == 2 and out.strip() == "Exhausted"
+        # a coset oracle whose enumeration runs out is exhausted, not misused
+        seq = tmp_files / "seq.json"
+        seq.write_text(json.dumps([ONE_SYMBOL]))
+        argv = ("relmod", "gmap", C3, str(seq), "--oracle", "cosets", "--budget", "2")
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 2 and json.loads(out) == {"result": "exhausted", "budget": 2}
+        code, out, _ = run(capsys, *argv)
         assert code == 2 and out.strip() == "Exhausted"
 
     @pytest.mark.parametrize(
