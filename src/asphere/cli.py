@@ -209,7 +209,12 @@ def cmd_peiffer_search(args):
         d, node_budget=args.budget, depth_limit=args.depth, conj_cap=args.cap
     )
     if cert is EXHAUSTED:
-        return 2, {"result": "exhausted"}, "Exhausted"
+        payload = {
+            "result": "exhausted",
+            "budget": args.budget,
+            "lower_bound": peiffer.length_lower_bound(d),
+        }
+        return 2, payload, "Exhausted"
     payload = {"certificate": peiffer.certificate_to_json(cert)}
     return 0, payload, f"certificate with {len(cert.moves)} moves"
 

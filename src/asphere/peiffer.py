@@ -9,7 +9,12 @@ pair, and insertion of such a pair.  All four preserve the boundary product.
 Equality of symbols is componentwise on the reduced conjugator, so deletion
 legality is syntactic.  The trivialization search is a bounded
 iterative-deepening walk of the move graph; it returns a replayable
-certificate or EXHAUSTED, never a refutation.
+certificate or EXHAUSTED, never a refutation.  Its first depth limit is
+``length_lower_bound``, h = n - M: n is the length and M sums, over the
+(relator, conjugator) keys, the smaller of the key's +1 and -1 counts.  A
+delete or an insert moves n by 2 and M by exactly 1, an exchange moves M by
+at most 1, and h = 0 only on the empty sequence, so no certificate is
+shorter than h (IDA* with a consistent heuristic, Korf 1985).
 
 Validation happens once, at the boundary: the public ``YSymbol`` and
 ``YSequence`` constructors check every sign, relator name and conjugator
@@ -27,7 +32,7 @@ from __future__ import annotations
 import enum
 import heapq
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
@@ -430,6 +435,26 @@ def verify_certificate(d: YSequence, cert: Certificate) -> ReplayReport:
 # --- bounded trivialization search --------------------------------------------
 
 
+def length_lower_bound(d: YSequence) -> int:
+    """A lower bound h = n - M on the length of every certificate for d.
+
+    n is the length of d and M is the sum, over the (relator, conjugator)
+    keys of its symbols, of min(#sign +1, #sign -1): the most disjoint
+    inverse pairs the symbols could form.  A delete removes one +1 and one -1
+    symbol of one key, so n falls by 2 and M by exactly 1; an insert adds
+    such a pair, so n rises by 2 and M by exactly 1.  An exchange keeps n and
+    moves one symbol to another conjugator, leaving one key (M falls by 0 or
+    1) for another (M rises by 0 or 1), so M moves by at most 1.  Hence every
+    move changes h by at most 1.  Since M <= n // 2, h >= n - n // 2 >= n // 2,
+    and h = 0 only for the empty sequence.  So a certificate needs at least
+    h moves.
+    """
+    syms = d.symbols
+    plus = Counter((s.relator, s.conjugator) for s in syms if s.sign > 0)
+    minus = Counter((s.relator, s.conjugator) for s in syms if s.sign < 0)
+    return len(syms) - sum((plus & minus).values())
+
+
 def search_trivialization(
     d: YSequence,
     node_budget: int = 50_000,
@@ -451,10 +476,15 @@ def search_trivialization(
         depth_limit = 2 * len(d.symbols)
     if not d.symbols:
         return Certificate((), pool_spec=f"dynamic(cap={conj_cap})")
-    # Admissible bound: every move changes the length by 0 or 2, so it keeps
+    # Admissible bounds: every move changes the length by 0 or 2, so it keeps
     # the length's parity, and each deletion removes two symbols.  So an odd
     # length never reaches empty, every sequence the search meets from an
-    # even root is even, and a length n needs at least n // 2 more moves.
+    # even root is even, and a length n needs at least n // 2 more moves; a
+    # child is entered only when g + n // 2 fits the limit.  The root needs
+    # at least length_lower_bound(d) = n - M moves, since a move changes
+    # n - M by at most 1 and n - M is 0 only on the empty sequence; M counts
+    # at most n // 2 inverse pairs, so n - M >= n // 2.  The limits below
+    # n - M cannot succeed, and the deepening starts there.
     if len(d.symbols) % 2:
         return EXHAUSTED
 
@@ -487,7 +517,7 @@ def search_trivialization(
         return None
 
     try:
-        for limit in range(len(d.symbols) // 2, depth_limit + 1):
+        for limit in range(length_lower_bound(d), depth_limit + 1):
             found = dfs(d, 0, limit, {}, [])
             if found is not None:
                 return Certificate(tuple(found), pool_spec=f"dynamic(cap={conj_cap})")

@@ -95,9 +95,11 @@ class TestTensor:
         slow = tensor_product_naive(u)
         assert fast == slow
 
-    def test_same_class_reflexive(self):
+    def test_trivial_submonoid_discrete_on_a_semilattice(self):
         t = tensor_product(sub(SL3, {0}))
-        assert t.class_id(1, 2) == t.class_id(1, 2)
+        n = SL3.size
+        assert t.num_classes == n * n
+        assert len({t.class_id(a, b) for a in range(n) for b in range(n)}) == n * n
 
     def test_out_of_range_rejected(self):
         t = tensor_product(sub(SL3, {0}))

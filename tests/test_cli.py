@@ -205,10 +205,20 @@ class TestPeifferCommands:
 
     def test_search_exhausted_is_two(self, capsys, tmp_files):
         _, seq, _ = self.scrambled(capsys, tmp_files, k=6)
-        code, out, _ = run(
-            capsys, "peiffer", "search", PRES, seq, "--budget", "2", "--depth", "1"
-        )
+        argv = ("peiffer", "search", PRES, seq, "--budget", "2", "--depth", "1")
+        code, out, _ = run(capsys, *argv)
         assert code == 2 and out.strip() == "Exhausted"
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 2
+        assert json.loads(out) == {"result": "exhausted", "budget": 2, "lower_bound": 2}
+        # the c3 identity (r,1,+1)(r,a,-1) has no inverse pair, so every
+        # certificate would need at least n - 0 = 2 moves, more than n // 2
+        planted = tmp_files / "planted.json"
+        planted.write_text(json.dumps([ONE_SYMBOL, {"rel": "r", "conj": "a", "sign": -1}]))
+        argv = ("peiffer", "search", C3, str(planted), "--budget", "5")
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 2
+        assert json.loads(out) == {"result": "exhausted", "budget": 5, "lower_bound": 2}
 
     def test_fiber(self, capsys, tmp_files):
         _, seq, _ = self.scrambled(capsys, tmp_files)

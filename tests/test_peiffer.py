@@ -30,6 +30,7 @@ from asphere.peiffer import (
     invert_certificate,
     is_identity,
     legal_moves,
+    length_lower_bound,
     replay,
     scramble,
     search_pair_crossing,
@@ -297,6 +298,61 @@ class TestSearch:
         )
         assert is_identity(d)
         assert search_trivialization(d, node_budget=10_000, depth_limit=8) is EXHAUSTED
+
+
+class TestLengthLowerBound:
+    """h = n - M over seeded scrambles of every Peiffer fixture: every
+    sequence on each scramble's path, and every child of it by a legal move
+    with the dynamic insert pool."""
+
+    @staticmethod
+    def scramble_paths():
+        for gp in load_fixtures().peiffer_presentations():
+            for seed in range(16):
+                k = 1 + seed % 8
+                d, cert = scramble(gp, seed=seed, k=k)
+                path = [empty_sequence(gp)]
+                for m in cert.moves:
+                    path.append(apply_move(path[-1], m))
+                assert path[-1] == d
+                yield k, path
+
+    def test_zero_exactly_on_empty_and_at_least_half_the_length(self):
+        for _, path in self.scramble_paths():
+            for d in path:
+                h = length_lower_bound(d)
+                n = len(d.symbols)
+                assert (h == 0) == (n == 0)
+                assert h >= n // 2
+
+    def test_every_move_changes_it_by_at_most_one(self):
+        children = {kind: 0 for kind in MoveKind}
+        for _, path in self.scramble_paths():
+            for d in path:
+                h = length_lower_bound(d)
+                for m in legal_moves(d, dynamic_insert_pool(d)):
+                    step = length_lower_bound(apply_move(d, m)) - h
+                    if m.kind is MoveKind.DELETE:
+                        assert step == -1
+                    elif m.kind is MoveKind.INSERT:
+                        assert step == 1
+                    else:
+                        assert abs(step) <= 1
+                    children[m.kind] += 1
+        assert all(children.values())
+
+    def test_no_certificate_is_shorter(self):
+        found = 0
+        for k, path in self.scramble_paths():
+            d = path[-1]
+            h = length_lower_bound(d)
+            assert h <= k  # the scramble's own moves, inverted, take d back
+            cert = search_trivialization(d, node_budget=100, depth_limit=2 * k)
+            if cert is not EXHAUSTED:
+                assert verify_certificate(d, cert)
+                assert h <= len(cert.moves)
+                found += 1
+        assert found
 
 
 class TestCertificates:

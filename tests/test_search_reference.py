@@ -3,9 +3,15 @@
 ``reference_search`` is the deepening search written plainly: it recurses
 into every child and applies the parity and depth bound on entry.  The
 search in ``peiffer`` tests each child in its loop and enters only those the
-bound admits.  Both must give the same certificate (or EXHAUSTED) and call
-``legal_moves`` and ``apply_move`` equally often, since expanded and
-generated nodes are counted by those calls.
+bound admits.  Both start deepening at ``length_lower_bound`` of the root,
+and must give the same certificate (or EXHAUSTED) and call ``legal_moves``
+and ``apply_move`` equally often, since expanded and generated nodes are
+counted by those calls.
+
+A second reference run starts at n // 2 instead.  The limits between n // 2
+and the bound cannot succeed, so starting at the bound only leaves more
+budget for the rest: wherever the n // 2 run finds a certificate, the search
+must find the same one.
 """
 import random
 from collections import Counter
@@ -23,7 +29,7 @@ class _OutOfBudget(Exception):
     pass
 
 
-def reference_search(d, node_budget=50_000, depth_limit=None, conj_cap=8):
+def reference_search(d, node_budget=50_000, depth_limit=None, conj_cap=8, root_bound=True):
     if depth_limit is None:
         depth_limit = 2 * len(d.symbols)
     pool_spec = f"dynamic(cap={conj_cap})"
@@ -57,7 +63,10 @@ def reference_search(d, node_budget=50_000, depth_limit=None, conj_cap=8):
         return None
 
     try:
-        for limit in range(min_deletes(d), depth_limit + 1):
+        first = min_deletes(d)
+        if root_bound:
+            first = max(first, peiffer.length_lower_bound(d))
+        for limit in range(first, depth_limit + 1):
             found = dfs(d, 0, limit, {}, [])
             if found is not None:
                 return Certificate(tuple(found), pool_spec=pool_spec)
@@ -94,7 +103,10 @@ def _corpus():
 
 # (legal_moves, apply_move) calls over the whole corpus, as the reference
 # search makes them
-REFERENCE_TOTALS = (1235, 60823)
+REFERENCE_TOTALS = (946, 24349)
+# instances (all at 6 expansions) that the n // 2 start leaves EXHAUSTED and
+# the bound's start solves
+GAINED = 14
 
 
 @pytest.fixture
@@ -117,6 +129,7 @@ def _outcome(verdict):
 
 def test_search_matches_the_reference(counts):
     totals = Counter()
+    gained = 0
     for i, (d, budget, depth) in enumerate(_corpus()):
         counts.clear()
         fast = _outcome(peiffer.search_trivialization(d, node_budget=budget, depth_limit=depth))
@@ -126,6 +139,14 @@ def test_search_matches_the_reference(counts):
         assert fast == slow, f"instance {i}"
         assert fast_calls == dict(counts), f"instance {i}"
         totals.update(counts)
+        half = _outcome(
+            reference_search(d, node_budget=budget, depth_limit=depth, root_bound=False)
+        )
+        if half != "EXHAUSTED":
+            assert fast == half, f"instance {i}"
+        elif fast != "EXHAUSTED":
+            gained += 1
     assert slow == "EXHAUSTED"  # the planted c3 identity
     assert (totals["legal_moves"], totals["apply_move"]) == REFERENCE_TOTALS
+    assert gained == GAINED
 
