@@ -209,11 +209,16 @@ def cmd_peiffer_search(args):
         d, node_budget=args.budget, depth_limit=args.depth, conj_cap=args.cap
     )
     if cert is EXHAUSTED:
+        depth = peiffer.default_depth_limit(d) if args.depth is None else args.depth
+        bound = peiffer.length_lower_bound(d)
         payload = {
             "result": "exhausted",
             "budget": args.budget,
-            "lower_bound": peiffer.length_lower_bound(d),
+            "depth_limit": depth,
+            "lower_bound": bound,
         }
+        if depth < bound:
+            return 2, payload, f"Exhausted (depth limit {depth} below lower bound {bound})"
         return 2, payload, "Exhausted"
     payload = {"certificate": peiffer.certificate_to_json(cert)}
     return 0, payload, f"certificate with {len(cert.moves)} moves"

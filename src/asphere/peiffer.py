@@ -14,7 +14,12 @@ certificate or EXHAUSTED, never a refutation.  Its first depth limit is
 (relator, conjugator) keys, the smaller of the key's +1 and -1 counts.  A
 delete or an insert moves n by 2 and M by exactly 1, an exchange moves M by
 at most 1, and h = 0 only on the empty sequence, so no certificate is
-shorter than h (IDA* with a consistent heuristic, Korf 1985).
+shorter than h (IDA* with a consistent heuristic, Korf 1985).  A child of
+length m is entered at depth g only when g + m // 2 fits the limit, so an
+expansion builds the insert pool only when an insert child, two symbols
+longer, could fit; the gate skips no child the loop would enter, so it
+changes no certificate, EXHAUSTED or budget.  Delete and exchange moves are
+shared objects, one per (kind, position), which every certificate reuses.
 
 Validation happens once, at the boundary: the public ``YSymbol`` and
 ``YSequence`` constructors check every sign, relator name and conjugator
@@ -32,6 +37,7 @@ from __future__ import annotations
 import enum
 import heapq
 import random
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import groupby
@@ -276,14 +282,41 @@ def apply_move(d: YSequence, m: Move) -> YSequence:
     return child
 
 
+# Entry i of each table is the step move at position i: the Delete, the
+# ExchangeL and the ExchangeR tables, in that order.  The tables only grow,
+# by rebinding one longer triple, so an entry, once handed out, never
+# changes, and every certificate shares the one object per (kind, position).
+# Two threads growing them at once build equal entries, so neither result
+# is wrong if the other's rebinding is lost.
+_STEP_TABLES: tuple[tuple[Move, ...], ...] = ((), (), ())
+
+
+def _step_moves(pairs: int) -> tuple[tuple[Move, ...], ...]:
+    """The three step-move tables, each covering positions 0 .. pairs - 1."""
+    global _STEP_TABLES
+    tables = _STEP_TABLES
+    have = len(tables[0])
+    if have < pairs:
+        grown = range(have, max(pairs, 2 * have))
+        tables = tuple(
+            table + tuple(_move(kind, i) for i in grown)
+            for table, kind in zip(tables, (_DELETE, _EXCHANGE_L, _EXCHANGE_R))
+        )
+        _STEP_TABLES = tables
+    return tables
+
+
 def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]:
     """All moves applicable to d, in deterministic order: deletions first,
-    then exchanges, then insertions of pool symbols."""
+    then exchanges, then insertions of pool symbols.  The step moves come
+    from shared tables; only the insertions are built per call."""
     syms = d.symbols
     n = len(syms)
-    moves = [_move(_DELETE, i) for i in range(n - 1) if _deletable(syms[i], syms[i + 1])]
-    moves += [_move(_EXCHANGE_L, i) for i in range(n - 1)]
-    moves += [_move(_EXCHANGE_R, i) for i in range(n - 1)]
+    pairs = max(n - 1, 0)
+    deletes, lefts, rights = _step_moves(pairs)
+    moves = [deletes[i] for i in range(pairs) if _deletable(syms[i], syms[i + 1])]
+    moves += lefts[:pairs]
+    moves += rights[:pairs]
     for i in range(n + 1):
         for sym in insert_pool:
             m = _NEW(Move)
@@ -455,6 +488,11 @@ def length_lower_bound(d: YSequence) -> int:
     return len(syms) - sum((plus & minus).values())
 
 
+def default_depth_limit(d: YSequence) -> int:
+    """The search's depth limit when none is given: twice the length of d."""
+    return 2 * len(d.symbols)
+
+
 def search_trivialization(
     d: YSequence,
     node_budget: int = 50_000,
@@ -473,9 +511,11 @@ def search_trivialization(
     if not is_identity(d):
         raise NotIdentityError("cannot trivialize: boundary is not the empty word")
     if depth_limit is None:
-        depth_limit = 2 * len(d.symbols)
+        depth_limit = default_depth_limit(d)
+    # one string for every certificate of this cap
+    pool_spec = sys.intern(f"dynamic(cap={conj_cap})")
     if not d.symbols:
-        return Certificate((), pool_spec=f"dynamic(cap={conj_cap})")
+        return Certificate((), pool_spec=pool_spec)
     # Admissible bounds: every move changes the length by 0 or 2, so it keeps
     # the length's parity, and each deletion removes two symbols.  So an odd
     # length never reaches empty, every sequence the search meets from an
@@ -484,7 +524,12 @@ def search_trivialization(
     # at least length_lower_bound(d) = n - M moves, since a move changes
     # n - M by at most 1 and n - M is 0 only on the empty sequence; M counts
     # at most n // 2 inverse pairs, so n - M >= n // 2.  The limits below
-    # n - M cannot succeed, and the deepening starts there.
+    # n - M cannot succeed, and the deepening starts there.  An insert child
+    # of a length-n sequence has length n + 2, so it is admitted only when
+    # g + n // 2 + 1 fits the limit; otherwise the insert pool is not built
+    # and no insert move is generated.  The inserts come last in
+    # ``legal_moves``, so the children entered, their order, ``visited`` and
+    # the budget are exactly those of the ungated loop.
     if len(d.symbols) % 2:
         return EXHAUSTED
 
@@ -492,7 +537,8 @@ def search_trivialization(
 
     def dfs(seq: YSequence, g: int, limit: int, visited: dict, trail: list[Move]):
         """Expand a nonempty ``seq`` at depth g that the bound admits.  Each
-        child is tested in the loop, and only an admitted one is entered."""
+        child is tested in the loop, and only an admitted one is entered;
+        insert children are generated only when one can be admitted."""
         nonlocal remaining
         seen = visited.get(seq.symbols)
         if seen is not None and seen <= g:
@@ -502,7 +548,8 @@ def search_trivialization(
         if remaining < 0:
             raise _OutOfBudget
         g += 1
-        for m in legal_moves(seq, dynamic_insert_pool(seq, conj_cap)):
+        insert_fits = g + len(seq.symbols) // 2 + 1 <= limit
+        for m in legal_moves(seq, dynamic_insert_pool(seq, conj_cap) if insert_fits else ()):
             child = apply_move(seq, m)
             n = len(child.symbols)
             if not n:
@@ -520,7 +567,7 @@ def search_trivialization(
         for limit in range(length_lower_bound(d), depth_limit + 1):
             found = dfs(d, 0, limit, {}, [])
             if found is not None:
-                return Certificate(tuple(found), pool_spec=f"dynamic(cap={conj_cap})")
+                return Certificate(tuple(found), pool_spec=pool_spec)
     except _OutOfBudget:
         pass
     return EXHAUSTED

@@ -205,20 +205,38 @@ class TestPeifferCommands:
 
     def test_search_exhausted_is_two(self, capsys, tmp_files):
         _, seq, _ = self.scrambled(capsys, tmp_files, k=6)
+        # a depth limit below the lower bound says so: no iteration ran
         argv = ("peiffer", "search", PRES, seq, "--budget", "2", "--depth", "1")
         code, out, _ = run(capsys, *argv)
-        assert code == 2 and out.strip() == "Exhausted"
+        assert code == 2 and out.strip() == "Exhausted (depth limit 1 below lower bound 2)"
         code, out, _ = run(capsys, "--json", *argv)
         assert code == 2
-        assert json.loads(out) == {"result": "exhausted", "budget": 2, "lower_bound": 2}
+        assert json.loads(out) == {
+            "result": "exhausted",
+            "budget": 2,
+            "depth_limit": 1,
+            "lower_bound": 2,
+        }
+        # a spent budget at a depth limit the bound admits
+        argv = ("peiffer", "search", PRES, seq, "--budget", "1", "--depth", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out.strip() == "Exhausted"
         # the c3 identity (r,1,+1)(r,a,-1) has no inverse pair, so every
-        # certificate would need at least n - 0 = 2 moves, more than n // 2
+        # certificate would need at least n - 0 = 2 moves, more than n // 2;
+        # the default depth limit is 2n
         planted = tmp_files / "planted.json"
         planted.write_text(json.dumps([ONE_SYMBOL, {"rel": "r", "conj": "a", "sign": -1}]))
         argv = ("peiffer", "search", C3, str(planted), "--budget", "5")
         code, out, _ = run(capsys, "--json", *argv)
         assert code == 2
-        assert json.loads(out) == {"result": "exhausted", "budget": 5, "lower_bound": 2}
+        assert json.loads(out) == {
+            "result": "exhausted",
+            "budget": 5,
+            "depth_limit": 4,
+            "lower_bound": 2,
+        }
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out.strip() == "Exhausted"
 
     def test_fiber(self, capsys, tmp_files):
         _, seq, _ = self.scrambled(capsys, tmp_files)

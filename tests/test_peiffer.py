@@ -172,6 +172,42 @@ class TestLegalMoves:
         inserts = [m for m in moves if m.kind == MoveKind.INSERT]
         assert [m.pos for m in inserts] == [0, 1]
 
+    @staticmethod
+    def grow_step_tables():
+        # twelve symbols need step moves at positions 0..10
+        long = seq(*(sym(conj=A, sign=(-1) ** i) for i in range(12)))
+        moves = legal_moves(long, ())
+        assert len(moves) == 11 + 2 * 11
+
+    def test_short_sequences_after_growth(self):
+        # the step moves come from shared tables; a short sequence gets only
+        # the positions it has, whatever the tables hold
+        self.grow_step_tables()
+        assert legal_moves(empty_sequence(GP), ()) == []
+        assert legal_moves(seq(sym()), ()) == []
+        assert legal_moves(seq(sym(), sym("s")), ()) == [
+            Move(MoveKind.EXCHANGE_L, 0),
+            Move(MoveKind.EXCHANGE_R, 0),
+        ]
+        assert legal_moves(seq(sym(conj=A), sym(conj=A, sign=-1)), ()) == [
+            Move(MoveKind.DELETE, 0),
+            Move(MoveKind.EXCHANGE_L, 0),
+            Move(MoveKind.EXCHANGE_R, 0),
+        ]
+
+    def test_table_entry_is_its_position(self):
+        self.grow_step_tables()
+        moves = legal_moves(seq(sym(), sym("s"), sym()), ())
+        assert moves == [
+            Move(MoveKind.EXCHANGE_L, 0),
+            Move(MoveKind.EXCHANGE_L, 1),
+            Move(MoveKind.EXCHANGE_R, 0),
+            Move(MoveKind.EXCHANGE_R, 1),
+        ]
+        # the same (kind, position) is the same object on every call
+        again = legal_moves(seq(sym("s"), sym(), sym("s"), sym()), ())
+        assert all(m is a for m, a in zip(moves[:2], again[:2]))
+
 
 class TestTrustedMoves:
     def test_every_legal_move_equals_its_public_twin(self):
@@ -276,6 +312,11 @@ class TestSearch:
         c1 = search_trivialization(d)
         c2 = search_trivialization(d)
         assert c1 == c2
+        assert json.dumps(certificate_to_json(c1)) == json.dumps(certificate_to_json(c2))
+        # certificates share their step moves and their pool_spec string
+        assert c1.pool_spec is c2.pool_spec
+        for m1, m2 in zip(c1.moves, c2.moves):
+            assert m1 is m2 or m1.kind is MoveKind.INSERT
 
     def test_certificate_is_shortest_then_lexicographically_least(self):
         # two deletable pairs: the minimal certificates are two deletions,

@@ -1,12 +1,15 @@
-"""The trivialization search against a reference that enters every child.
+"""The trivialization search against a reference that builds every child.
 
-``reference_search`` is the deepening search written plainly: it recurses
-into every child and applies the parity and depth bound on entry.  The
-search in ``peiffer`` tests each child in its loop and enters only those the
-bound admits.  Both start deepening at ``length_lower_bound`` of the root,
-and must give the same certificate (or EXHAUSTED) and call ``legal_moves``
-and ``apply_move`` equally often, since expanded and generated nodes are
-counted by those calls.
+``reference_search`` is the deepening search written plainly: every
+expansion builds the dynamic insert pool and every child, and the parity and
+depth bound is applied on entry.  The search in ``peiffer`` tests each child
+in its loop and enters only those the bound admits, and it builds the insert
+pool and the insert children only when an insert child, two symbols longer
+than its parent, fits the limit.  Both start deepening at
+``length_lower_bound`` of the root.  They must give the same certificate (or
+EXHAUSTED) and call ``legal_moves`` equally often, since an expansion is
+one call and spends one unit of budget; the search may call ``apply_move``
+less often, never more, since it builds a subset of the children.
 
 A second reference run starts at n // 2 instead.  The limits between n // 2
 and the bound cannot succeed, so starting at the bound only leaves more
@@ -104,6 +107,10 @@ def _corpus():
 # (legal_moves, apply_move) calls over the whole corpus, as the reference
 # search makes them
 REFERENCE_TOTALS = (946, 24349)
+# (legal_moves, apply_move, dynamic_insert_pool) calls over the whole corpus,
+# as the search makes them: the same expansions, with the insert pool built
+# in 29 of them
+SEARCH_TOTALS = (946, 2399, 29)
 # instances (all at 6 expansions) that the n // 2 start leaves EXHAUSTED and
 # the bound's start solves
 GAINED = 14
@@ -112,7 +119,7 @@ GAINED = 14
 @pytest.fixture
 def counts(monkeypatch):
     calls = Counter()
-    for name in ("legal_moves", "apply_move"):
+    for name in ("legal_moves", "apply_move", "dynamic_insert_pool"):
         fn = getattr(peiffer, name)
 
         def counted(*args, _fn=fn, _name=name):
@@ -129,16 +136,19 @@ def _outcome(verdict):
 
 def test_search_matches_the_reference(counts):
     totals = Counter()
+    fast_totals = Counter()
     gained = 0
     for i, (d, budget, depth) in enumerate(_corpus()):
         counts.clear()
         fast = _outcome(peiffer.search_trivialization(d, node_budget=budget, depth_limit=depth))
-        fast_calls = dict(counts)
+        fast_calls = Counter(counts)
         counts.clear()
         slow = _outcome(reference_search(d, node_budget=budget, depth_limit=depth))
         assert fast == slow, f"instance {i}"
-        assert fast_calls == dict(counts), f"instance {i}"
+        assert fast_calls["legal_moves"] == counts["legal_moves"], f"instance {i}"
+        assert fast_calls["apply_move"] <= counts["apply_move"], f"instance {i}"
         totals.update(counts)
+        fast_totals.update(fast_calls)
         half = _outcome(
             reference_search(d, node_budget=budget, depth_limit=depth, root_bound=False)
         )
@@ -148,5 +158,11 @@ def test_search_matches_the_reference(counts):
             gained += 1
     assert slow == "EXHAUSTED"  # the planted c3 identity
     assert (totals["legal_moves"], totals["apply_move"]) == REFERENCE_TOTALS
+    assert totals["dynamic_insert_pool"] == totals["legal_moves"]
+    assert (
+        fast_totals["legal_moves"],
+        fast_totals["apply_move"],
+        fast_totals["dynamic_insert_pool"],
+    ) == SEARCH_TOTALS
     assert gained == GAINED
 
