@@ -35,12 +35,11 @@ its alphabet, so a replayed certificate still fails on a bad symbol.
 from __future__ import annotations
 
 import enum
-import heapq
+import functools
 import random
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 from .partial import EXHAUSTED
@@ -331,7 +330,14 @@ def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]
 
 
 def base_insert_pool(gp: GroupPresentation) -> list[YSymbol]:
-    """Symbols with short conjugators: the empty word and single letters."""
+    """Symbols with short conjugators: the empty word and single letters, in
+    ``YSymbol.sort_key`` order.  The pool is built once per presentation;
+    each call returns a new list, so a caller may change it freely."""
+    return list(_base_pool(gp))
+
+
+@functools.cache
+def _base_pool(gp: GroupPresentation) -> tuple[YSymbol, ...]:
     alphabet = gp.alphabet
     conjugators = [empty_word(alphabet)]
     for name in alphabet.generators:
@@ -343,7 +349,7 @@ def base_insert_pool(gp: GroupPresentation) -> list[YSymbol]:
         for u in conjugators
         for sign in (1, -1)
     ]
-    return sorted(pool, key=YSymbol.sort_key)
+    return tuple(sorted(pool, key=YSymbol.sort_key))
 
 
 def dynamic_insert_pool(d: YSequence, conj_cap: int = 8) -> list[YSymbol]:
@@ -382,9 +388,12 @@ def random_sequence(gp: GroupPresentation, rng: random.Random, max_len: int = 4)
     return _sequence(gp, tuple(random_symbol(gp, rng) for _ in range(count)))
 
 
-def _merge_pools(a: list[YSymbol], b: list[YSymbol]) -> list[YSymbol]:
-    """Union of two duplicate-free pools, both in ``YSymbol.sort_key`` order."""
-    return [s for s, _ in groupby(heapq.merge(a, b, key=YSymbol.sort_key))]
+def _merge_pools(a: Sequence[YSymbol], b: Sequence[YSymbol]) -> list[YSymbol]:
+    """Sorted union of two pools over one presentation.  Symbols dedupe on
+    ``YSymbol.sort_key``: within one presentation equal keys mean equal
+    symbols."""
+    by_key = {s.sort_key(): s for pool in (a, b) for s in pool}
+    return [by_key[key] for key in sorted(by_key)]
 
 
 def scramble(
@@ -394,14 +403,19 @@ def scramble(
 
     Each move is an insertion with probability 0.6 (always when no other move
     is legal), so the result grows; it is an identity sequence by
-    construction.  Returns the sequence and the replayable move list.
+    construction.  An insertion draws from the base pool merged with the
+    dynamic pool of the current sequence.  Returns the sequence and the
+    replayable move list; k >= 1 on a presentation without relators, which
+    has nothing to insert, raises ``ValueError`` before any draw.
     """
     if k < 0 or conj_cap < 0:
         raise ValueError("k and conj_cap must be >= 0")
+    if k and not gp.relators:
+        raise ValueError(f"cannot scramble {gp.name}: it has no relators to insert")
     rng = random.Random(seed)
     seq = empty_sequence(gp)
     moves = []
-    base = base_insert_pool(gp)
+    base = _base_pool(gp)
     for _ in range(k):
         candidates = legal_moves(seq, ())
         if not candidates or rng.random() < 0.6:

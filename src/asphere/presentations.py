@@ -24,7 +24,7 @@ from .words import (
     AlphabetError,
     FreeWord,
     MonoidWord,
-    _reduce,
+    _word,
     embed,
     empty_word,
     invert,
@@ -334,18 +334,32 @@ def solve_single_occurrence(gp: GroupPresentation, z: str) -> Retraction:
     return retr
 
 
+def _retracted_letters(retr: Retraction, u: FreeWord) -> list[int]:
+    """The letters of the retracted word: each letter's image, reduced on a
+    stack as it comes."""
+    if u.alphabet is not retr.big_alphabet and u.alphabet != retr.big_alphabet:
+        raise AlphabetError("retract expects a word over the big alphabet")
+    images = retr._images
+    stack: list[int] = []
+    for c in u.letters:
+        for x in images[c]:
+            if stack and stack[-1] == x ^ 1:
+                stack.pop()
+            else:
+                stack.append(x)
+    return stack
+
+
 def retract(retr: Retraction, u: FreeWord) -> FreeWord:
     """Apply the retraction: fixes the small generators, sends z to its
     solved value.  Result is over the small alphabet.
     """
-    if u.alphabet != retr.big_alphabet:
-        raise AlphabetError("retract expects a word over the big alphabet")
-    images = retr._images
-    return _reduce(retr.small_alphabet, [x for c in u.letters for x in images[c]])
+    return _word(retr.small_alphabet, tuple(_retracted_letters(retr, u)))
 
 
 def in_kernel(retr: Retraction, u: FreeWord) -> bool:
-    return retract(retr, u).is_identity
+    """Whether u retracts to the empty word; builds no retracted word."""
+    return not _retracted_letters(retr, u)
 
 
 def decompose(retr: Retraction, u: FreeWord) -> tuple[FreeWord, FreeWord]:

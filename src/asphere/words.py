@@ -138,7 +138,9 @@ class FreeWord:
     def __eq__(self, other) -> bool:
         if other.__class__ is not FreeWord:
             return NotImplemented
-        return self.letters == other.letters and self.alphabet == other.alphabet
+        return self.letters == other.letters and (
+            self.alphabet is other.alphabet or self.alphabet == other.alphabet
+        )
 
     def __hash__(self) -> int:
         return hash(self.letters)
@@ -365,6 +367,15 @@ def word_to_text(u: FreeWord | MonoidWord) -> str:
 
 
 def random_word(alphabet: Alphabet, rng, max_len: int = 6) -> FreeWord:
-    n = rng.randrange(max_len + 1)
-    raw = [2 * rng.randrange(len(alphabet)) + (rng.choice((1, -1)) > 0) for _ in range(n)]
-    return _reduce(alphabet, raw)
+    """Up to ``max_len`` letters, each a generator then a sign, freely
+    reduced as they are drawn."""
+    randrange, choice = rng.randrange, rng.choice
+    size = len(alphabet)
+    stack: list[int] = []
+    for _ in range(randrange(max_len + 1)):
+        c = 2 * randrange(size) + (choice((1, -1)) > 0)
+        if stack and stack[-1] == c ^ 1:
+            stack.pop()
+        else:
+            stack.append(c)
+    return _word(alphabet, tuple(stack))

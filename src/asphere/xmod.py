@@ -97,7 +97,8 @@ class KernelCarrier:
     retraction: Retraction
 
     def contains(self, w: FreeWord) -> bool:
-        return w.alphabet == self.retraction.big_alphabet and in_kernel(self.retraction, w)
+        big = self.retraction.big_alphabet
+        return (w.alphabet is big or w.alphabet == big) and in_kernel(self.retraction, w)
 
     def identity(self) -> FreeWord:
         return empty_word(self.retraction.big_alphabet)

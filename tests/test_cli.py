@@ -104,6 +104,13 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("error: ")
 
+    def test_scramble_without_relators_is_three(self, capsys, tmp_files):
+        # nothing can be inserted; the draw used to die in rng.choice([])
+        free = tmp_files / "free.pres"
+        free.write_text("group free\ngens a b\n")
+        code, out, err = run(capsys, "peiffer", "scramble", str(free), "--k", "2")
+        assert code == 3 and out == "" and err.startswith("error: ") and "no relators" in err
+
     def test_cosets_index(self, capsys):
         code, out, _ = run(capsys, "--json", "present", "cosets", str(DEFAULT_DIR / "sym3.pres"))
         assert code == 0 and json.loads(out)["index"] == 6

@@ -243,6 +243,14 @@ class TestScramble:
         with pytest.raises(ValueError):
             scramble(GP, seed=0, k=k, conj_cap=conj_cap)
 
+    def test_no_relators_rejected(self):
+        # nothing can be inserted, so a move cannot be drawn
+        free = parse("group free\ngens a b\n")
+        with pytest.raises(ValueError, match="no relators"):
+            scramble(free, seed=0, k=2)
+        d, cert = scramble(free, seed=0, k=0)
+        assert d == empty_sequence(free) and cert.moves == ()
+
     def test_merged_pool_is_the_sorted_union(self):
         # scramble merges its two ordered pools; the reference sorts their union
         steps = 0
@@ -264,6 +272,44 @@ class TestScramble:
         d, cert = scramble(GP, seed=seed, k=k)
         assert is_identity(d)
         assert replay(empty_sequence(GP), cert) == d
+
+
+class TestBasePool:
+    """The base pool is built once per presentation; each call hands out a
+    new list."""
+
+    @staticmethod
+    def uncached(gp):
+        alphabet = gp.alphabet
+        conjugators = [empty_word(alphabet)] + [
+            word_from_text(alphabet, text)
+            for name in alphabet.generators
+            for text in (name, f"{name}^-1")
+        ]
+        pool = [
+            YSymbol(rel, u, sign)
+            for rel in gp.relator_names
+            for u in conjugators
+            for sign in (1, -1)
+        ]
+        return sorted(pool, key=YSymbol.sort_key)
+
+    @pytest.mark.parametrize("name", sorted(load_fixtures().presentations))
+    def test_equals_the_sorted_uncached_build(self, name):
+        gp = load_fixtures().presentations[name]
+        assert base_insert_pool(gp) == self.uncached(gp)
+        assert base_insert_pool(gp) == self.uncached(gp)
+
+    def test_a_caller_cannot_change_the_cache(self):
+        gp = load_fixtures().presentations["sym3"]
+        expected = scramble(gp, 4, 6)
+        first = base_insert_pool(gp)
+        second = base_insert_pool(gp)
+        assert first is not second
+        first.append(sym())
+        first.reverse()
+        assert base_insert_pool(gp) == second == self.uncached(gp)
+        assert scramble(gp, 4, 6) == expected
 
 
 class TestSearch:

@@ -23,12 +23,16 @@ from asphere.presentations import Retraction, decompose, in_kernel, lot_presenta
 from asphere.suite import FIXTURE_BATTERY_TABLE
 from asphere.words import (
     Alphabet,
+    AlphabetError,
     conjugate,
     embed,
     empty_word,
     generator,
     invert,
+    letter_index,
+    letter_sign,
     multiply,
+    product,
     random_word,
     word_from_text,
     word_to_text,
@@ -426,6 +430,47 @@ class TestMembershipChecks:
 
 
 class TestFastPathsAgainstDefinitions:
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_in_kernel_agrees_with_the_retracted_word(self, fx):
+        # in_kernel reduces the letter images on a stack; the definition
+        # multiplies the image of each letter, one at a time
+        retr = fx.retraction
+        big_alphabet, small_alphabet = retr.big_alphabet, retr.small_alphabet
+
+        def image(c):
+            name, sign = big_alphabet.name(letter_index(c)), letter_sign(c)
+            if name == retr.z:
+                return retr.solved if sign > 0 else invert(retr.solved)
+            return generator(small_alphabet, name, sign)
+
+        kernel = KernelCarrier(retr)
+        rng = random.Random(f"in-kernel/{fx.presentation.name}")
+        found = {True: 0, False: 0}
+        for _ in range(300):
+            element = kernel.random_element(rng)
+            extra = random_word(big_alphabet, rng, 1)
+            for u in (random_word(big_alphabet, rng, 8), element, multiply(element, extra)):
+                expected = product(small_alphabet, map(image, u.letters)).is_identity
+                assert retract(retr, u).is_identity is expected
+                assert in_kernel(retr, u) is expected
+                assert kernel.contains(u) is expected
+                found[expected] += 1
+        assert min(found.values()) > 100
+        # an equal alphabet that is another object is still the big one
+        twin = Alphabet(big_alphabet.generators)
+        element = kernel.random_element(random.Random(1), max_factors=5)
+        assert in_kernel(retr, embed(element, twin)) is retract(retr, element).is_identity
+
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_in_kernel_rejects_a_small_alphabet_word(self, fx):
+        retr = fx.retraction
+        u = random_word(retr.small_alphabet, random.Random(0), 4)
+        with pytest.raises(AlphabetError):
+            retract(retr, u)
+        with pytest.raises(AlphabetError):
+            in_kernel(retr, u)
+        assert not KernelCarrier(retr).contains(u)
+
     @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
     def test_inverse_hint_is_the_opposite_sign_derivation(self, fx):
         retr, sub = fx.retraction, fx.subpresentation
