@@ -7,6 +7,7 @@ they are its only source.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,10 +155,13 @@ class FixtureSet:
         return [self.presentations[name] for name in PEIFFER_NAMES]
 
     def reducible_fixtures(self) -> list[ReducibleFixture]:
-        return [
-            ReducibleFixture.from_presentation(self.presentations[name])
-            for name in REDUCIBLE_NAMES
-        ]
+        """A new list of the fixtures, solved once per set."""
+        return list(self._reducible)
+
+    @functools.cached_property
+    def _reducible(self) -> tuple[ReducibleFixture, ...]:
+        gps = (self.presentations[name] for name in REDUCIBLE_NAMES)
+        return tuple(map(ReducibleFixture.from_presentation, gps))
 
 
 def load_fixtures(directory: str | Path | None = None) -> FixtureSet:

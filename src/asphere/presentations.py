@@ -146,7 +146,7 @@ class MonoidPresentation:
 class Retraction:
     """Data of the homomorphism fixing every generator but z and sending z
     to its solved value; the kernel is the normal closure of the source
-    relator.
+    relator, which ``xmod.kernel_of`` builds once and keeps on the object.
     """
 
     big_alphabet: Alphabet
@@ -160,7 +160,7 @@ class Retraction:
             raise AlphabetError("solved word must be over the small alphabet")
         if self.z not in self.big_alphabet or self.z in self.small_alphabet:
             raise AlphabetError("z must belong to the big alphabet only")
-        # built once and not fields: the image of every big letter code, and the hash
+        # built once and not a field: the image of every big letter code
         images: list[tuple[int, ...]] = [()] * (2 * len(self.big_alphabet))
         for l, name in enumerate(self.big_alphabet.generators):
             if name == self.z:
@@ -170,11 +170,6 @@ class Retraction:
                 pos, neg = (letter(i, 1),), (letter(i, -1),)
             images[letter(l, 1)], images[letter(l, -1)] = pos, neg
         object.__setattr__(self, "_images", tuple(images))
-        fields = (self.big_alphabet, self.small_alphabet, self.z, self.solved, self.source_relator)
-        object.__setattr__(self, "_hash", hash(fields))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 # --- parsing and printing ---------------------------------------------------

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_ALPHABETS: dict[tuple[str, ...], Alphabet] = {}  # the one object per generator tuple
 
 
 class AlphabetError(ValueError):
@@ -61,27 +62,34 @@ def letter_column(code: int) -> int:
     return code ^ 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Alphabet:
     """Ordered tuple of distinct generator names.
 
-    The order is observable and used for deterministic tie-breaking.  The hash
-    is computed once: alphabets key cached tables and retractions.
+    The order is observable and used for deterministic tie-breaking.  Equal
+    alphabets are one object, however made, copied or unpickled, so identity
+    tests settle alphabet checks; equality and the hash keep their value meaning.
     """
 
     generators: tuple[str, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.generators, tuple):
-            object.__setattr__(self, "generators", tuple(self.generators))
-        seen = set()
-        for name in self.generators:
-            if not _IDENT_RE.match(name):
-                raise AlphabetError(f"bad generator name {name!r}")
-            if name in seen:
-                raise AlphabetError(f"duplicate generator {name!r}")
-            seen.add(name)
-        object.__setattr__(self, "_hash", hash(self.generators))
+    def __new__(cls, generators: Iterable[str]) -> Alphabet:
+        key = tuple(generators)
+        self = _ALPHABETS.get(key)
+        if self is None:
+            for i, name in enumerate(key):
+                if not _IDENT_RE.match(name):
+                    raise AlphabetError(f"bad generator name {name!r}")
+                if name in key[:i]:
+                    raise AlphabetError(f"duplicate generator {name!r}")
+            self = object.__new__(cls)
+            object.__setattr__(self, "generators", key)
+            object.__setattr__(self, "_hash", hash(key))
+            self = _ALPHABETS.setdefault(key, self)
+        return self
+
+    def __reduce__(self):
+        return Alphabet, (self.generators,)
 
     def __eq__(self, other) -> bool:
         if self is other:

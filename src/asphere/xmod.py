@@ -96,6 +96,9 @@ class KernelCarrier:
 
     retraction: Retraction
 
+    def __post_init__(self):  # not a field: the generator pair that random_element conjugates
+        object.__setattr__(self, "_generators", _kernel_generator(self.retraction))
+
     def contains(self, w: FreeWord) -> bool:
         big = self.retraction.big_alphabet
         return (w.alphabet is big or w.alphabet == big) and in_kernel(self.retraction, w)
@@ -104,9 +107,8 @@ class KernelCarrier:
         return empty_word(self.retraction.big_alphabet)
 
     def random_element(self, rng: random.Random, max_factors: int = 3) -> FreeWord:
-        retr = self.retraction
-        big = retr.big_alphabet
-        seed_rel, seed_inv = _kernel_generator(retr)
+        big = self.retraction.big_alphabet
+        seed_rel, seed_inv = self._generators
         acc = empty_word(big)
         for _ in range(rng.randrange(max_factors + 1)):
             u = random_word(big, rng, 3)
@@ -118,10 +120,17 @@ class KernelCarrier:
 @functools.cache
 def _kernel_generator(retr: Retraction) -> tuple[FreeWord, FreeWord]:
     """z · solved^-1, which the retraction kills and whose normal closure is
-    the kernel, with its inverse; built once per retraction."""
+    the kernel, with its inverse; built once per retraction value."""
     big = retr.big_alphabet
     gen = multiply(generator(big, retr.z), invert(embed(retr.solved, big)))
     return gen, invert(gen)
+
+
+def kernel_of(retr: Retraction) -> KernelCarrier:
+    """The kernel of ``retr``, built once per retraction object and kept on it."""
+    if (kernel := retr.__dict__.get("_kernel")) is None:
+        object.__setattr__(retr, "_kernel", kernel := KernelCarrier(retr))
+    return kernel
 
 
 # --- derivations ----------------------------------------------------------------
@@ -135,7 +144,11 @@ class Derivation:
 
     kernel: KernelCarrier
     rule: Callable[[FreeWord], FreeWord]
-    inverse_hint: "Derivation | None" = None
+    make_inverse: Callable[[], Derivation] | None = None  # builds inverse_hint when read
+
+    @property
+    def inverse_hint(self) -> Derivation | None:
+        return None if self.make_inverse is None else self.make_inverse()
 
     def __call__(self, x: FreeWord) -> FreeWord:
         if not self.kernel.contains(x):
@@ -144,27 +157,22 @@ class Derivation:
 
 
 def trivial_derivation(retr: Retraction) -> Derivation:
-    kernel = KernelCarrier(retr)
+    kernel = kernel_of(retr)
     return Derivation(kernel, lambda x: kernel.identity())
-
-
-def _inner_rule(c: FreeWord) -> Callable[[FreeWord], FreeWord]:
-    """x -> (c x c^-1) x^-1."""
-    return lambda x: multiply(conjugate(c, x), invert(x))
 
 
 def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) -> Derivation:
     """The derivation attached to a conjugated relator: the displacement of a
     kernel element under conjugation by c = u r^sign u^-1.  Its inverse under
     composition is the opposite-sign instance, whose conjugating word is c^-1."""
-    if u.alphabet != retr.small_alphabet or r.alphabet != retr.small_alphabet:
+    small = retr.small_alphabet
+    if (u.alphabet, r.alphabet) != (small, small):  # tuples compare items by identity first
         raise AlphabetError("conjugator and relator must avoid the eliminated generator")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     c = embed(conjugate(u, r if sign > 0 else invert(r)), retr.big_alphabet)
-    kernel = KernelCarrier(retr)
-    inv = Derivation(kernel, _inner_rule(invert(c)))
-    return Derivation(kernel, _inner_rule(c), inverse_hint=inv)
+    inverse = functools.partial(relator_derivation, retr, u, r, -sign)
+    return Derivation(kernel_of(retr), lambda x: multiply(conjugate(c, x), invert(x)), inverse)
 
 
 def induced_map(d: Derivation) -> Callable[[FreeWord], FreeWord]:
@@ -278,7 +286,7 @@ def semidirect_action(
     derivation of the (conjugated) sequence evaluated at g, and conjugate
     the sequence's conjugators by p."""
     big = retr.big_alphabet
-    kernel = KernelCarrier(retr)
+    kernel = kernel_of(retr)
     if not kernel.contains(g):
         raise MembershipError("g must lie in the kernel")
     if not kernel.contains(t):
@@ -297,7 +305,7 @@ def semidirect_action(
 
 def recombine(retr: Retraction, u0: FreeWord, u1: FreeWord) -> FreeWord:
     """Inverse of decompose: u0 · u1 with u0 in the kernel."""
-    if not KernelCarrier(retr).contains(u0):
+    if not kernel_of(retr).contains(u0):
         raise MembershipError("u0 must lie in the kernel")
     if u1.alphabet == retr.small_alphabet:
         u1 = embed(u1, retr.big_alphabet)
@@ -400,7 +408,7 @@ def check_crossed_module_axioms(
     Equivariance and the Peiffer identity are not sampled: with the inclusion
     as boundary, both sides of each are the same conjugate."""
     retr = fx.retraction
-    kernel = KernelCarrier(retr)
+    kernel = kernel_of(retr)
     big = retr.big_alphabet
     failures = []
     for i in range(samples):
@@ -423,7 +431,7 @@ def check_derivation_law(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
     retr, sub = fx.retraction, fx.subpresentation
-    kernel = KernelCarrier(retr)
+    kernel = kernel_of(retr)
     failures = []
     if not fx.relator_words():
         return BatteryResult.collect("derivation-law", 0, [])
@@ -437,9 +445,8 @@ def check_derivation_law(
             rule = lambda x, _r=d.rule: invert(_r(x))  # noqa: E731
         x = kernel.random_element(rng)
         y = kernel.random_element(rng)
-        lhs = rule(multiply(x, y))
-        rhs = multiply(rule(x), conjugate(x, rule(y)))
-        if lhs != rhs or not kernel.contains(rule(x)):
+        rx = rule(x)
+        if rule(multiply(x, y)) != multiply(rx, conjugate(x, rule(y))) or not kernel.contains(rx):
             failures.append(f"sample {i}: derivation law fails for {s.relator}")
     return BatteryResult.collect("derivation-law", samples, failures)
 
@@ -448,7 +455,7 @@ def check_regularity(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
     retr, sub = fx.retraction, fx.subpresentation
-    kernel = KernelCarrier(retr)
+    kernel = kernel_of(retr)
     failures = []
     if not fx.relator_words():
         return BatteryResult.collect("regularity", 0, [])
@@ -469,7 +476,7 @@ def check_composition_formulas(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
     retr, sub = fx.retraction, fx.subpresentation
-    kernel = KernelCarrier(retr)
+    kernel = kernel_of(retr)
     failures = []
     if not fx.relator_words():
         return BatteryResult.collect("composition-agreement", 0, [])
@@ -502,7 +509,7 @@ def check_actor_diagram(
     automorphism of a relator derivation is conjugation by the relator
     conjugate, checked at a top and a base sample."""
     retr, sub = fx.retraction, fx.subpresentation
-    kernel = KernelCarrier(retr)
+    kernel = kernel_of(retr)
     failures = []
     if not fx.relator_words():
         return BatteryResult.collect("actor-diagram", 0, [])
@@ -529,7 +536,7 @@ def check_action_laws(
 ) -> BatteryResult:
     """Identity and composition laws of the semidirect action."""
     retr = fx.retraction
-    kernel = KernelCarrier(retr)
+    kernel = kernel_of(retr)
     small = retr.small_alphabet
     big = retr.big_alphabet
     failures = []
@@ -563,7 +570,7 @@ def check_decompose_roundtrip(
 ) -> BatteryResult:
     retr = fx.retraction
     big = retr.big_alphabet
-    kernel = KernelCarrier(retr)
+    kernel = kernel_of(retr)
     failures = []
     for i in range(samples):
         u = random_word(big, rng, 8)

@@ -15,6 +15,7 @@ import pytest
 from asphere import suite
 from asphere.fixtures import load_fixtures
 from asphere.suite import FIXTURE_BATTERY_TABLE, RunConfig, run_suite
+from asphere.words import Alphabet
 from asphere.xmod import check_projection
 
 GOLDEN = {
@@ -28,6 +29,29 @@ def test_smoke_report_digest(seed):
     report = run_suite(RunConfig(seed=seed, samples=4))
     payload = json.dumps(report.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == GOLDEN[seed]
+
+
+def test_a_second_run_compares_no_distinct_equal_alphabets(monkeypatch):
+    # process-wide caches (insert pools, rename tables, the alphabet table)
+    # outlive a run; the next run must still give the same bytes, and every
+    # alphabet it meets must be the one object of its generator tuple, so no
+    # comparison it makes pairs two objects with equal generators
+    def digest():
+        report = run_suite(RunConfig(seed=0, samples=4))
+        return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+
+    first = digest()
+    distinct = []
+    plain_eq = Alphabet.__eq__
+
+    def counting_eq(self, other):
+        if self is not other and self.generators == other.generators:
+            distinct.append((self, other))
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(Alphabet, "__eq__", counting_eq)
+    assert digest() == first
+    assert distinct == []
 
 
 # rng.random() after each fixture battery ran 4 samples under a named seed;

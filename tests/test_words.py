@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -79,6 +81,24 @@ class TestAlphabet:
 
     def test_order_is_observable(self):
         assert Alphabet(("b", "a")).index("b") == 0
+
+    def test_equal_alphabets_are_one_object(self):
+        ab = Alphabet(("a", "b"))
+        assert Alphabet(["a", "b"]) is ab
+        assert Alphabet(("a", "b", "c")).without("c") is ab
+        assert copy.copy(ab) is ab
+        assert copy.deepcopy(ab) is ab
+        assert pickle.loads(pickle.dumps(ab)) is ab
+
+    def test_different_tuples_are_different_objects(self):
+        ab, ba = Alphabet(("a", "b")), Alphabet(("b", "a"))
+        assert ab is not ba and ab != ba
+
+    @pytest.mark.parametrize("names", [("1x",), ("a", "a"), ("a", "b", "a")])
+    def test_invalid_names_raise_on_every_call(self, names):
+        for _ in range(3):
+            with pytest.raises(AlphabetError):
+                Alphabet(names)
 
 
 class TestReduce:
