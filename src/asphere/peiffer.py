@@ -98,7 +98,7 @@ class YSequence:
         for s in self.symbols:
             if s.relator not in gp:
                 raise KeyError(f"unknown relator {s.relator!r}")
-            if s.conjugator.alphabet != gp.alphabet:
+            if s.conjugator.alphabet is not gp.alphabet:
                 raise AlphabetError(f"conjugator of {s.relator!r} over the wrong alphabet")
 
     def __len__(self) -> int:
@@ -162,7 +162,7 @@ def inverse_sequence(d: YSequence) -> YSequence:
 
 def conjugate_sequence(w: FreeWord, d: YSequence) -> YSequence:
     """Multiply every conjugator by w on the left; boundary is conjugated by w."""
-    if w.alphabet != d.presentation.alphabet:
+    if w.alphabet is not d.presentation.alphabet:
         raise AlphabetError("conjugating word over the wrong alphabet")
     return _sequence(
         d.presentation,
@@ -250,7 +250,7 @@ def apply_move(d: YSequence, m: Move) -> YSequence:
         relator, conjugator = a.relator, a.conjugator
         if relator not in gp._by_name:
             raise KeyError(f"unknown relator {relator!r}")
-        if conjugator.alphabet is not gp.alphabet and conjugator.alphabet != gp.alphabet:
+        if conjugator.alphabet is not gp.alphabet:
             raise AlphabetError(f"conjugator of {relator!r} over the wrong alphabet")
         inv = _NEW(YSymbol)
         _SET_RELATOR(inv, relator)

@@ -10,7 +10,7 @@ File grammar (UTF-8 text, ``#`` starts a comment)::
     group <name>            |  monoid <name>
     gens <id> <id> ...
     rel <name> = <word>     |  rel <word> = <word>
-    eliminate <id>          (optional, group files only)
+    eliminate <id>          (optional, at most once, group files only)
 """
 from __future__ import annotations
 
@@ -95,7 +95,7 @@ class GroupPresentation:
             if rel_name in seen:
                 raise ValueError(f"duplicate relator name {rel_name!r}")
             seen.add(rel_name)
-            if word.alphabet != self.alphabet:
+            if word.alphabet is not self.alphabet:
                 raise AlphabetError(f"relator {rel_name!r} is over the wrong alphabet")
             if word.is_identity:
                 raise ValueError(f"relator {rel_name!r} is empty")
@@ -138,7 +138,7 @@ class MonoidPresentation:
 
     def __post_init__(self):
         for lhs, rhs in self.relations:
-            if lhs.alphabet != self.alphabet or rhs.alphabet != self.alphabet:
+            if lhs.alphabet is not self.alphabet or rhs.alphabet is not self.alphabet:
                 raise AlphabetError("relation is over the wrong alphabet")
 
 
@@ -156,7 +156,7 @@ class Retraction:
     source_relator: str
 
     def __post_init__(self):
-        if self.solved.alphabet != self.small_alphabet:
+        if self.solved.alphabet is not self.small_alphabet:
             raise AlphabetError("solved word must be over the small alphabet")
         if self.z not in self.big_alphabet or self.z in self.small_alphabet:
             raise AlphabetError("z must belong to the big alphabet only")
@@ -216,6 +216,8 @@ def parse(text: str) -> GroupPresentation | MonoidPresentation:
                 raise ParseError("`eliminate` is only valid in group files", lineno)
             if len(tokens) != 2:
                 raise ParseError("expected `eliminate <id>`", lineno)
+            if eliminate is not None:
+                raise ParseError("`eliminate` may appear at most once", lineno)
             eliminate = tokens[1]
             if eliminate not in alphabet:
                 raise ParseError(f"unknown generator {eliminate!r}", lineno)
@@ -332,7 +334,7 @@ def solve_single_occurrence(gp: GroupPresentation, z: str) -> Retraction:
 def _retracted_letters(retr: Retraction, u: FreeWord) -> list[int]:
     """The letters of the retracted word: each letter's image, reduced on a
     stack as it comes."""
-    if u.alphabet is not retr.big_alphabet and u.alphabet != retr.big_alphabet:
+    if u.alphabet is not retr.big_alphabet:
         raise AlphabetError("retract expects a word over the big alphabet")
     images = retr._images
     stack: list[int] = []
@@ -585,7 +587,7 @@ def coset_table(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     for w in subgroup:
-        if w.alphabet != gp.alphabet:
+        if w.alphabet is not gp.alphabet:
             raise AlphabetError("subgroup generator over the wrong alphabet")
     result = _Enumeration(gp, budget).run(subgroup)
     return EXHAUSTED if result is None else result

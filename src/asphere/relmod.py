@@ -30,7 +30,7 @@ class GroupOracle(Protocol):
 
 
 def _require_alphabet(alphabet: Alphabet, oracle: GroupOracle) -> None:
-    if alphabet != oracle.alphabet:
+    if alphabet is not oracle.alphabet:
         raise AlphabetError(f"word over {alphabet.generators}, oracle {oracle.alphabet.generators}")
 
 

@@ -378,7 +378,9 @@ FIXTURE_BATTERY_TABLE = (
 def fixture_batteries(fx: ReducibleFixture, config: RunConfig) -> list[BatteryResult]:
     """All sampled structural-law batteries for one reducible fixture, each
     law paired with its deliberately perturbed negative control.  A control
-    stops at its first detection; its reported samples are its draw budget."""
+    stops at its first detection; its reported samples are its draw budget.
+    Without relators every relator derivation is trivial, so no perturbation
+    can show: each control is then vacuous, with 0 samples."""
     out = []
     fixture_name = fx.presentation.name
     for name, fn, default, has_control in FIXTURE_BATTERY_TABLE:
@@ -388,11 +390,11 @@ def fixture_batteries(fx: ReducibleFixture, config: RunConfig) -> list[BatteryRe
         if has_control:
             # sensitivity checks need enough draws to dodge degenerate samples,
             # whatever the smoke-mode scale is
-            control_n = max(n, 25)
+            control_n = max(n, 25) if fx.relator_words() else 0
             perturbed = fn(
                 fx, _rng(config, f"{fixture_name}/{name}/control"), control_n, perturb=True
             )
-            missed = [] if perturbed.failures else ["perturbed formula went undetected"]
+            missed = ["perturbed formula went undetected"] if control_n and perturbed.passed else []
             out.append(
                 BatteryResult.collect(f"{fixture_name}/{name}/negative-control", control_n, missed)
             )

@@ -67,8 +67,8 @@ class Alphabet:
     """Ordered tuple of distinct generator names.
 
     The order is observable and used for deterministic tie-breaking.  Equal
-    alphabets are one object, however made, copied or unpickled, so identity
-    tests settle alphabet checks; equality and the hash keep their value meaning.
+    generator tuples give one object, however made, copied or unpickled, and
+    the table keeps it alive, so equality and the hash are those of identity.
     """
 
     generators: tuple[str, ...]
@@ -84,20 +84,11 @@ class Alphabet:
                     raise AlphabetError(f"duplicate generator {name!r}")
             self = object.__new__(cls)
             object.__setattr__(self, "generators", key)
-            object.__setattr__(self, "_hash", hash(key))
             self = _ALPHABETS.setdefault(key, self)
         return self
 
     def __reduce__(self):
         return Alphabet, (self.generators,)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return self.generators == other.generators if other.__class__ is Alphabet else NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -146,9 +137,7 @@ class FreeWord:
     def __eq__(self, other) -> bool:
         if other.__class__ is not FreeWord:
             return NotImplemented
-        return self.letters == other.letters and (
-            self.alphabet is other.alphabet or self.alphabet == other.alphabet
-        )
+        return self.letters == other.letters and self.alphabet is other.alphabet
 
     def __hash__(self) -> int:
         return hash(self.letters)
@@ -220,8 +209,8 @@ def _reduce(alphabet: Alphabet, letters: Iterable[int]) -> FreeWord:
 
 
 def _require_same_alphabet(u: FreeWord, v: FreeWord) -> None:
-    if u.alphabet != v.alphabet:
-        raise AlphabetError(f"alphabet mismatch: {u.alphabet.generators} vs {v.alphabet.generators}")
+    """Raise for two words over different alphabets; callers test ``is not`` first."""
+    raise AlphabetError(f"alphabet mismatch: {u.alphabet.generators} vs {v.alphabet.generators}")
 
 
 def multiply(u: FreeWord, v: FreeWord) -> FreeWord:

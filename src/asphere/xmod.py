@@ -96,12 +96,17 @@ class KernelCarrier:
 
     retraction: Retraction
 
-    def __post_init__(self):  # not a field: the generator pair that random_element conjugates
-        object.__setattr__(self, "_generators", _kernel_generator(self.retraction))
+    def __post_init__(self):
+        # not a field: z · solved^-1, which the retraction kills and whose
+        # normal closure is the kernel, with its inverse; random_element
+        # conjugates them
+        retr = self.retraction
+        big = retr.big_alphabet
+        gen = multiply(generator(big, retr.z), invert(embed(retr.solved, big)))
+        object.__setattr__(self, "_generators", (gen, invert(gen)))
 
     def contains(self, w: FreeWord) -> bool:
-        big = self.retraction.big_alphabet
-        return (w.alphabet is big or w.alphabet == big) and in_kernel(self.retraction, w)
+        return w.alphabet is self.retraction.big_alphabet and in_kernel(self.retraction, w)
 
     def identity(self) -> FreeWord:
         return empty_word(self.retraction.big_alphabet)
@@ -115,15 +120,6 @@ class KernelCarrier:
             r = seed_rel if rng.random() < 0.5 else seed_inv
             acc = multiply(acc, conjugate(u, r))
         return acc
-
-
-@functools.cache
-def _kernel_generator(retr: Retraction) -> tuple[FreeWord, FreeWord]:
-    """z · solved^-1, which the retraction kills and whose normal closure is
-    the kernel, with its inverse; built once per retraction value."""
-    big = retr.big_alphabet
-    gen = multiply(generator(big, retr.z), invert(embed(retr.solved, big)))
-    return gen, invert(gen)
 
 
 def kernel_of(retr: Retraction) -> KernelCarrier:
@@ -166,7 +162,7 @@ def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) ->
     kernel element under conjugation by c = u r^sign u^-1.  Its inverse under
     composition is the opposite-sign instance, whose conjugating word is c^-1."""
     small = retr.small_alphabet
-    if (u.alphabet, r.alphabet) != (small, small):  # tuples compare items by identity first
+    if u.alphabet is not small or r.alphabet is not small:
         raise AlphabetError("conjugator and relator must avoid the eliminated generator")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -291,9 +287,9 @@ def semidirect_action(
         raise MembershipError("g must lie in the kernel")
     if not kernel.contains(t):
         raise MembershipError("t must lie in the kernel")
-    if p.alphabet != retr.small_alphabet:
+    if p.alphabet is not retr.small_alphabet:
         raise AlphabetError("p must avoid the eliminated generator")
-    if m.presentation.alphabet != retr.small_alphabet:
+    if m.presentation.alphabet is not retr.small_alphabet:
         raise AlphabetError("m must live over the subpresentation")
     pm = conjugate_sequence(p, m)
     pt = conjugate(embed(p, big), t)
@@ -307,9 +303,9 @@ def recombine(retr: Retraction, u0: FreeWord, u1: FreeWord) -> FreeWord:
     """Inverse of decompose: u0 · u1 with u0 in the kernel."""
     if not kernel_of(retr).contains(u0):
         raise MembershipError("u0 must lie in the kernel")
-    if u1.alphabet == retr.small_alphabet:
+    if u1.alphabet is retr.small_alphabet:
         u1 = embed(u1, retr.big_alphabet)
-    elif u1.alphabet != retr.big_alphabet:
+    elif u1.alphabet is not retr.big_alphabet:
         raise AlphabetError("u1 over the wrong alphabet")
     return multiply(u0, u1)
 

@@ -41,6 +41,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "present", "validate", str(bad))
         assert code == 3 and "line 3" in err
 
+    def test_a_second_eliminate_is_three(self, capsys, tmp_files):
+        bad = tmp_files / "twice.pres"
+        bad.write_text("group g\ngens a b\nrel r = a b a^-1 b^-1\neliminate a\neliminate b\n")
+        code, out, err = run(capsys, "present", "validate", str(bad))
+        assert code == 3 and out == "" and "line 5" in err and "at most once" in err
+
     def test_missing_file_is_three(self, capsys):
         code, _, _ = run(capsys, "present", "validate", "/nonexistent.pres")
         assert code == 3
@@ -317,6 +323,17 @@ class TestXmodCommands:
         assert code == 0
         data = json.loads(out)
         assert data["passed"] and data["seed"] == 3
+
+    def test_check_passes_on_a_residue_without_relators(self, capsys, tmp_files):
+        # eliminating x1 leaves no relator, so every relator derivation is
+        # trivial and each negative control is vacuous, like its law
+        pres = tmp_files / "t.pres"
+        pres.write_text("group t\ngens x1 x2\nrel r1 = x2 x1 x2^-1 x2^-1\neliminate x1\n")
+        code, out, _ = run(capsys, "--json", "xmod", "check", str(pres), "--samples", "4")
+        assert code == 0
+        controls = [b for b in json.loads(out)["batteries"] if b["name"].endswith("negative-control")]
+        assert len(controls) == 5
+        assert all(b["passed"] and b["samples"] == 0 for b in controls)
 
     def test_project(self, capsys, tmp_files):
         code, out, _ = run(capsys, "--json", "peiffer", "scramble", LOT, "--seed", "2", "--k", "3")

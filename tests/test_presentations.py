@@ -81,6 +81,12 @@ class TestParse:
         assert p.eliminate == "z"
         assert to_text(p).endswith("eliminate z\n")
 
+    def test_a_second_eliminate_is_rejected(self):
+        text = "group g\ngens a b\nrel r = a b a^-1 b^-1\neliminate a\neliminate b\n"
+        with pytest.raises(ParseError, match="at most once") as exc:
+            parse(text)
+        assert exc.value.line == 5
+
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse("gens a\n")
