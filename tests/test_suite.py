@@ -98,78 +98,75 @@ def test_battery_draws_are_pinned(fixture, battery):
 
 
 class DrawLog(random.Random):
-    """A generator that hashes the method, arguments and result of every
-    ``randrange``, ``choice`` and ``random`` call, in call order.
+    """A generator that hashes the argument and result of every
+    ``getrandbits`` and ``random`` call, in call order.
 
-    ``getrandbits`` is overridden too, delegating like the others: a subclass
-    that overrides ``random`` alone makes ``Random.__init_subclass__`` switch
-    ``_randbelow`` to its path without ``getrandbits``, which changes every
-    integer draw.
+    Every draw the code makes reduces to these two: ``randrange`` and
+    ``choice`` spend ``getrandbits`` in a rejection loop, and so do the
+    samplers that call ``getrandbits`` directly, so the log pins the random
+    stream and not the method that spent it.  Overriding ``getrandbits`` also
+    keeps ``_randbelow`` on its ``getrandbits`` path: a subclass that
+    overrides ``random`` alone makes ``Random.__init_subclass__`` switch to
+    the path without it, which changes every integer draw.
     """
 
     def __init__(self, seed):
         self.log = hashlib.sha256()
         super().__init__(seed)
 
-    def _note(self, method, args, result):
-        self.log.update(f"{method}{args!r}={result!r}\n".encode())
-        return result
-
-    def randrange(self, *args):
-        return self._note("randrange", args, super().randrange(*args))
-
-    def choice(self, seq):
-        return self._note("choice", (seq,), super().choice(seq))
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.log.update(f"getrandbits({k})={r}\n".encode())
+        return r
 
     def random(self):
-        return self._note("random", (), super().random())
-
-    def getrandbits(self, k):
-        return super().getrandbits(k)
+        x = super().random()
+        self.log.update(f"random()={x!r}\n".encode())
+        return x
 
 
 # sha256 of each suite-level battery's draw log at seed 0, samples=4; the
 # batteries that draw nothing (coset-determinism, tensor-dominion,
 # envelope-probe) ask for no generator
 SUITE_DRAW_LOGS = {
-    "centrality": "408d00c17940dc72429b0de3caf957fcbfd109f1ff154ce61d6d2d3463bac526",
-    "certificates": "3b9c959c8aab35e5537febb50a9e64e8dca35a6bc0d2186e6c7a3079057772c4",
-    "exchange-involution": "0956a09d6552dbac2b484f200169888870878070665bc82e8df3b8860876a2b6",
-    "exchange-keys": "64dd9989d49cfbb4d5bb7083e669af09416a5053cdf93a83666b2318e0a58fd9",
-    "insertion-identity": "0c9726194dfd8651b22c7a9fa87757544c873cdf31a19391216b63621664bc21",
-    "move-soundness": "e2575cf88b2bcfeea851eb2c6094edfb539fc9e2ab1e89870e11b3c482a5a761",
-    "retraction": "3e49be8875e92d20c63e26102a05474e922da95f118bde7be479e7a0d495d337",
-    "scramble-recover": "ddd50cb033aba55e177819f40800434c15a7a822b56ee6bd40041abdefa649cd",
-    "sequence-action": "cdc73f62f2d01e4acd582b51ec41abe6a57e63cb59ee01fa7f72b13cf2dc06ae",
-    "word-laws": "86fa4ec1b5cd4b4298e3c91527089fa9af9eb77808560c95f72dcc4102579bd9",
+    "centrality": "74eb6343cd142170db1b5482fd7d35b5a91888bcc7e8010eab012b6d4dbb12a1",
+    "certificates": "ce4858a956181a537965ce7861c7f3b8cb2e6f7133543d04c3c55c5687becee2",
+    "exchange-involution": "583880478d15c8d77b61d39d5e8bd9cfb9bb2576d63c964d454b12c96c98eba3",
+    "exchange-keys": "0285a38a0d2fa2b3c3c0913b31b59835601d94a269e3455fae35772420e92c42",
+    "insertion-identity": "02e5b832c59ae6c83d7419ebe9c84dffcdb1201e0fc3031aa397bb5e63fe64b2",
+    "move-soundness": "c955bfe6d9d6dcd9d8176e9b947cf6d03ef64d42c9ebeae1d6dac3187a13983e",
+    "retraction": "04885fa5f2847914f9b1a2c0fc7aee4df5a97aeac90960225cbb691876b77367",
+    "scramble-recover": "e8a59452a41e094fbb6ad15574ef91fd2a0244f6618b52c8fa2f5c49b1ffe3fa",
+    "sequence-action": "288a976a3641303e3960f44d2f6b2d1c561a8d5b70ab1c36356383ebb860e2c4",
+    "word-laws": "6d6c75f9b5ae8a04be359ccc5febbb50cdeee21127c070f2764104e2b249e3ca",
 }
 
 # sha256 of each fixture battery's draw log, 4 samples under a named seed
 FIXTURE_DRAW_LOGS = {
-    ("lot3", "cm-axioms"): "8a22296a3097333004722502b19629ee9067947b2e1280d1aa4db8a71e1020b9",
-    ("lot3", "derivation-law"): "501c430e9762f28414b2c109ccdd8c2b6121f26a4f89d711892dac0a9a76ef5b",
-    ("lot3", "regularity"): "de0577d3ccac4ddfc69003903e8527a4ad473e99f220e16428f380af8896c8db",
-    ("lot3", "composition-agreement"): "c196f64564aabb437155b0460163cb8775f7536885e2a79283a14248e501d81a",
-    ("lot3", "actor-diagram"): "c597fe86e7eaa9abfec49595c80aed560f6783b8a341327dcc916b36615dcf2a",
-    ("lot3", "action-laws"): "b552512d4d06e248621989feb919b88caa05c02d6133892c6bf080945f64022f",
-    ("lot3", "decompose-roundtrip"): "4839c7a293fd883765f67e1fa862580881e1c4725d999189ef9b6487d9224411",
-    ("lot3", "projection"): "35e0223a93905aa686115fb795b6551b26d4f78f00c17c69b84574d46771730b",
-    ("lot4", "cm-axioms"): "8424fed0baad105b09d75f9aa5ed159d6d9c503cd2e1c69e7e8834f3ba6e579f",
-    ("lot4", "derivation-law"): "309b2793583b7674d3898f4c08c325a9eb6b00950637a8b7998bf40bb60ffc5a",
-    ("lot4", "regularity"): "c18affae59e681488464c9410c87bf2e555185b5ade8ce3f4795dcdccf9f60ec",
-    ("lot4", "composition-agreement"): "41937708e1fe4638bef4ff848f4850babf2a0352265b48bf7a1acd7fe4424347",
-    ("lot4", "actor-diagram"): "bf1f6f55c0aadd632c500f3552b963774d804937242ba152543e856fe4299882",
-    ("lot4", "action-laws"): "f561bb0f60b209a5cb2264bf2053ffee38c70c8a0d83153175e050fd54a59cfd",
-    ("lot4", "decompose-roundtrip"): "904bbff67c03a13114fe30da1e691fb96b3b92da594eaa2a81f47a93a77419b6",
-    ("lot4", "projection"): "e8a26c9ce56af378da59601f16db5ac3f4934dbefd632bf3edd00d075ce0aa54",
-    ("lot3b", "cm-axioms"): "93d4eb211f0f2625c837d2dce08c1717b1f128e2d8863cfcc5bb8087803c1172",
-    ("lot3b", "derivation-law"): "06cba16281776302f9aa62b13418bfc218c92f007ad513d76f68f66e5857ba24",
-    ("lot3b", "regularity"): "730f7bef65e934a46eb11c5f58ac7ac6f0680d3ac8f8257a24ac68c35b3910c3",
-    ("lot3b", "composition-agreement"): "473f0ce6e8f89d3b755efd63d67256c448caa2187a004d06a66bcc8a9419e3b9",
-    ("lot3b", "actor-diagram"): "3a15c39b9e6f3d3af82404847a1c9a606b49e525580458234cfea1aa353ceb67",
-    ("lot3b", "action-laws"): "36102e58a7fec16bbdf56b96bbf675b6aa16f0d148885d1ac8c1b432b5f6a11f",
-    ("lot3b", "decompose-roundtrip"): "b75f1e16bf682726e0f6d7913e6f7c42a3c7acf863d7606e863c1ca7f06c67d7",
-    ("lot3b", "projection"): "c45e0f3d584e1a37268c8ca627664cce30e374fcead1e4dd4d852966aa1b8304",
+    ("lot3", "cm-axioms"): "2098bba72ae663d19c378539b3ccc77aeeb533ca0fd2e64f4bfc3d51a155bac8",
+    ("lot3", "derivation-law"): "8264ba08b48317dac35da7d1942682489360e9f4dead4da4069651d75fd23f66",
+    ("lot3", "regularity"): "9e9264ecb0de7f8ae7d192693ce124f6f7f8a3e4600ebec972947031a725f7df",
+    ("lot3", "composition-agreement"): "7e75521b25977e547de7ec43c3694c81e7c8ce90a1d56536f7046d9d5d335a9d",
+    ("lot3", "actor-diagram"): "e349c003fbba62896aa677d0e1d6a1ad30d30e889cc5a332cb0ab5d04c0239d8",
+    ("lot3", "action-laws"): "fec6821cc089c2b53ad079c63943cbb81e3f781024dcd5a0f998caf35ebde0db",
+    ("lot3", "decompose-roundtrip"): "8f512eb4c864d5fae6f7469d67c6470d232f4c06de26e65ce7c05082778730bd",
+    ("lot3", "projection"): "570f02efb128750908ab1efbf429d7a85ab697d499163728b517c0ad36ae1424",
+    ("lot4", "cm-axioms"): "c91dcc957b068a113ff66ec51fbad270b52beecf97b4533d3848349250fc00b9",
+    ("lot4", "derivation-law"): "cca14dd9b30162ce8334ca7315bef5ffd630a0e78d9c647d18552ad6e957c44f",
+    ("lot4", "regularity"): "fb34474a47cdc11f0d205744104cea24674c4161a91b4cbef9a6c11ffc463442",
+    ("lot4", "composition-agreement"): "00de003606f255e39af6ae749f7960832bbbc4357000dfb0a8ac30bfb7495b2b",
+    ("lot4", "actor-diagram"): "c2892084cf2c18365533973e87b69a153934733b3f19a8dea37fb0412abc03ca",
+    ("lot4", "action-laws"): "21590d75f1cf6fd284552b68a6af91b94491ebed3faefa9e6246681fa6468364",
+    ("lot4", "decompose-roundtrip"): "93b94679d036c591ed60835491e6529df7d80a293c15496f1a0fcf3b05176a30",
+    ("lot4", "projection"): "9fc66447ffef830c4e0a8dff5338637935282aac4e207439eb638914ac9ae5b7",
+    ("lot3b", "cm-axioms"): "e122cb851781a0b85d22fd04f22d1e2b7769e5257326539cd5472718386523d7",
+    ("lot3b", "derivation-law"): "d55b82066d15d5b6a253966c618d04b40d925453fc699a989abf3d990b8ed1d2",
+    ("lot3b", "regularity"): "e9e0c82df72ccc218f1be93ad0221f2924c51e5aab926e38d22d0987ad38fe5f",
+    ("lot3b", "composition-agreement"): "3902bd8d3f32463818cf2e31b5a16d9e4dc6b74c16b2a4d8c35f3eb41cf8936d",
+    ("lot3b", "actor-diagram"): "7c01f69ca29397931b8a691d9eb4bcbc802e6d4ddb59a306ec2e25a2017bb00b",
+    ("lot3b", "action-laws"): "377b40cbf7ef203456bacd18da8fd2a2a223d10328a312f04723491fe4c94a01",
+    ("lot3b", "decompose-roundtrip"): "f40fa63e86f241acc3fcf2273e6de7a55e4aec739ba8eba3e39fcbc8d6766735",
+    ("lot3b", "projection"): "eb6a3a3092e43a0657bbe79457868cd31066d863ea6f09a01a00fbff1a397836",
 }
 
 
