@@ -47,6 +47,7 @@ from .presentations import GroupPresentation
 from .words import (
     AlphabetError,
     FreeWord,
+    _below,
     conjugate,
     empty_word,
     multiply,
@@ -376,15 +377,16 @@ def random_symbol(gp: GroupPresentation, rng: random.Random, conj_len: int = 3) 
     """A uniformly drawn relator, a random conjugator of at most ``conj_len``
     letters and a random sign, drawn in that order."""
     names = gp.relator_names
-    name = names[rng.randrange(len(names))]
-    return _symbol(name, random_word(gp.alphabet, rng, conj_len), rng.choice((1, -1)))
+    name = names[_below(rng.getrandbits, len(names))]
+    conjugator = random_word(gp.alphabet, rng, conj_len)
+    return _symbol(name, conjugator, (1, -1)[_below(rng.getrandbits, 2)])
 
 
 def random_sequence(gp: GroupPresentation, rng: random.Random, max_len: int = 4) -> YSequence:
     """Up to ``max_len`` random symbols; draws nothing when gp has no relators."""
     if not gp.relators:
         return empty_sequence(gp)
-    count = rng.randrange(max_len + 1)
+    count = _below(rng.getrandbits, max_len + 1)
     return _sequence(gp, tuple(random_symbol(gp, rng) for _ in range(count)))
 
 
@@ -406,13 +408,15 @@ def scramble(
     construction.  An insertion draws from the base pool merged with the
     dynamic pool of the current sequence.  Returns the sequence and the
     replayable move list; k >= 1 on a presentation without relators, which
-    has nothing to insert, raises ``ValueError`` before any draw.
+    has nothing to insert, raises ``ValueError`` before any draw.  So does a
+    negative seed, which ``random.Random`` would read as its absolute value.
     """
-    if k < 0 or conj_cap < 0:
-        raise ValueError("k and conj_cap must be >= 0")
+    if k < 0 or conj_cap < 0 or seed < 0:
+        raise ValueError("k, conj_cap and seed must be >= 0")
     if k and not gp.relators:
         raise ValueError(f"cannot scramble {gp.name}: it has no relators to insert")
     rng = random.Random(seed)
+    bits = rng.getrandbits
     seq = empty_sequence(gp)
     moves = []
     base = _base_pool(gp)
@@ -420,9 +424,9 @@ def scramble(
         candidates = legal_moves(seq, ())
         if not candidates or rng.random() < 0.6:
             pool = _merge_pools(base, dynamic_insert_pool(seq, conj_cap))
-            m = Move(MoveKind.INSERT, rng.randrange(len(seq) + 1), rng.choice(pool))
+            m = Move(MoveKind.INSERT, _below(bits, len(seq) + 1), pool[_below(bits, len(pool))])
         else:
-            m = rng.choice(candidates)
+            m = candidates[_below(bits, len(candidates))]
         seq = apply_move(seq, m)
         moves.append(m)
     return seq, Certificate(tuple(moves), pool_spec=f"scramble(seed={seed},cap={conj_cap})")

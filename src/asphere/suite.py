@@ -34,6 +34,8 @@ from .peiffer import (
 from .presentations import coset_enumeration, coset_table, retract
 from .relmod import CosetOracle, FreeOracle, RelModElement, is_zero, module_action, module_image
 from .words import (
+    _below,
+    _random_codes,
     abelianize,
     conjugate,
     empty_word,
@@ -80,10 +82,7 @@ def battery_word_laws(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
     failures = []
     alphabet = fixtures.presentations["sym3"].alphabet
     for i in range(n):
-        raw = [
-            words.letter(rng.randrange(len(alphabet)), rng.choice((1, -1)))
-            for _ in range(rng.randrange(8))
-        ]
+        raw = _random_codes(rng.getrandbits, len(alphabet), 7)
         w = reduce(alphabet, raw)
         if reduce(alphabet, w.letters) != w:
             failures.append(f"sample {i}: reduction is not idempotent")
@@ -145,13 +144,13 @@ def battery_move_soundness(config: RunConfig, fixtures: FixtureSet) -> BatteryRe
     failures = []
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
-        gp = presentations[rng.randrange(len(presentations))]
+        gp = presentations[_below(rng.getrandbits, len(presentations))]
         d = random_sequence(gp, rng)
         pool = base_insert_pool(gp)
         moves = legal_moves(d, pool)
         if not moves:
             continue
-        m = moves[rng.randrange(len(moves))]
+        m = moves[_below(rng.getrandbits, len(moves))]
         before = boundary(d)
         after = boundary(apply_move(d, m))
         if before != after:
@@ -165,11 +164,11 @@ def battery_exchange_involution(config: RunConfig, fixtures: FixtureSet) -> Batt
     failures = []
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
-        gp = presentations[rng.randrange(len(presentations))]
+        gp = presentations[_below(rng.getrandbits, len(presentations))]
         d = random_sequence(gp, rng, max_len=5)
         if len(d.symbols) < 2:
             continue
-        pos = rng.randrange(len(d.symbols) - 1)
+        pos = _below(rng.getrandbits, len(d.symbols) - 1)
         there = apply_move(d, Move(MoveKind.EXCHANGE_L, pos))
         back = apply_move(there, Move(MoveKind.EXCHANGE_R, pos))
         if back != d:
@@ -189,10 +188,10 @@ def battery_centrality(config: RunConfig, fixtures: FixtureSet) -> BatteryResult
     failures = []
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
-        gp = presentations[rng.randrange(len(presentations))]
+        gp = presentations[_below(rng.getrandbits, len(presentations))]
         d = random_sequence(gp, rng)
         pool = base_insert_pool(gp)
-        a = pool[rng.randrange(len(pool))]
+        a = pool[_below(rng.getrandbits, len(pool))]
         g = insertion_generator(a, gp)
         if boundary(d.concat(g)) != boundary(d) or boundary(g.concat(d)) != boundary(d):
             failures.append(f"sample {i}: inserted pair shifted the boundary")
@@ -208,7 +207,7 @@ def battery_sequence_action(config: RunConfig, fixtures: FixtureSet) -> BatteryR
     failures = []
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
-        gp = presentations[rng.randrange(len(presentations))]
+        gp = presentations[_below(rng.getrandbits, len(presentations))]
         d = random_sequence(gp, rng)
         v = random_word(gp.alphabet, rng, 3)
         w = random_word(gp.alphabet, rng, 3)
@@ -224,15 +223,15 @@ def battery_sequence_action(config: RunConfig, fixtures: FixtureSet) -> BatteryR
 
 
 def battery_scramble_recover(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
-    rng = _rng(config, "scramble-recover")
+    bits = _rng(config, "scramble-recover").getrandbits
     n = config.count(200)
     failures = []
     found = 0
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
-        gp = presentations[rng.randrange(len(presentations))]
-        k = rng.randrange(1, 7)
-        d, forward = scramble(gp, seed=rng.randrange(1 << 30), k=k)
+        gp = presentations[_below(bits, len(presentations))]
+        k = 1 + _below(bits, 6)
+        d, forward = scramble(gp, seed=_below(bits, 1 << 30), k=k)
         if not is_identity(d):
             failures.append(f"seed {i}: scramble output is not an identity sequence")
             continue
@@ -297,7 +296,7 @@ def battery_insertion_identity(config: RunConfig, fixtures: FixtureSet) -> Batte
     failures = []
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
-        gp = presentations[rng.randrange(len(presentations))]
+        gp = presentations[_below(rng.getrandbits, len(presentations))]
         oracle = FreeOracle(gp.alphabet)
         d = random_sequence(gp, rng)
         a = random_symbol(gp, rng)
@@ -320,13 +319,13 @@ def battery_exchange_keys(config: RunConfig, fixtures: FixtureSet) -> BatteryRes
     }
     names = tuple(oracles)
     for i in range(n):
-        name = names[rng.randrange(len(names))]
+        name = names[_below(rng.getrandbits, len(names))]
         gp = fixtures.presentations[name]
         oracle = oracles[name]
         d = random_sequence(gp, rng)
         if len(d.symbols) < 2:
             continue
-        pos = rng.randrange(len(d.symbols) - 1)
+        pos = _below(rng.getrandbits, len(d.symbols) - 1)
         kind = MoveKind.EXCHANGE_L if rng.random() < 0.5 else MoveKind.EXCHANGE_R
         before = module_image(d, oracle)
         after = module_image(apply_move(d, Move(kind, pos)), oracle)
@@ -343,13 +342,13 @@ def battery_exchange_keys(config: RunConfig, fixtures: FixtureSet) -> BatteryRes
 
 
 def battery_certificates_roundtrip(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
-    rng = _rng(config, "certificates")
+    bits = _rng(config, "certificates").getrandbits
     n = config.count(200)
     failures = []
     presentations = fixtures.peiffer_presentations()
     for i in range(n):
-        gp = presentations[rng.randrange(len(presentations))]
-        d, forward = scramble(gp, seed=rng.randrange(1 << 30), k=rng.randrange(0, 5))
+        gp = presentations[_below(bits, len(presentations))]
+        d, forward = scramble(gp, seed=_below(bits, 1 << 30), k=_below(bits, 5))
         try:
             endpoint = peiffer.replay(empty_sequence(gp), forward)
         except peiffer.IllegalMoveError as exc:

@@ -361,18 +361,53 @@ def word_to_text(u: FreeWord | MonoidWord) -> str:
 
 
 # --- sampling (deterministic, for the test batteries) -----------------------
+#
+# Every sampler in the package draws the values ``randrange`` and ``choice``
+# draw on a ``random.Random`` whose ``_randbelow`` uses ``getrandbits`` (the
+# plain generator, and every subclass that keeps or overrides
+# ``getrandbits``): a value below n is ``getrandbits(n.bit_length())``, drawn
+# again until it is below n, and ``choice(seq)`` is ``seq`` at such a value
+# below ``len(seq)``.  The samplers run that loop on ``getrandbits`` directly,
+# so they give the same values, in the same order, and leave the generator in
+# the same state as the ``randrange`` and ``choice`` calls they stand for,
+# without the Python frames each of those runs around its one C call.
+# ``random()`` is drawn as it is.
+
+
+def _below(bits, n: int) -> int:
+    """``randrange(n)`` of the generator whose ``getrandbits`` is ``bits``."""
+    if n < 1:
+        raise ValueError(f"empty range: nothing to draw below {n}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _random_codes(bits, size: int, max_len: int) -> list[int]:
+    """The raw letter codes of a random word over ``size`` generators: a count
+    below ``max_len + 1``, then for each letter a generator below ``size`` and
+    a sign, drawn as ``randrange(size)`` and ``choice((1, -1))`` draw them.
+    The two rejection loops are inlined, since a call per draw would cost
+    what drawing from ``bits`` saves."""
+    count = _below(bits, max_len + 1)
+    if count and size < 1:
+        raise ValueError("empty range: no generator to draw a letter from")
+    k = size.bit_length()
+    codes = []
+    for _ in range(count):
+        g = bits(k)
+        while g >= size:
+            g = bits(k)
+        s = bits(2)
+        while s >= 2:
+            s = bits(2)
+        codes.append(2 * g + 1 - s)  # choice((1, -1)) is +1 at s == 0
+    return codes
 
 
 def random_word(alphabet: Alphabet, rng, max_len: int = 6) -> FreeWord:
     """Up to ``max_len`` letters, each a generator then a sign, freely
-    reduced as they are drawn."""
-    randrange, choice = rng.randrange, rng.choice
-    size = len(alphabet)
-    stack: list[int] = []
-    for _ in range(randrange(max_len + 1)):
-        c = 2 * randrange(size) + (choice((1, -1)) > 0)
-        if stack and stack[-1] == c ^ 1:
-            stack.pop()
-        else:
-            stack.append(c)
-    return _word(alphabet, tuple(stack))
+    reduced."""
+    return _reduce(alphabet, _random_codes(rng.getrandbits, len(alphabet), max_len))

@@ -51,6 +51,9 @@ from .presentations import (
 from .words import (
     AlphabetError,
     FreeWord,
+    _below,
+    _random_codes,
+    _reduce,
     conjugate,
     embed,
     empty_word,
@@ -112,14 +115,20 @@ class KernelCarrier:
         return empty_word(self.retraction.big_alphabet)
 
     def random_element(self, rng: random.Random, max_factors: int = 3) -> FreeWord:
+        """A product of up to ``max_factors`` conjugates u g u^-1, with u a
+        random word of up to 3 letters and g the generator or its inverse.
+        The letters of every factor are reduced together in one pass, which
+        gives the product's reduced word, since that word is unique."""
         big = self.retraction.big_alphabet
         seed_rel, seed_inv = self._generators
-        acc = empty_word(big)
-        for _ in range(rng.randrange(max_factors + 1)):
-            u = random_word(big, rng, 3)
-            r = seed_rel if rng.random() < 0.5 else seed_inv
-            acc = multiply(acc, conjugate(u, r))
-        return acc
+        bits, size = rng.getrandbits, len(big)
+        raw: list[int] = []
+        for _ in range(_below(bits, max_factors + 1)):
+            u = _random_codes(bits, size, 3)
+            raw += u
+            raw += (seed_rel if rng.random() < 0.5 else seed_inv).letters
+            raw += [c ^ 1 for c in reversed(u)]
+        return _reduce(big, raw)
 
 
 def kernel_of(retr: Retraction) -> KernelCarrier:
@@ -596,8 +605,8 @@ def check_projection(
     searched = 0
     found = 0
     for i in range(sequences):
-        k = rng.randrange(1, 7)
-        d, _ = scramble(fx.presentation, rng.randrange(1 << 30), k)
+        k = 1 + _below(rng.getrandbits, 6)
+        d, _ = scramble(fx.presentation, _below(rng.getrandbits, 1 << 30), k)
         try:
             residue, d1 = project_identity_sequence(fx, d)
         except InconsistencyError as exc:

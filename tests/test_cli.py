@@ -117,6 +117,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "peiffer", "scramble", str(free), "--k", "2")
         assert code == 3 and out == "" and err.startswith("error: ") and "no relators" in err
 
+    def test_negative_scramble_seed_is_three(self, capsys):
+        # it used to print the sequence of --seed 5 under pool_spec seed=-5
+        sym3 = str(DEFAULT_DIR / "sym3.pres")
+        code, out, err = run(capsys, "peiffer", "scramble", sym3, "--k", "4", "--seed", "-5")
+        assert code == 3 and out == "" and err.startswith("error: ") and "seed" in err
+
     def test_cosets_index(self, capsys):
         code, out, _ = run(capsys, "--json", "present", "cosets", str(DEFAULT_DIR / "sym3.pres"))
         assert code == 0 and json.loads(out)["index"] == 6

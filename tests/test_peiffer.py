@@ -243,6 +243,14 @@ class TestScramble:
         with pytest.raises(ValueError):
             scramble(GP, seed=0, k=k, conj_cap=conj_cap)
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-5) draws the stream of random.Random(5), so the
+        # result would name a seed that did not make it
+        with pytest.raises(ValueError, match="seed"):
+            scramble(GP, seed=-5, k=4)
+        with pytest.raises(ValueError, match="seed"):
+            scramble(GP, seed=-1, k=0)
+
     def test_no_relators_rejected(self):
         # nothing can be inserted, so a move cannot be drawn
         free = parse("group free\ngens a b\n")
