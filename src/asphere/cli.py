@@ -22,7 +22,6 @@ from .presentations import (
     MonoidPresentation,
     ParseError,
     coset_enumeration,
-    coset_table,
     lot_presentation,
     parse,
     solve_single_occurrence,
@@ -262,9 +261,10 @@ def cmd_relmod_gmap(args):
     if args.oracle == "free":
         oracle = relmod.FreeOracle(gp.alphabet)
     elif args.oracle == "cosets":
-        if coset_table(gp, (), args.budget) is EXHAUSTED:
+        try:
+            oracle = relmod.CosetOracle(gp, args.budget)
+        except relmod.QuotientExhausted:
             return 2, {"result": "exhausted", "budget": args.budget}, "Exhausted"
-        oracle = relmod.CosetOracle(gp, args.budget)
     else:
         oracle = relmod.AbelianizationOracle(gp)
     element = relmod.module_image(d, oracle, signed=args.signed)
@@ -303,9 +303,9 @@ def cmd_xmod_project(args):
     gp = _load_group(args.fixture)
     fx = ReducibleFixture.from_presentation(gp)
     d = _load_ysequence(gp, args.sequence)
-    residue, d1 = xmod.project_identity_sequence(fx, d)
+    d1 = xmod.project_identity_sequence(fx, d)
     payload = {
-        "kernel_component": word_to_text(residue),
+        "kernel_component": "1",
         "residual": peiffer.ysequence_to_json(d1),
     }
     return 0, payload, f"kernel component 1, residual of {len(d1.symbols)} symbols"

@@ -10,11 +10,8 @@ Equality of symbols is componentwise on the reduced conjugator, so deletion
 legality is syntactic.  The trivialization search is a bounded
 iterative-deepening walk of the move graph; it returns a replayable
 certificate or EXHAUSTED, never a refutation.  Its first depth limit is
-``length_lower_bound``, h = n - M: n is the length and M sums, over the
-(relator, conjugator) keys, the smaller of the key's +1 and -1 counts.  A
-delete or an insert moves n by 2 and M by exactly 1, an exchange moves M by
-at most 1, and h = 0 only on the empty sequence, so no certificate is
-shorter than h (IDA* with a consistent heuristic, Korf 1985).  A child of
+``length_lower_bound``, a length no certificate falls short of (the proof is
+in its docstring; IDA* with a consistent heuristic, Korf 1985).  A child of
 length m is entered at depth g only when g + m // 2 fits the limit, so an
 expansion builds the insert pool only when an insert child, two symbols
 longer, could fit; the gate skips no child the loop would enter, so it
@@ -539,10 +536,8 @@ def search_trivialization(
     # length never reaches empty, every sequence the search meets from an
     # even root is even, and a length n needs at least n // 2 more moves; a
     # child is entered only when g + n // 2 fits the limit.  The root needs
-    # at least length_lower_bound(d) = n - M moves, since a move changes
-    # n - M by at most 1 and n - M is 0 only on the empty sequence; M counts
-    # at most n // 2 inverse pairs, so n - M >= n // 2.  The limits below
-    # n - M cannot succeed, and the deepening starts there.  An insert child
+    # at least length_lower_bound(d) moves (proved there), so the limits
+    # below it cannot succeed, and the deepening starts there.  An insert child
     # of a length-n sequence has length n + 2, so it is admitted only when
     # g + n // 2 + 1 fits the limit; otherwise the insert pool is not built
     # and no insert move is generated.  The inserts come last in

@@ -10,7 +10,6 @@ modulo the relator lattice, so zero-testing is three-valued.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Protocol, Sequence
@@ -29,9 +28,10 @@ class GroupOracle(Protocol):
     def canon(self, w: FreeWord) -> FreeWord: ...
 
 
-def _require_alphabet(alphabet: Alphabet, oracle: GroupOracle) -> None:
-    if alphabet is not oracle.alphabet:
-        raise AlphabetError(f"word over {alphabet.generators}, oracle {oracle.alphabet.generators}")
+def _require_alphabet(oracle: GroupOracle, *alphabets: Alphabet) -> None:
+    for a in alphabets:
+        if a is not oracle.alphabet:
+            raise AlphabetError(f"word over {a.generators}, oracle {oracle.alphabet.generators}")
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,16 @@ class FreeOracle:
     alphabet: Alphabet
 
     def equal(self, u: FreeWord, v: FreeWord) -> Tri:
+        _require_alphabet(self, u.alphabet, v.alphabet)
         return Tri.YES if u == v else Tri.NO
 
     def canon(self, w: FreeWord) -> FreeWord:
+        _require_alphabet(self, w.alphabet)
         return w
+
+
+class QuotientExhausted(ValueError):
+    """The coset enumeration ran out of budget before the quotient closed."""
 
 
 class CosetOracle:
@@ -56,15 +62,17 @@ class CosetOracle:
     def __init__(self, gp: GroupPresentation, budget: int = 2000):
         table = coset_table(gp, (), budget)
         if table is EXHAUSTED:
-            raise ValueError("quotient not shown finite within budget; oracle unavailable")
+            raise QuotientExhausted("quotient not shown finite within budget; oracle unavailable")
         self.alphabet = gp.alphabet
         self._table = table
         self._reps = table.representatives()
 
     def equal(self, u: FreeWord, v: FreeWord) -> Tri:
+        _require_alphabet(self, u.alphabet, v.alphabet)
         return Tri.YES if self._table.trace(u) == self._table.trace(v) else Tri.NO
 
     def canon(self, w: FreeWord) -> FreeWord:
+        _require_alphabet(self, w.alphabet)
         return self._reps[self._table.trace(w)]
 
 
@@ -83,24 +91,17 @@ class _IntLattice:
 
     def add(self, vec: Sequence[int]) -> None:
         v = list(vec)
-        while True:
-            piv = self._pivot(v)
-            if piv is None:
-                return
+        while (piv := self._pivot(v)) is not None:
             row = self.rows.get(piv)
             if row is None:
-                if v[piv] < 0:
-                    v = [-x for x in v]
                 self.rows[piv] = v
                 return
-            a, b = row[piv], v[piv]
-            g = math.gcd(a, b)
-            # unimodular combination: gcd row replaces the pivot row,
-            # the remainder continues down
-            x, y = _ext_gcd(a, b)
-            new_row = [x * r + y * w for r, w in zip(row, v)]
-            v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
-            self.rows[piv] = new_row
+            # Euclid on the pivot column by unimodular row steps: the kept row
+            # ends with the gcd there, the incoming one with 0 and goes on down
+            while v[piv]:
+                q = row[piv] // v[piv]
+                row, v = v, [r - q * w for r, w in zip(row, v)]
+            self.rows[piv] = row
 
     def member(self, vec: Sequence[int]) -> bool:
         v = list(vec)
@@ -115,18 +116,6 @@ class _IntLattice:
             v = [w - q * r for r, w in zip(row, v)]
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
-
-
 class AbelianizationOracle:
     """Refutation-only: two words cannot be equal in the quotient when their
     abelianized difference lies outside the integer span of the relator
@@ -139,12 +128,14 @@ class AbelianizationOracle:
             self._lattice.add(abelianize(r))
 
     def equal(self, u: FreeWord, v: FreeWord) -> Tri:
+        _require_alphabet(self, u.alphabet, v.alphabet)
         if u == v:
             return Tri.YES
         diff = [a - b for a, b in zip(abelianize(u), abelianize(v))]
         return Tri.UNKNOWN if self._lattice.member(diff) else Tri.NO
 
     def canon(self, w: FreeWord) -> FreeWord:
+        _require_alphabet(self, w.alphabet)
         return w
 
 
@@ -190,7 +181,7 @@ def module_image(d: YSequence, oracle: GroupOracle, signed: bool = False) -> Rel
     The symbol's sign is dropped; the ``signed`` variant (off by default)
     sends it to the coefficient instead.
     """
-    _require_alphabet(d.presentation.alphabet, oracle)
+    _require_alphabet(oracle, d.presentation.alphabet)
     return RelModElement.from_items(
         ((s.relator, oracle.canon(s.conjugator)), s.sign if signed else 1) for s in d.symbols
     )
@@ -203,7 +194,7 @@ def module_action(w: FreeWord, e: RelModElement, oracle: GroupOracle) -> RelModE
     the element; composition reverses order (act(w1, act(w2, e)) equals
     act(w2·w1, e)); a key over another alphabet than w's fails in multiply.
     """
-    _require_alphabet(w.alphabet, oracle)
+    _require_alphabet(oracle, w.alphabet)
     w_inv = invert(w)
     return RelModElement.from_items(
         ((rel, oracle.canon(multiply(w_inv, u))), c) for (rel, u), c in e.terms
@@ -219,7 +210,7 @@ def is_zero(e: RelModElement, oracle: GroupOracle) -> Tri:
     """
     by_rel: dict[str, list[tuple[FreeWord, int]]] = {}
     for (rel, w), c in e.terms:
-        _require_alphabet(w.alphabet, oracle)
+        _require_alphabet(oracle, w.alphabet)
         by_rel.setdefault(rel, []).append((w, c))
 
     saw_unknown_residue = False

@@ -389,7 +389,7 @@ def fixture_batteries(fx: ReducibleFixture, config: RunConfig) -> list[BatteryRe
         if has_control:
             # sensitivity checks need enough draws to dodge degenerate samples,
             # whatever the smoke-mode scale is
-            control_n = max(n, 25) if fx.relator_words() else 0
+            control_n = max(n, 25) if fx.subpresentation.relators else 0
             perturbed = fn(
                 fx, _rng(config, f"{fixture_name}/{name}/control"), control_n, perturb=True
             )

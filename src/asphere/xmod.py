@@ -18,7 +18,6 @@ settles its verdict "some sample fails", and reports the samples it drew.
 """
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -28,9 +27,7 @@ from .peiffer import (
     NotIdentityError,
     YSequence,
     YSymbol,
-    boundary,
     conjugate_sequence,
-    empty_sequence,
     is_identity,
     random_sequence,
     random_symbol,
@@ -149,11 +146,6 @@ class Derivation:
 
     kernel: KernelCarrier
     rule: Callable[[FreeWord], FreeWord]
-    make_inverse: Callable[[], Derivation] | None = None  # builds inverse_hint when read
-
-    @property
-    def inverse_hint(self) -> Derivation | None:
-        return None if self.make_inverse is None else self.make_inverse()
 
     def __call__(self, x: FreeWord) -> FreeWord:
         if not self.kernel.contains(x):
@@ -176,8 +168,7 @@ def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) ->
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     c = embed(conjugate(u, r if sign > 0 else invert(r)), retr.big_alphabet)
-    inverse = functools.partial(relator_derivation, retr, u, r, -sign)
-    return Derivation(kernel_of(retr), lambda x: multiply(conjugate(c, x), invert(x)), inverse)
+    return Derivation(kernel_of(retr), lambda x: multiply(conjugate(c, x), invert(x)))
 
 
 def induced_map(d: Derivation) -> Callable[[FreeWord], FreeWord]:
@@ -208,19 +199,10 @@ def compose_alternative(d1: Derivation, d2: Derivation) -> Callable[[FreeWord], 
 
 
 def derivation_automorphism(
-    d: Derivation,
-    d_inverse: Derivation | None = None,
-    rng: random.Random | None = None,
-    samples: int = 16,
+    d: Derivation, d_inverse: Derivation, rng: random.Random, samples: int
 ) -> Callable[[FreeWord], FreeWord]:
     """The automorphism x -> d(x) · x of a regular derivation; regularity is
-    verified on samples against the supplied (or hinted) compositional
-    inverse."""
-    if d_inverse is None:
-        d_inverse = d.inverse_hint
-    if d_inverse is None:
-        raise NonRegularError("no regularity witness available")
-    rng = rng or random.Random(0)
+    verified on samples against the supplied compositional inverse."""
     left = compose_derivations(d, d_inverse)
     right = compose_derivations(d_inverse, d)
     for _ in range(samples):
@@ -256,9 +238,6 @@ class ReducibleFixture:
         )
         sub = GroupPresentation(f"{gp.name}_sub", retr.small_alphabet, sub_relators)
         return cls(gp, retr, sub)
-
-    def relator_words(self) -> list[tuple[str, FreeWord]]:
-        return list(self.subpresentation.relators)
 
 
 # --- eta over sequences and the semidirect action --------------------------------
@@ -322,37 +301,33 @@ def recombine(retr: Retraction, u0: FreeWord, u1: FreeWord) -> FreeWord:
 # --- the projection pipeline ------------------------------------------------------
 
 
-def project_symbol(fx: ReducibleFixture, s: YSymbol) -> tuple[FreeWord, YSequence]:
+def project_symbol(fx: ReducibleFixture, s: YSymbol) -> tuple[FreeWord, YSymbol | None]:
     """Split one Y-symbol into its kernel part and its residual symbol over
     the subpresentation.
 
-    The eliminated relator contributes only a kernel word; any other symbol
-    contributes the retracted symbol plus the derivation correction of the
-    kernel factor of its conjugator.
+    The eliminated relator contributes only a kernel word, and no symbol;
+    any other symbol contributes the retracted symbol plus the derivation
+    correction of the kernel factor of its conjugator.
     """
     retr = fx.retraction
-    gp = fx.presentation
     if s.relator == retr.source_relator:
-        return symbol_boundary(gp, s), empty_sequence(fx.subpresentation)
-    u0, _ = decompose(retr, s.conjugator)
-    u1 = retract(retr, s.conjugator)
+        return symbol_boundary(fx.presentation, s), None
+    u0, u1 = decompose(retr, s.conjugator)
+    u1 = restrict(u1, retr.small_alphabet)
     d = relator_derivation(retr, u1, fx.subpresentation.relator(s.relator), s.sign)
-    first = invert(d.rule(u0))
-    second = YSequence(fx.subpresentation, (YSymbol(s.relator, u1, s.sign),))
-    return first, second
+    return invert(d.rule(u0)), YSymbol(s.relator, u1, s.sign)
 
 
-def project_identity_sequence(
-    fx: ReducibleFixture, d: YSequence
-) -> tuple[FreeWord, YSequence]:
+def project_identity_sequence(fx: ReducibleFixture, d: YSequence) -> YSequence:
     """Fold the symbol projection across an identity sequence with the
-    semidirect multiplication.  The kernel component must vanish and the
-    residual sequence must again be an identity sequence; anything else is
-    an inconsistency.
+    semidirect multiplication and return the residual sequence.  The kernel
+    component must vanish and the residual sequence must again be an
+    identity sequence; anything else is an inconsistency, which carries a
+    nonvanishing kernel component as its ``residue``.
     """
     if not is_identity(d):
         raise NotIdentityError("projection needs an identity sequence")
-    retr = fx.retraction
+    retr, sub = fx.retraction, fx.subpresentation
     big = retr.big_alphabet
     t_acc = empty_word(big)
     m_syms: list[YSymbol] = []
@@ -360,16 +335,17 @@ def project_identity_sequence(
     for s in d.symbols:
         t_i, m_i = project_symbol(fx, s)
         t_acc = multiply(t_acc, conjugate(embed(bm, big), t_i))
-        m_syms.extend(m_i.symbols)
-        bm = multiply(bm, boundary(m_i))
-    d1 = YSequence(fx.subpresentation, tuple(m_syms))
+        if m_i is not None:
+            m_syms.append(m_i)
+            bm = multiply(bm, symbol_boundary(sub, m_i))
     if not t_acc.is_identity:
         raise InconsistencyError(
             "projection left a nonvanishing kernel component", residue=t_acc
         )
+    d1 = YSequence(sub, tuple(m_syms))
     if not is_identity(d1):
         raise InconsistencyError("projected sequence is not an identity sequence")
-    return t_acc, d1
+    return d1
 
 
 # --- sampled batteries --------------------------------------------------------------
@@ -438,7 +414,7 @@ def check_derivation_law(
     retr, sub = fx.retraction, fx.subpresentation
     kernel = kernel_of(retr)
     failures = []
-    if not fx.relator_words():
+    if not sub.relators:
         return BatteryResult.collect("derivation-law", 0, [])
     for i in range(samples):
         if perturb and failures:  # a control stops at its first detection
@@ -462,7 +438,7 @@ def check_regularity(
     retr, sub = fx.retraction, fx.subpresentation
     kernel = kernel_of(retr)
     failures = []
-    if not fx.relator_words():
+    if not sub.relators:
         return BatteryResult.collect("regularity", 0, [])
     for i in range(samples):
         if perturb and failures:  # a control stops at its first detection
@@ -483,7 +459,7 @@ def check_composition_formulas(
     retr, sub = fx.retraction, fx.subpresentation
     kernel = kernel_of(retr)
     failures = []
-    if not fx.relator_words():
+    if not sub.relators:
         return BatteryResult.collect("composition-agreement", 0, [])
     for i in range(samples):
         if perturb and failures:  # a control stops at its first detection
@@ -498,7 +474,7 @@ def check_composition_formulas(
         x = kernel.random_element(rng)
         if composed(x) != alt(x):
             failures.append(f"sample {i}: the two composition expressions disagree")
-    d_any = relator_derivation(retr, empty_word(retr.small_alphabet), fx.relator_words()[0][1], 1)
+    d_any = relator_derivation(retr, empty_word(retr.small_alphabet), sub.relators[0][1], 1)
     triv = trivial_derivation(retr)
     probe = kernel.random_element(rng)
     left, right = compose_derivations(d_any, triv), compose_derivations(triv, d_any)
@@ -516,13 +492,14 @@ def check_actor_diagram(
     retr, sub = fx.retraction, fx.subpresentation
     kernel = kernel_of(retr)
     failures = []
-    if not fx.relator_words():
+    if not sub.relators:
         return BatteryResult.collect("actor-diagram", 0, [])
     for i in range(samples):
         if perturb and failures:  # a control stops at its first detection
             return BatteryResult.collect("actor-diagram", i, failures)
         s = random_symbol(sub, rng, conj_len=4)
-        aut = derivation_automorphism(symbol_derivation(retr, sub, s), rng=rng, samples=2)
+        d = symbol_derivation(retr, sub, s)
+        aut = derivation_automorphism(d, symbol_derivation(retr, sub, s.inverse()), rng, 2)
         c = symbol_boundary(sub, s)
         if perturb:
             c = invert(c)
@@ -608,7 +585,7 @@ def check_projection(
         k = 1 + _below(rng.getrandbits, 6)
         d, _ = scramble(fx.presentation, _below(rng.getrandbits, 1 << 30), k)
         try:
-            residue, d1 = project_identity_sequence(fx, d)
+            d1 = project_identity_sequence(fx, d)
         except InconsistencyError as exc:
             failures.append(f"sequence {i}: {exc}")
             continue

@@ -93,6 +93,29 @@ class TestExitCodes:
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out.strip() == "Exhausted"
 
+    def test_coset_oracle_enumerates_once(self, capsys, tmp_files, monkeypatch):
+        from asphere import cli, presentations, relmod
+
+        calls = []
+        real = presentations.coset_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (cli, presentations, relmod):
+            if hasattr(module, "coset_table"):
+                monkeypatch.setattr(module, "coset_table", counting)
+        seq = tmp_files / "seq.json"
+        seq.write_text(json.dumps([ONE_SYMBOL]))
+        argv = ("relmod", "gmap", C3, str(seq), "--oracle", "cosets")
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0 and json.loads(out) == {"image": {"r": {"1": 1}}}
+        assert len(calls) == 1
+        # a budget below 1 is an input error, not an exhausted enumeration
+        code, out, err = run(capsys, *argv, "--budget", "0")
+        assert code == 3 and out == "" and err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "command",
         [

@@ -1,11 +1,12 @@
 import argparse
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asphere.cli import cmd_relmod_gmap
@@ -29,11 +30,20 @@ from asphere.relmod import (
     CosetOracle,
     FreeOracle,
     RelModElement,
+    _IntLattice,
     is_zero,
     module_action,
     module_image,
 )
-from asphere.words import AlphabetError, empty_word, invert, multiply, random_word, word_from_text
+from asphere.words import (
+    Alphabet,
+    AlphabetError,
+    empty_word,
+    invert,
+    multiply,
+    random_word,
+    word_from_text,
+)
 
 GP = parse("group P\ngens a b\nrel r = a a a\nrel s = b b\n")
 # same relators plus commutation: the quotient is the cyclic group of order 6
@@ -320,6 +330,28 @@ class TestAlphabetCheck:
         with pytest.raises(AlphabetError):
             module_action(x1, e, FREE)
 
+    ORACLES = {
+        "free": lambda gp: FreeOracle(gp.alphabet),
+        "cosets": CosetOracle,
+        "abelian": AbelianizationOracle,
+    }
+
+    @pytest.mark.parametrize("kind", ORACLES)
+    @pytest.mark.parametrize("generators", (("p",), ("p", "q", "s")))
+    def test_oracles_reject_a_word_over_another_alphabet(self, kind, generators):
+        # called directly, an oracle used to answer: a cosets YES for p = a
+        # over c3, an abelian UNKNOWN from a truncated zip, an IndexError
+        c3 = FX["c3"]
+        oracle = self.ORACLES[kind](c3)
+        a = word_from_text(c3.alphabet, "a")
+        p = word_from_text(Alphabet(generators), "p")
+        for u, v in ((p, a), (a, p), (p, p)):
+            with pytest.raises(AlphabetError):
+                oracle.equal(u, v)
+        with pytest.raises(AlphabetError):
+            oracle.canon(p)
+        assert oracle.equal(a, a) is Tri.YES and oracle.canon(a).alphabet is c3.alphabet
+
     def test_oracle_of_a_quotient_over_the_same_alphabet(self):
         # GP_FIN adds a relator to GP: its oracle decides in a quotient of GP
         d = YSequence(GP, (YSymbol("r", A, 1), YSymbol("r", word_from_text(AB, "a a a a"), -1)))
@@ -356,6 +388,58 @@ class TestOracles:
             u, v = random_word(AB, rng), random_word(AB, rng)
             if table.equal(u, v) is Tri.YES:
                 assert oracle.equal(u, v) in (Tri.YES, Tri.UNKNOWN)
+
+
+def _reference_add(lattice, vec):
+    """The extended-gcd echelon insertion that ``_IntLattice.add`` replaced."""
+
+    def ext_gcd(a, b):
+        old_r, r = a, b
+        old_s, s = 1, 0
+        old_t, t = 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+            old_t, t = t, old_t - q * t
+        return old_s, old_t
+
+    v = list(vec)
+    while True:
+        piv = lattice._pivot(v)
+        if piv is None:
+            return
+        row = lattice.rows.get(piv)
+        if row is None:
+            if v[piv] < 0:
+                v = [-x for x in v]
+            lattice.rows[piv] = v
+            return
+        a, b = row[piv], v[piv]
+        g = math.gcd(a, b)
+        x, y = ext_gcd(a, b)
+        new_row = [x * r + y * w for r, w in zip(row, v)]
+        v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
+        lattice.rows[piv] = new_row
+
+
+class TestIntLattice:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_membership_agrees_with_the_extended_gcd_insertion(self, data):
+        dim = data.draw(st.integers(1, 4))
+        vector = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim)
+        gens = data.draw(st.lists(vector, max_size=4))
+        lattice, reference = _IntLattice(), _IntLattice()
+        for g in gens:
+            lattice.add(g)
+            _reference_add(reference, g)
+        # integer combinations of the generators are members, so both answers occur
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+        combo = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim)]
+        for query in [combo, *data.draw(st.lists(vector, max_size=6))]:
+            assert lattice.member(query) is reference.member(query)
+        assert lattice.member(combo)
 
 
 class TestExchangeInvariance:

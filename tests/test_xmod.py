@@ -38,7 +38,6 @@ from asphere.words import (
     word_to_text,
 )
 from asphere.xmod import (
-    Derivation,
     KernelCarrier,
     MembershipError,
     NonRegularError,
@@ -150,7 +149,7 @@ class TestComposition:
     def test_two_expressions_agree(self):
         rng = random.Random(6)
         kernel = KernelCarrier(LOT3.retraction)
-        words = LOT3.relator_words()
+        words = LOT3.subpresentation.relators
         for _ in range(200):
             u1 = random_word(LOT3.retraction.small_alphabet, rng, 3)
             u2 = random_word(LOT3.retraction.small_alphabet, rng, 3)
@@ -167,7 +166,7 @@ class TestComposition:
 class TestAutomorphismPairs:
     def test_trivial_derivation_gives_identity_pair(self):
         triv = trivial_derivation(TOY.retraction)
-        aut = derivation_automorphism(triv, triv)
+        aut = derivation_automorphism(triv, triv, random.Random(0), 16)
         x = big("z a")
         assert aut(x) == x
 
@@ -182,12 +181,6 @@ class TestAutomorphismPairs:
             c = embed(symbol_boundary(sub, s), retr.big_alphabet)
             n0 = kernel.random_element(rng)
             assert aut(n0) == conjugate(c, n0)
-
-    def test_missing_witness_raises(self):
-        triv = trivial_derivation(TOY.retraction)
-        bare = Derivation(triv.kernel, triv.rule)
-        with pytest.raises(NonRegularError):
-            derivation_automorphism(bare)
 
     def test_bad_witness_rejected(self):
         d = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
@@ -271,23 +264,23 @@ class TestProjectSymbol:
     def test_surviving_relator_with_trivial_conjugator(self):
         first, second = project_symbol(TOY, YSymbol("r", empty_word(BIG), 1))
         assert first.is_identity
-        assert second.symbols == (YSymbol("r", small("1"), 1),)
+        assert second == YSymbol("r", small("1"), 1)
 
     def test_eliminated_relator(self):
         first, second = project_symbol(TOY, YSymbol("r0", empty_word(BIG), 1))
         assert first == big("z a")
-        assert second.symbols == ()
+        assert second is None
 
     def test_eliminated_relator_with_sign(self):
         first, second = project_symbol(TOY, YSymbol("r0", big("b"), -1))
         assert first == conjugate(big("b"), invert(big("z a")))
-        assert second.symbols == ()
+        assert second is None
 
     def test_z_conjugator_splits(self):
         first, second = project_symbol(TOY, YSymbol("r", big("z"), 1))
         u0, u1 = decompose(TOY.retraction, big("z"))
         assert word_to_text(u0) == "z a"
-        assert second.symbols == (YSymbol("r", small("a^-1"), 1),)
+        assert second == YSymbol("r", small("a^-1"), 1)
         # correction term recomputed from the derivation formula
         c = embed(conjugate(small("a^-1"), small("b")), BIG)
         expected = invert(multiply(conjugate(c, u0), invert(u0)))
@@ -301,16 +294,16 @@ class TestProjectSymbol:
 
 class TestProjectIdentitySequence:
     def test_empty(self):
-        residue, d1 = project_identity_sequence(TOY, empty_sequence(TOY.presentation))
-        assert residue.is_identity and d1.symbols == ()
+        d1 = project_identity_sequence(TOY, empty_sequence(TOY.presentation))
+        assert d1.symbols == ()
 
     def test_eliminated_pair_cancels(self):
         d = YSequence(
             TOY.presentation,
             (YSymbol("r0", empty_word(BIG), 1), YSymbol("r0", empty_word(BIG), -1)),
         )
-        residue, d1 = project_identity_sequence(TOY, d)
-        assert residue.is_identity and d1.symbols == ()
+        d1 = project_identity_sequence(TOY, d)
+        assert d1.symbols == ()
 
     def test_rejects_non_identity(self):
         d = YSequence(TOY.presentation, (YSymbol("r", empty_word(BIG), 1),))
@@ -322,8 +315,7 @@ class TestProjectIdentitySequence:
         for fixture in (TOY, LOT3):
             for _ in range(50):
                 d, _ = scramble(fixture.presentation, seed=rng.randrange(1 << 30), k=rng.randrange(1, 6))
-                residue, d1 = project_identity_sequence(fixture, d)
-                assert residue.is_identity
+                d1 = project_identity_sequence(fixture, d)
                 assert is_identity(d1)
 
     def test_projection_battery(self):
@@ -336,10 +328,42 @@ class TestProjectIdentitySequence:
         rng = random.Random(21)
         for _ in range(20):
             d, _ = scramble(LOT3.presentation, seed=rng.randrange(1 << 30), k=4)
-            _, d1 = project_identity_sequence(LOT3, d)
+            d1 = project_identity_sequence(LOT3, d)
             cert = search_trivialization(d1, depth_limit=2 * max(len(d1.symbols), 1))
             if cert is not EXHAUSTED:
                 assert verify_certificate(d1, cert)
+
+
+class TestProjectionFailure:
+    """A retraction that sends z to a wrong word breaks the projection: the
+    kernel component of some identity sequences no longer vanishes, and the
+    raised inconsistency carries it."""
+
+    def wrong_fixture(self):
+        retr = TOY.retraction
+        wrong = Retraction(
+            retr.big_alphabet, retr.small_alphabet, retr.z, small("a^-1 b"), retr.source_relator
+        )
+        return ReducibleFixture(TOY.presentation, wrong, TOY.subpresentation)
+
+    def test_nonvanishing_kernel_component_is_the_residue(self):
+        fx = self.wrong_fixture()
+        rng = random.Random(0)
+        residues = []
+        for _ in range(200):
+            d, _ = scramble(fx.presentation, seed=rng.randrange(1 << 30), k=rng.randrange(1, 6))
+            assert is_identity(project_identity_sequence(TOY, d))
+            try:
+                project_identity_sequence(fx, d)
+            except xmod.InconsistencyError as exc:
+                residues.append(exc.residue)
+        assert residues
+        assert all(w is not None and not w.is_identity for w in residues)
+
+    def test_projection_battery_reports_the_failure(self):
+        result = check_projection(self.wrong_fixture(), random.Random(0), 100)
+        assert not result.passed
+        assert "nonvanishing kernel component" in result.detail[0]
 
 
 class TestSequenceDerivation:
@@ -392,7 +416,7 @@ class TestMembershipChecks:
         m = YSequence(TOY.subpresentation, (YSymbol("r", small("a"), 1),) * 2)
         return (
             d1,
-            d1.inverse_hint,
+            relator_derivation(TOY.retraction, small("a"), small("b"), -1),
             compose_derivations(d1, d2),
             sequence_derivation(TOY.retraction, m),
         )
@@ -406,10 +430,11 @@ class TestMembershipChecks:
     @pytest.mark.parametrize("alphabet,text", OUTSIDE)
     def test_induced_maps_and_pairs_reject_non_kernel_arguments(self, alphabet, text):
         d = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
+        d_inverse = relator_derivation(TOY.retraction, small("a"), small("b"), -1)
         checked = (
             induced_map(d),
-            compose_alternative(d, d.inverse_hint),
-            derivation_automorphism(d, rng=random.Random(0), samples=2),
+            compose_alternative(d, d_inverse),
+            derivation_automorphism(d, d_inverse, random.Random(0), 2),
         )
         for f in checked:
             with pytest.raises(MembershipError):
@@ -471,19 +496,6 @@ class TestFastPathsAgainstDefinitions:
             in_kernel(retr, u)
         assert not KernelCarrier(retr).contains(u)
 
-    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
-    def test_inverse_hint_is_the_opposite_sign_derivation(self, fx):
-        retr, sub = fx.retraction, fx.subpresentation
-        kernel = KernelCarrier(retr)
-        rng = random.Random(f"inverse-hint/{fx.presentation.name}")
-        for _ in range(200):
-            s = random_symbol(sub, rng, conj_len=4)
-            r = sub.relator(s.relator)
-            hint = relator_derivation(retr, s.conjugator, r, s.sign).inverse_hint
-            slow = relator_derivation(retr, s.conjugator, r, -s.sign)
-            x = kernel.random_element(rng)
-            assert hint(x) == slow(x)
-
     @pytest.mark.parametrize("fx", (TOY, *LOTS), ids=lambda fx: fx.presentation.name)
     def test_cached_kernel_generator(self, fx):
         retr = fx.retraction
@@ -534,7 +546,7 @@ def _pinned_values(fx):
     rng = random.Random(f"xmod-values/{fx.presentation.name}")
     out = []
     for _ in range(6):
-        for name, r in fx.relator_words():
+        for name, r in fx.subpresentation.relators:
             u = random_word(retr.small_alphabet, rng, 3)
             for sign in (1, -1):
                 x = kernel.random_element(rng)
@@ -552,8 +564,8 @@ def _pinned_values(fx):
         t2, m2 = semidirect_action(retr, g, p, t, random_sequence(sub, rng, max_len=3))
         out.append(f"{word_to_text(t2)} | {_symbols_text(m2)}")
         d, _ = scramble(fx.presentation, seed=rng.randrange(1 << 30), k=rng.randrange(1, 7))
-        residue, d_1 = project_identity_sequence(fx, d)
-        out.append(f"{word_to_text(residue)} | {_symbols_text(d_1)}")
+        d_1 = project_identity_sequence(fx, d)
+        out.append(f"1 | {_symbols_text(d_1)}")
     return out
 
 
