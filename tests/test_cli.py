@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from asphere import cli, presentations, relmod
 from asphere.cli import dispatch
 from asphere.fixtures import DEFAULT_DIR, monoid_corpus, monoid_to_json
 
@@ -94,8 +95,6 @@ class TestExitCodes:
         assert code == 2 and out.strip() == "Exhausted"
 
     def test_coset_oracle_enumerates_once(self, capsys, tmp_files, monkeypatch):
-        from asphere import cli, presentations, relmod
-
         calls = []
         real = presentations.coset_table
 
@@ -103,6 +102,7 @@ class TestExitCodes:
             calls.append(args)
             return real(*args, **kwargs)
 
+        # every module binding of the name counts, wherever a run enumerates
         for module in (cli, presentations, relmod):
             if hasattr(module, "coset_table"):
                 monkeypatch.setattr(module, "coset_table", counting)
