@@ -216,6 +216,9 @@ def cmd_peiffer_search(args):
             "depth_limit": depth,
             "lower_bound": bound,
         }
+        if len(d.symbols) % 2:
+            reason = "odd length: every move keeps the parity, so no certificate exists"
+            return 2, payload, f"Exhausted ({reason})"
         if depth < bound:
             return 2, payload, f"Exhausted (depth limit {depth} below lower bound {bound})"
         return 2, payload, "Exhausted"

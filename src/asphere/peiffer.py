@@ -27,7 +27,9 @@ applied to a valid sequence, an inverse, a concatenation, the moves of
 paths, inline.  The one per-child validation is ``apply_move``'s check of
 an ``Insert`` move's symbol, the one thing a move brings in from outside:
 its relator must belong to the presentation and its conjugator must be over
-its alphabet, so a replayed certificate still fails on a bad symbol.
+its alphabet, so a replayed certificate still fails on a bad symbol.  The
+search's entry check that d is an identity is one pass over a stack of
+letters, which builds no word.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import enum
 import functools
 import random
 import sys
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +47,8 @@ from .words import (
     AlphabetError,
     FreeWord,
     _below,
+    _inverse_letters,
+    _word,
     conjugate,
     empty_word,
     multiply,
@@ -76,6 +80,10 @@ class YSymbol:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+
+    def __hash__(self) -> int:
+        # the generated hash's value, without FreeWord.__hash__'s frame
+        return hash((self.relator, self.conjugator.letters, self.sign))
 
     def inverse(self) -> YSymbol:
         return _symbol(self.relator, self.conjugator, -self.sign)
@@ -142,15 +150,28 @@ def symbol_boundary(gp: GroupPresentation, s: YSymbol) -> FreeWord:
     return conjugate(s.conjugator, gp.signed_relator(s.relator, s.sign))
 
 
-def boundary(d: YSequence) -> FreeWord:
-    acc = empty_word(d.presentation.alphabet)
+def _boundary_letters(d: YSequence) -> list[int]:
+    """The letters of the reduced boundary: each symbol's u, r^e and u^-1
+    pushed onto one stack, cancelling as they come.  Free reduction is
+    confluent, so the stack is the reduced product."""
+    signed = d.presentation._signed
+    stack: list[int] = []
     for s in d.symbols:
-        acc = multiply(acc, symbol_boundary(d.presentation, s))
-    return acc
+        u = s.conjugator.letters
+        for c in u + signed[s.relator, s.sign].letters + _inverse_letters(u):
+            if stack and stack[-1] == c ^ 1:
+                stack.pop()
+            else:
+                stack.append(c)
+    return stack
+
+
+def boundary(d: YSequence) -> FreeWord:
+    return _word(d.presentation.alphabet, tuple(_boundary_letters(d)))
 
 
 def is_identity(d: YSequence) -> bool:
-    return boundary(d).is_identity
+    return not _boundary_letters(d)
 
 
 def inverse_sequence(d: YSequence) -> YSequence:
@@ -497,10 +518,18 @@ def length_lower_bound(d: YSequence) -> int:
     and h = 0 only for the empty sequence.  So a certificate needs at least
     h moves.
     """
-    syms = d.symbols
-    plus = Counter((s.relator, s.conjugator) for s in syms if s.sign > 0)
-    minus = Counter((s.relator, s.conjugator) for s in syms if s.sign < 0)
-    return len(syms) - sum((plus & minus).values())
+    # a key's running balance #(+1) - #(-1); a symbol that moves it toward
+    # zero closes one pair, so the pairs closed number min(#+1, #-1).  The
+    # conjugators share gp.alphabet, so their letters stand for them.
+    balance: dict = {}
+    pairs = 0
+    for s in d.symbols:
+        key = (s.relator, s.conjugator.letters)
+        b = balance.get(key, 0)
+        if b * s.sign < 0:
+            pairs += 1
+        balance[key] = b + s.sign
+    return len(d.symbols) - pairs
 
 
 def default_depth_limit(d: YSequence) -> int:

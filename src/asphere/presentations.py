@@ -102,7 +102,7 @@ class GroupPresentation:
         if self.eliminate is not None and self.eliminate not in self.alphabet:
             raise AlphabetError(f"eliminate names unknown generator {self.eliminate!r}")
         # name -> relator and (name, sign) -> r or r^-1, built once; not
-        # fields, so equality ignores them (peiffer.apply_move reads _by_name)
+        # fields, so equality ignores them (peiffer reads both directly)
         object.__setattr__(self, "_by_name", dict(self.relators))
         signed = {}
         for rel_name, word in self.relators:

@@ -218,11 +218,22 @@ def derivation_automorphism(
 @dataclass(frozen=True)
 class ReducibleFixture:
     """A presentation with a distinguished single-occurrence generator, its
-    retraction, and the subpresentation on the remaining generators."""
+    retraction, and the subpresentation on the remaining generators.  The
+    constructor checks that the three fit together."""
 
     presentation: GroupPresentation
     retraction: Retraction
     subpresentation: GroupPresentation
+
+    def __post_init__(self):
+        gp, retr, sub = self.presentation, self.retraction, self.subpresentation
+        if retr.big_alphabet is not gp.alphabet or sub.alphabet is not retr.small_alphabet:
+            raise ValueError("retraction alphabets do not match the presentations")
+        source = retr.source_relator
+        if source not in gp or not in_kernel(retr, gp.relator(source)):
+            raise ValueError(f"the retraction does not kill the source relator {source!r}")
+        if sub.relators != _other_relators(gp, retr):
+            raise ValueError("the subpresentation is not the other relators, restricted")
 
     @classmethod
     def from_presentation(cls, gp: GroupPresentation) -> ReducibleFixture:
@@ -230,14 +241,22 @@ class ReducibleFixture:
         if z is None:
             raise ValueError("presentation has no single-occurrence generator")
         retr = solve_single_occurrence(gp, z)
-        # z occurs once, in the source relator, so the others restrict cleanly
-        sub_relators = tuple(
-            (name, restrict(word, retr.small_alphabet))
-            for name, word in gp.relators
-            if name != retr.source_relator
-        )
-        sub = GroupPresentation(f"{gp.name}_sub", retr.small_alphabet, sub_relators)
-        return cls(gp, retr, sub)
+        sub = GroupPresentation(f"{gp.name}_sub", retr.small_alphabet, _other_relators(gp, retr))
+        return _fixture(gp, retr, sub)
+
+
+def _other_relators(gp: GroupPresentation, retr: Retraction) -> tuple:
+    """The relators but the source one, restricted to the small alphabet;
+    ``restrict`` raises for one that still contains z."""
+    small = retr.small_alphabet
+    return tuple((n, restrict(w, small)) for n, w in gp.relators if n != retr.source_relator)
+
+
+def _fixture(gp: GroupPresentation, retr: Retraction, sub: GroupPresentation) -> ReducibleFixture:
+    """Trusted constructor: the three must fit as ``ReducibleFixture`` checks."""
+    fx = object.__new__(ReducibleFixture)
+    fx.__dict__.update(presentation=gp, retraction=retr, subpresentation=sub)
+    return fx
 
 
 # --- eta over sequences and the semidirect action --------------------------------

@@ -280,6 +280,28 @@ class TestPeifferCommands:
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out.strip() == "Exhausted"
 
+    def test_odd_length_identity_says_no_certificate_exists(self, capsys, tmp_files):
+        pres = tmp_files / "odd.pres"
+        pres.write_text("group odd\ngens a b\nrel r1 = a\nrel r2 = b\nrel r3 = a b\n")
+        odd = tmp_files / "odd.json"
+        symbols = [("r1", 1), ("r2", 1), ("r3", -1)]
+        odd.write_text(json.dumps([{"rel": r, "conj": "1", "sign": e} for r, e in symbols]))
+        argv = ("peiffer", "search", str(pres), str(odd))
+        assert run(capsys, "peiffer", "check", str(pres), str(odd))[0] == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert out.strip() == (
+            "Exhausted (odd length: every move keeps the parity, so no certificate exists)"
+        )
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 2
+        assert json.loads(out) == {
+            "result": "exhausted",
+            "budget": 50_000,
+            "depth_limit": 6,
+            "lower_bound": 3,
+        }
+
     def test_fiber(self, capsys, tmp_files):
         _, seq, _ = self.scrambled(capsys, tmp_files)
         code, out, _ = run(capsys, "--json", "peiffer", "fiber", PRES, seq, "--n0", "a b a b^-1")

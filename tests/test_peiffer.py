@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from asphere.presentations import parse
 from asphere.xmod import ReducibleFixture
 from asphere.words import (
     AlphabetError,
+    FreeWord,
     empty_word,
     multiply,
     random_word,
@@ -393,6 +395,60 @@ class TestSearch:
         )
         assert is_identity(d)
         assert search_trivialization(d, node_budget=10_000, depth_limit=8) is EXHAUSTED
+
+
+def counter_lower_bound(d):
+    """The lower bound's reference formula: n minus the sum over (relator,
+    conjugator) keys of min(#sign +1, #sign -1), counted with ``Counter``."""
+    plus = Counter((s.relator, s.conjugator) for s in d.symbols if s.sign > 0)
+    minus = Counter((s.relator, s.conjugator) for s in d.symbols if s.sign < 0)
+    return len(d.symbols) - sum((plus & minus).values())
+
+
+class TestEntryFormulas:
+    """The search's entry work against the plain formulas, over random
+    sequences of every fixture with conjugators of up to 8 letters: each
+    sequence d, the identity d d^-1, and a shuffle of d d^-1 d, which repeats
+    keys with both signs and is rarely an identity."""
+
+    @staticmethod
+    def sequences(seed):
+        rng = random.Random(seed)
+        for gp in load_fixtures().presentations.values():
+            count = rng.randrange(7)
+            d = YSequence(gp, tuple(peiffer.random_symbol(gp, rng, 8) for _ in range(count)))
+            doubled = d.concat(inverse_sequence(d))
+            mixed = list(doubled.symbols + d.symbols)
+            rng.shuffle(mixed)
+            yield from (d, doubled, YSequence(gp, tuple(mixed)))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_and_identity_match_the_multiply_fold(self, seed):
+        for d in self.sequences(seed):
+            gp = d.presentation
+            fold = empty_word(gp.alphabet)
+            for s in d.symbols:
+                fold = multiply(fold, peiffer.symbol_boundary(gp, s))
+            assert boundary(d) == fold
+            assert is_identity(d) == fold.is_identity
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_lower_bound_matches_the_counter_formula(self, seed):
+        for d in self.sequences(seed):
+            assert length_lower_bound(d) == counter_lower_bound(d)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_symbol_hash_is_the_field_tuple_hash(self, seed):
+        for d in self.sequences(seed):
+            for s in d.symbols:
+                assert hash(s) == hash((s.relator, s.conjugator, s.sign))
+                # random_symbol builds trusted; the public twin hashes alike
+                u = s.conjugator
+                twin = YSymbol(s.relator, FreeWord(u.alphabet, u.letters), s.sign)
+                assert twin == s and hash(twin) == hash(s)
 
 
 class TestLengthLowerBound:

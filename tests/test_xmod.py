@@ -334,17 +334,22 @@ class TestProjectIdentitySequence:
                 assert verify_certificate(d1, cert)
 
 
+def wrong_retraction():
+    """TOY's retraction with z sent to a word that does not kill r0 = z a."""
+    retr = TOY.retraction
+    return Retraction(
+        retr.big_alphabet, retr.small_alphabet, retr.z, small("a^-1 b"), retr.source_relator
+    )
+
+
 class TestProjectionFailure:
     """A retraction that sends z to a wrong word breaks the projection: the
     kernel component of some identity sequences no longer vanishes, and the
     raised inconsistency carries it."""
 
     def wrong_fixture(self):
-        retr = TOY.retraction
-        wrong = Retraction(
-            retr.big_alphabet, retr.small_alphabet, retr.z, small("a^-1 b"), retr.source_relator
-        )
-        return ReducibleFixture(TOY.presentation, wrong, TOY.subpresentation)
+        # the public constructor rejects this fixture, so build it trusted
+        return xmod._fixture(TOY.presentation, wrong_retraction(), TOY.subpresentation)
 
     def test_nonvanishing_kernel_component_is_the_residue(self):
         fx = self.wrong_fixture()
@@ -383,6 +388,30 @@ class TestSequenceDerivation:
 
 
 class TestFixtureConstruction:
+    def test_direct_construction_of_a_fitting_fixture(self):
+        for fx in [TOY, LOT3, *LOTS]:
+            assert ReducibleFixture(fx.presentation, fx.retraction, fx.subpresentation) == fx
+
+    def test_rejects_a_retraction_that_keeps_the_source_relator(self):
+        with pytest.raises(ValueError, match="source relator"):
+            ReducibleFixture(TOY.presentation, wrong_retraction(), TOY.subpresentation)
+        retr = TOY.retraction
+        unknown = Retraction(retr.big_alphabet, retr.small_alphabet, retr.z, retr.solved, "nope")
+        with pytest.raises(ValueError, match="source relator 'nope'"):
+            ReducibleFixture(TOY.presentation, unknown, TOY.subpresentation)
+
+    def test_rejects_a_subpresentation_that_is_not_the_restriction(self):
+        for text in ("rel r = b b\n", "rel r = b\nrel s = a\n", ""):
+            other = parse(f"group s\ngens a b\n{text}")
+            assert other.alphabet is SMALL
+            with pytest.raises(ValueError, match="restricted"):
+                ReducibleFixture(TOY.presentation, TOY.retraction, other)
+        foreign = parse("group s\ngens a c\nrel r = c\n")
+        with pytest.raises(ValueError, match="alphabets"):
+            ReducibleFixture(TOY.presentation, TOY.retraction, foreign)
+        with pytest.raises(ValueError, match="alphabets"):
+            ReducibleFixture(LOT3.presentation, TOY.retraction, TOY.subpresentation)
+
     def test_lot_presentation_builds_fixture(self):
         gp = lot_presentation(3, [(2, 3, 1), (3, 3, 2)])
         fx = ReducibleFixture.from_presentation(gp)
