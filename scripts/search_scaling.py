@@ -10,7 +10,7 @@ import random
 import statistics
 import sys
 
-from asphere.fixtures import load_fixtures
+from asphere.fixtures import PRESENTATION_FILES, load_fixtures
 from asphere.partial import EXHAUSTED
 from asphere.peiffer import scramble, search_trivialization, verify_certificate
 
@@ -21,7 +21,7 @@ def main():
     ap.add_argument("--trials", type=int, default=50, help="scrambles per depth")
     ap.add_argument("--max-k", type=int, default=8)
     ap.add_argument("--budget", type=int, default=50_000)
-    ap.add_argument("--presentation", default="klein")
+    ap.add_argument("--presentation", default="klein", choices=PRESENTATION_FILES)
     args = ap.parse_args()
 
     gp = load_fixtures().presentations[args.presentation]

@@ -27,6 +27,7 @@ from .words import (
     _word,
     embed,
     empty_word,
+    generator,
     invert,
     letter,
     letter_column,
@@ -146,7 +147,7 @@ class MonoidPresentation:
 class Retraction:
     """Data of the homomorphism fixing every generator but z and sending z
     to its solved value; the kernel is the normal closure of the source
-    relator, which ``xmod.kernel_of`` builds once and keeps on the object.
+    relator, or equally of z · solved^-1.
     """
 
     big_alphabet: Alphabet
@@ -161,8 +162,9 @@ class Retraction:
         if self.z not in self.big_alphabet or self.z in self.small_alphabet:
             raise AlphabetError("z must belong to the big alphabet only")
         # built once and not a field: the image of every big letter code
-        images: list[tuple[int, ...]] = [()] * (2 * len(self.big_alphabet))
-        for l, name in enumerate(self.big_alphabet.generators):
+        big = self.big_alphabet
+        images: list[tuple[int, ...]] = [()] * (2 * len(big))
+        for l, name in enumerate(big.generators):
             if name == self.z:
                 pos, neg = self.solved.letters, invert(self.solved).letters
             else:
@@ -170,6 +172,9 @@ class Retraction:
                 pos, neg = (letter(i, 1),), (letter(i, -1),)
             images[letter(l, 1)], images[letter(l, -1)] = pos, neg
         object.__setattr__(self, "_images", tuple(images))
+        # likewise: the kernel's normal generator z · solved^-1, and its inverse
+        gen = multiply(generator(big, self.z), invert(embed(self.solved, big)))
+        object.__setattr__(self, "_kernel_generators", (gen, invert(gen)))
 
 
 # --- parsing and printing ---------------------------------------------------
@@ -433,6 +438,8 @@ class CosetTable:
         return self.rows[coset][letter_column(code)]
 
     def trace(self, word: FreeWord, start: int = 0) -> int:
+        if word.alphabet is not self.presentation.alphabet:
+            raise AlphabetError("trace expects a word over the table's alphabet")
         c = start
         for code in word.letters:
             c = self.step(c, code)

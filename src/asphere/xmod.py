@@ -1,14 +1,20 @@
 """The kernel crossed module, derivations, and the projection pipeline.
 
 The central fixture is a presentation with one generator eliminable by a
-single-occurrence relator.  The retraction splits the ambient free group as
-kernel x complement.  The kernel, with decidable equality (words killed by
-the retraction), is a crossed module over the free group: the boundary is
-the inclusion and the action is conjugation.  Every construction here stays
-inside that decidable territory: derivations are evaluation rules, their
-automorphisms x -> d(x) · x are checked for regularity on samples, and
-quotient elements on the complement side are carried as Y-sequences whose
-equality is never decided, only their boundaries.
+single-occurrence relator.  The retraction F(X + z) -> F(X) splits the
+ambient free group as kernel x complement.  The kernel N, the normal closure
+of the source relator, is the words the retraction kills, so membership and
+equality are exact.  N is normal in the ambient free group F, so N -> F is a
+crossed module whose boundary is the inclusion and whose action is
+conjugation (Whitehead, "Combinatorial homotopy II"; Brown and Huebschmann,
+"Identities among relations").  It is the only crossed module here: the
+boundary is never written out and the action is ``words.conjugate``.
+
+Every construction here stays inside that decidable territory: derivations
+are evaluation rules, their automorphisms x -> d(x) · x are checked for
+regularity on samples, and quotient elements on the complement side are
+carried as Y-sequences whose equality is never decided, only their
+boundaries.
 
 Verification is sampled: each structural law (derivation law, regularity,
 the two composition expressions, the actor diagram, the semidirect action
@@ -54,7 +60,6 @@ from .words import (
     conjugate,
     embed,
     empty_word,
-    generator,
     invert,
     multiply,
     random_word,
@@ -82,57 +87,27 @@ class InconsistencyError(RuntimeError):
 # --- the kernel crossed module ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelCarrier:
-    """The kernel N of the retraction F(X + z) -> F(X): the normal closure of
-    the source relator, as words over the big alphabet killed by the
-    retraction.  Membership and equality are exact.
-
-    N is normal in the ambient free group F, so N -> F is a crossed module
-    whose boundary is the inclusion and whose action is conjugation
-    (Whitehead, "Combinatorial homotopy II"; Brown and Huebschmann,
-    "Identities among relations").  It is the only crossed module here: the
-    boundary is never written out and the action is ``words.conjugate``."""
-
-    retraction: Retraction
-
-    def __post_init__(self):
-        # not a field: z · solved^-1, which the retraction kills and whose
-        # normal closure is the kernel, with its inverse; random_element
-        # conjugates them
-        retr = self.retraction
-        big = retr.big_alphabet
-        gen = multiply(generator(big, retr.z), invert(embed(retr.solved, big)))
-        object.__setattr__(self, "_generators", (gen, invert(gen)))
-
-    def contains(self, w: FreeWord) -> bool:
-        return w.alphabet is self.retraction.big_alphabet and in_kernel(self.retraction, w)
-
-    def identity(self) -> FreeWord:
-        return empty_word(self.retraction.big_alphabet)
-
-    def random_element(self, rng: random.Random, max_factors: int = 3) -> FreeWord:
-        """A product of up to ``max_factors`` conjugates u g u^-1, with u a
-        random word of up to 3 letters and g the generator or its inverse.
-        The letters of every factor are reduced together in one pass, which
-        gives the product's reduced word, since that word is unique."""
-        big = self.retraction.big_alphabet
-        seed_rel, seed_inv = self._generators
-        bits, size = rng.getrandbits, len(big)
-        raw: list[int] = []
-        for _ in range(_below(bits, max_factors + 1)):
-            u = _random_codes(bits, size, 3)
-            raw += u
-            raw += (seed_rel if rng.random() < 0.5 else seed_inv).letters
-            raw += [c ^ 1 for c in reversed(u)]
-        return _reduce(big, raw)
+def random_kernel_element(retr: Retraction, rng: random.Random, max_factors: int = 3) -> FreeWord:
+    """A product of up to ``max_factors`` conjugates u g u^-1, with u a
+    random word of up to 3 letters and g the kernel's generator or its
+    inverse.  The letters of every factor are reduced together in one pass,
+    which gives the product's reduced word, since that word is unique."""
+    big = retr.big_alphabet
+    seed_rel, seed_inv = retr._kernel_generators
+    bits, size = rng.getrandbits, len(big)
+    raw: list[int] = []
+    for _ in range(_below(bits, max_factors + 1)):
+        u = _random_codes(bits, size, 3)
+        raw += u
+        raw += (seed_rel if rng.random() < 0.5 else seed_inv).letters
+        raw += [c ^ 1 for c in reversed(u)]
+    return _reduce(big, raw)
 
 
-def kernel_of(retr: Retraction) -> KernelCarrier:
-    """The kernel of ``retr``, built once per retraction object and kept on it."""
-    if (kernel := retr.__dict__.get("_kernel")) is None:
-        object.__setattr__(retr, "_kernel", kernel := KernelCarrier(retr))
-    return kernel
+def _in_kernel(retr: Retraction, w: FreeWord) -> bool:
+    """Membership for the checked entry points: False, not an error, for a
+    word over another alphabet."""
+    return w.alphabet is retr.big_alphabet and in_kernel(retr, w)
 
 
 # --- derivations ----------------------------------------------------------------
@@ -144,18 +119,18 @@ class Derivation:
     represented by an evaluation rule.  A call checks that its argument lies
     in the kernel; ``rule`` evaluates unchecked."""
 
-    kernel: KernelCarrier
+    retraction: Retraction
     rule: Callable[[FreeWord], FreeWord]
 
     def __call__(self, x: FreeWord) -> FreeWord:
-        if not self.kernel.contains(x):
+        if not _in_kernel(self.retraction, x):
             raise MembershipError("argument is not in the kernel")
         return self.rule(x)
 
 
 def trivial_derivation(retr: Retraction) -> Derivation:
-    kernel = kernel_of(retr)
-    return Derivation(kernel, lambda x: kernel.identity())
+    identity = empty_word(retr.big_alphabet)
+    return Derivation(retr, lambda x: identity)
 
 
 def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) -> Derivation:
@@ -168,7 +143,7 @@ def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) ->
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     c = embed(conjugate(u, r if sign > 0 else invert(r)), retr.big_alphabet)
-    return Derivation(kernel_of(retr), lambda x: multiply(conjugate(c, x), invert(x)))
+    return Derivation(retr, lambda x: multiply(conjugate(c, x), invert(x)))
 
 
 def induced_map(d: Derivation) -> Callable[[FreeWord], FreeWord]:
@@ -187,7 +162,7 @@ def compose_derivations(d1: Derivation, d2: Derivation) -> Derivation:
         v = rule2(x)
         return multiply(rule1(multiply(v, x)), v)
 
-    return Derivation(d1.kernel, rule)
+    return Derivation(d1.retraction, rule)
 
 
 def compose_alternative(d1: Derivation, d2: Derivation) -> Callable[[FreeWord], FreeWord]:
@@ -206,7 +181,7 @@ def derivation_automorphism(
     left = compose_derivations(d, d_inverse)
     right = compose_derivations(d_inverse, d)
     for _ in range(samples):
-        x = d.kernel.random_element(rng)
+        x = random_kernel_element(d.retraction, rng)
         if not left(x).is_identity or not right(x).is_identity:
             raise NonRegularError("witness does not invert the derivation on samples")
     return induced_map(d)
@@ -242,7 +217,7 @@ class ReducibleFixture:
             raise ValueError("presentation has no single-occurrence generator")
         retr = solve_single_occurrence(gp, z)
         sub = GroupPresentation(f"{gp.name}_sub", retr.small_alphabet, _other_relators(gp, retr))
-        return _fixture(gp, retr, sub)
+        return cls(gp, retr, sub)
 
 
 def _other_relators(gp: GroupPresentation, retr: Retraction) -> tuple:
@@ -250,13 +225,6 @@ def _other_relators(gp: GroupPresentation, retr: Retraction) -> tuple:
     ``restrict`` raises for one that still contains z."""
     small = retr.small_alphabet
     return tuple((n, restrict(w, small)) for n, w in gp.relators if n != retr.source_relator)
-
-
-def _fixture(gp: GroupPresentation, retr: Retraction, sub: GroupPresentation) -> ReducibleFixture:
-    """Trusted constructor: the three must fit as ``ReducibleFixture`` checks."""
-    fx = object.__new__(ReducibleFixture)
-    fx.__dict__.update(presentation=gp, retraction=retr, subpresentation=sub)
-    return fx
 
 
 # --- eta over sequences and the semidirect action --------------------------------
@@ -289,10 +257,9 @@ def semidirect_action(
     derivation of the (conjugated) sequence evaluated at g, and conjugate
     the sequence's conjugators by p."""
     big = retr.big_alphabet
-    kernel = kernel_of(retr)
-    if not kernel.contains(g):
+    if not _in_kernel(retr, g):
         raise MembershipError("g must lie in the kernel")
-    if not kernel.contains(t):
+    if not _in_kernel(retr, t):
         raise MembershipError("t must lie in the kernel")
     if p.alphabet is not retr.small_alphabet:
         raise AlphabetError("p must avoid the eliminated generator")
@@ -308,7 +275,7 @@ def semidirect_action(
 
 def recombine(retr: Retraction, u0: FreeWord, u1: FreeWord) -> FreeWord:
     """Inverse of decompose: u0 · u1 with u0 in the kernel."""
-    if not kernel_of(retr).contains(u0):
+    if not _in_kernel(retr, u0):
         raise MembershipError("u0 must lie in the kernel")
     if u1.alphabet is retr.small_alphabet:
         u1 = embed(u1, retr.big_alphabet)
@@ -344,6 +311,8 @@ def project_identity_sequence(fx: ReducibleFixture, d: YSequence) -> YSequence:
     identity sequence; anything else is an inconsistency, which carries a
     nonvanishing kernel component as its ``residue``.
     """
+    if d.presentation != fx.presentation:
+        raise ValueError("the sequence is not over the fixture's presentation")
     if not is_identity(d):
         raise NotIdentityError("projection needs an identity sequence")
     retr, sub = fx.retraction, fx.subpresentation
@@ -408,16 +377,15 @@ def check_crossed_module_axioms(
     Equivariance and the Peiffer identity are not sampled: with the inclusion
     as boundary, both sides of each are the same conjugate."""
     retr = fx.retraction
-    kernel = kernel_of(retr)
     big = retr.big_alphabet
     failures = []
     for i in range(samples):
-        t = kernel.random_element(rng)
-        t2 = kernel.random_element(rng)
+        t = random_kernel_element(retr, rng)
+        t2 = random_kernel_element(retr, rng)
         g = random_word(big, rng)
         h = random_word(big, rng)
         gt = conjugate(g, t)
-        if not kernel.contains(gt):
+        if not _in_kernel(retr, gt):
             failures.append(f"sample {i}: action left the kernel")
             continue
         if conjugate(multiply(g, h), t) != conjugate(g, conjugate(h, t)):
@@ -431,7 +399,6 @@ def check_derivation_law(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
     retr, sub = fx.retraction, fx.subpresentation
-    kernel = kernel_of(retr)
     failures = []
     if not sub.relators:
         return BatteryResult.collect("derivation-law", 0, [])
@@ -443,10 +410,10 @@ def check_derivation_law(
         rule = d.rule
         if perturb:
             rule = lambda x, _r=d.rule: invert(_r(x))  # noqa: E731
-        x = kernel.random_element(rng)
-        y = kernel.random_element(rng)
+        x = random_kernel_element(retr, rng)
+        y = random_kernel_element(retr, rng)
         rx = rule(x)
-        if rule(multiply(x, y)) != multiply(rx, conjugate(x, rule(y))) or not kernel.contains(rx):
+        if rule(multiply(x, y)) != multiply(rx, conjugate(x, rule(y))) or not _in_kernel(retr, rx):
             failures.append(f"sample {i}: derivation law fails for {s.relator}")
     return BatteryResult.collect("derivation-law", samples, failures)
 
@@ -455,7 +422,6 @@ def check_regularity(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
     retr, sub = fx.retraction, fx.subpresentation
-    kernel = kernel_of(retr)
     failures = []
     if not sub.relators:
         return BatteryResult.collect("regularity", 0, [])
@@ -466,7 +432,7 @@ def check_regularity(
         d_plus = symbol_derivation(retr, sub, s)
         d_minus = symbol_derivation(retr, sub, s if perturb else s.inverse())
         composed = compose_derivations(d_plus, d_minus)
-        x = kernel.random_element(rng)
+        x = random_kernel_element(retr, rng)
         if not composed(x).is_identity:
             failures.append(f"sample {i}: composition with the witness is not trivial")
     return BatteryResult.collect("regularity", samples, failures)
@@ -476,7 +442,6 @@ def check_composition_formulas(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
     retr, sub = fx.retraction, fx.subpresentation
-    kernel = kernel_of(retr)
     failures = []
     if not sub.relators:
         return BatteryResult.collect("composition-agreement", 0, [])
@@ -490,12 +455,12 @@ def check_composition_formulas(
         if perturb:
             map1 = induced_map(d1)
             alt = lambda x, _m=map1, _d1=d1, _d2=d2: multiply(_d1(x), _m(_d2(x)))  # noqa: E731
-        x = kernel.random_element(rng)
+        x = random_kernel_element(retr, rng)
         if composed(x) != alt(x):
             failures.append(f"sample {i}: the two composition expressions disagree")
     d_any = relator_derivation(retr, empty_word(retr.small_alphabet), sub.relators[0][1], 1)
     triv = trivial_derivation(retr)
-    probe = kernel.random_element(rng)
+    probe = random_kernel_element(retr, rng)
     left, right = compose_derivations(d_any, triv), compose_derivations(triv, d_any)
     if not left(probe) == d_any(probe) == right(probe):
         failures.append("trivial derivation is not a unit")
@@ -509,7 +474,6 @@ def check_actor_diagram(
     automorphism of a relator derivation is conjugation by the relator
     conjugate, checked at a top and a base sample."""
     retr, sub = fx.retraction, fx.subpresentation
-    kernel = kernel_of(retr)
     failures = []
     if not sub.relators:
         return BatteryResult.collect("actor-diagram", 0, [])
@@ -523,8 +487,8 @@ def check_actor_diagram(
         if perturb:
             c = invert(c)
         c = embed(c, retr.big_alphabet)
-        t = kernel.random_element(rng)
-        x = kernel.random_element(rng)
+        t = random_kernel_element(retr, rng)
+        x = random_kernel_element(retr, rng)
         if aut(t) != conjugate(c, t):
             failures.append(f"sample {i}: top components disagree for {s.relator}")
         if aut(x) != conjugate(c, x):
@@ -537,21 +501,20 @@ def check_action_laws(
 ) -> BatteryResult:
     """Identity and composition laws of the semidirect action."""
     retr = fx.retraction
-    kernel = kernel_of(retr)
     small = retr.small_alphabet
     big = retr.big_alphabet
     failures = []
     for i in range(samples):
         if perturb and failures:  # a control stops at its first detection
             return BatteryResult.collect("action-laws", i, failures)
-        t = kernel.random_element(rng, max_factors=2)
+        t = random_kernel_element(retr, rng, max_factors=2)
         m = random_sequence(fx.subpresentation, rng, max_len=3)
-        g = kernel.random_element(rng, max_factors=2)
+        g = random_kernel_element(retr, rng, max_factors=2)
         p = random_word(small, rng, 3)
-        g2 = kernel.random_element(rng, max_factors=2)
+        g2 = random_kernel_element(retr, rng, max_factors=2)
         p2 = random_word(small, rng, 3)
 
-        t_id, m_id = semidirect_action(retr, kernel.identity(), empty_word(small), t, m)
+        t_id, m_id = semidirect_action(retr, empty_word(big), empty_word(small), t, m)
         if t_id != t or m_id.symbols != m.symbols:
             failures.append(f"sample {i}: identity law fails")
             continue
@@ -571,7 +534,6 @@ def check_decompose_roundtrip(
 ) -> BatteryResult:
     retr = fx.retraction
     big = retr.big_alphabet
-    kernel = kernel_of(retr)
     failures = []
     for i in range(samples):
         u = random_word(big, rng, 8)
@@ -582,7 +544,7 @@ def check_decompose_roundtrip(
             failures.append(f"sample {i}: decompose does not recombine")
         if recombine(retr, u0, u1) != u:
             failures.append(f"sample {i}: recombine disagrees")
-        n0 = kernel.random_element(rng, max_factors=2)
+        n0 = random_kernel_element(retr, rng, max_factors=2)
         w1 = random_word(retr.small_alphabet, rng, 5)
         v = recombine(retr, n0, w1)
         v0, v1 = decompose(retr, v)

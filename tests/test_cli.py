@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import shutil
 from pathlib import Path
@@ -366,6 +367,18 @@ class TestMiscCommands:
         assert code == 0 and out.strip() == "3"
         code, out, _ = run(capsys, "word", "abelianize", "--gens", "a b", "a a b^-1")
         assert code == 0 and out.strip() == "2 -1"
+
+    def test_search_scaling_rejects_an_unknown_presentation(self, capsys, monkeypatch):
+        # an unknown name used to end in a KeyError traceback
+        path = Path(__file__).resolve().parents[1] / "scripts" / "search_scaling.py"
+        spec = importlib.util.spec_from_file_location("search_scaling", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr("sys.argv", ["search_scaling.py", "--presentation", "nope"])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 class TestXmodCommands:

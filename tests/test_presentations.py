@@ -27,6 +27,8 @@ from asphere.presentations import (
     universal_group_presentation,
 )
 from asphere.words import (
+    Alphabet,
+    AlphabetError,
     FreeWord,
     generator,
     invert,
@@ -280,6 +282,17 @@ class TestCosetEnumeration:
         cube = multiply(multiply(a, a), a)
         for coset in range(t.index):
             assert t.trace(cube, coset) == coset
+
+    @pytest.mark.parametrize("generators", (("p",), ("p", "q", "s")))
+    def test_trace_rejects_a_word_over_another_alphabet(self, sym3, generators):
+        # p over ("p",) used to trace like a, and s, past sym3's columns,
+        # raised an IndexError
+        t = coset_table(sym3, (), 100)
+        w = word_from_text(Alphabet(generators), generators[-1])
+        for start in range(t.index):
+            with pytest.raises(AlphabetError):
+                t.trace(w, start)
+        assert t.trace(word_from_text(sym3.alphabet, "a")) == 1
 
     def test_representatives_are_reduced_and_distinct(self, sym3):
         t = coset_table(sym3, (), 100)

@@ -39,7 +39,7 @@ from asphere.words import (
     random_word,
     reduce,
 )
-from asphere.xmod import kernel_of
+from asphere.xmod import random_kernel_element
 
 FIXTURES = load_fixtures()
 REDUCIBLE = FIXTURES.reducible_fixtures()
@@ -59,9 +59,9 @@ def ref_random_word(alphabet, rng, max_len=6):
     return reduce(alphabet, ref_codes(rng, len(alphabet), max_len))
 
 
-def ref_random_element(kernel, rng, max_factors=3):
-    big = kernel.retraction.big_alphabet
-    seed_rel, seed_inv = kernel._generators
+def ref_random_element(retr, rng, max_factors=3):
+    big = retr.big_alphabet
+    seed_rel, seed_inv = retr._kernel_generators
     acc = empty_word(big)
     for _ in range(rng.randrange(max_factors + 1)):
         u = ref_random_word(big, rng, 3)
@@ -157,11 +157,11 @@ def test_raw_codes_draw_like_randrange(seed, size, max_len):
 @given(SEEDS, st.sampled_from(REDUCIBLE), st.integers(0, 5))
 @settings(max_examples=100, deadline=None)
 def test_random_element_draws_like_randrange(seed, fx, max_factors):
-    kernel = kernel_of(fx.retraction)
+    retr = fx.retraction
     mine, theirs = pair(seed)
     for _ in range(5):
-        assert kernel.random_element(mine, max_factors) == ref_random_element(
-            kernel, theirs, max_factors
+        assert random_kernel_element(retr, mine, max_factors) == ref_random_element(
+            retr, theirs, max_factors
         )
     assert mine.getstate() == theirs.getstate()
 
