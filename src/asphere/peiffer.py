@@ -357,18 +357,43 @@ def base_insert_pool(gp: GroupPresentation) -> list[YSymbol]:
 
 @functools.cache
 def _base_pool(gp: GroupPresentation) -> tuple[YSymbol, ...]:
+    rows = _base_rows(gp)
+    return tuple(_symbol(rel, u, sign) for rel, us in rows for u in us for sign in (-1, 1))
+
+
+@functools.cache
+def _base_rows(gp: GroupPresentation) -> tuple[tuple[str, tuple[FreeWord, ...]], ...]:
+    """The base pool as rows: each relator name, in sorted order, with the
+    empty word and the single letters in shortlex order.  Row (rel, us)
+    stands for the symbols (rel, u, -1), (rel, u, +1) for u in us, in that
+    order, so the rows list the pool in ``YSymbol.sort_key`` order."""
     alphabet = gp.alphabet
     conjugators = [empty_word(alphabet)]
     for name in alphabet.generators:
         conjugators.append(word_from_text(alphabet, name))
         conjugators.append(word_from_text(alphabet, f"{name}^-1"))
-    pool = [
-        _symbol(rel, u, sign)
-        for rel in gp.relator_names
-        for u in conjugators
-        for sign in (1, -1)
-    ]
-    return tuple(sorted(pool, key=YSymbol.sort_key))
+    conjugators.sort(key=shortlex_key)
+    return tuple((rel, tuple(conjugators)) for rel in sorted(gp.relator_names))
+
+
+def _dynamic_conjugators(
+    gp: GroupPresentation, syms: tuple[YSymbol, ...], conj_cap: int, twists: dict | None = None
+) -> list[FreeWord]:
+    """The dynamic pool's conjugators, unordered: those of ``syms`` and each
+    adjacent pair's ExchangeL and ExchangeR twists, at most ``conj_cap``
+    letters long.  ``twists``, when given, maps a pair (a, b) over ``gp`` to
+    its two twists, and gains the pairs it lacked."""
+    conjugators = {s.conjugator for s in syms}
+    for i in range(len(syms) - 1):
+        a, b = syms[i], syms[i + 1]
+        pair = None if twists is None else twists.get((a, b))
+        if pair is None:
+            twist_l = multiply(symbol_boundary(gp, a), b.conjugator)
+            pair = twist_l, multiply(_inverse_boundary(gp, b), a.conjugator)
+            if twists is not None:
+                twists[a, b] = pair
+        conjugators.update(pair)
+    return [u for u in conjugators if len(u.letters) <= conj_cap]
 
 
 def dynamic_insert_pool(d: YSequence, conj_cap: int = 8) -> list[YSymbol]:
@@ -376,16 +401,32 @@ def dynamic_insert_pool(d: YSequence, conj_cap: int = 8) -> list[YSymbol]:
     sequence, plus their one-step exchange products, capped by conjugator
     length.  Emitted in ``YSymbol.sort_key`` order: relator, then conjugator
     in shortlex order, then sign -1 before +1."""
-    gp = d.presentation
     syms = d.symbols
     relators = sorted({s.relator for s in syms})
-    conjugators = {s.conjugator for s in syms}
-    for i in range(len(syms) - 1):
-        a, b = syms[i], syms[i + 1]
-        conjugators.add(multiply(symbol_boundary(gp, a), b.conjugator))
-        conjugators.add(multiply(_inverse_boundary(gp, b), a.conjugator))
-    kept = sorted((u for u in conjugators if len(u.letters) <= conj_cap), key=shortlex_key)
+    kept = sorted(_dynamic_conjugators(d.presentation, syms, conj_cap), key=shortlex_key)
     return [_symbol(rel, u, sign) for rel in relators for u in kept for sign in (-1, 1)]
+
+
+def _scramble_rows(
+    gp: GroupPresentation, syms: tuple[YSymbol, ...], conj_cap: int, twists: dict
+) -> Sequence[tuple[str, Sequence[FreeWord]]]:
+    """The sorted union of the base pool and the dynamic pool of ``syms``,
+    as rows like ``_base_rows``: a relator of ``syms`` has the base and the
+    dynamic conjugators, any other relator the base ones only."""
+    rows = _base_rows(gp)
+    present = {s.relator for s in syms}
+    dynamic = _dynamic_conjugators(gp, syms, conj_cap, twists)
+    both = sorted(set(rows[0][1]).union(dynamic), key=shortlex_key)
+    return [(rel, both if rel in present else us) for rel, us in rows]
+
+
+def _row_symbol(rows: Sequence[tuple[str, Sequence[FreeWord]]], j: int) -> YSymbol:
+    """Symbol j of the pool the rows stand for; 0 <= j < the pool size."""
+    for rel, us in rows:
+        if j < 2 * len(us):
+            return _symbol(rel, us[j >> 1], (-1, 1)[j & 1])
+        j -= 2 * len(us)
+    raise IndexError("symbol index out of range")
 
 
 # --- random symbols and scrambles (test-case generators) ----------------------
@@ -408,14 +449,6 @@ def random_sequence(gp: GroupPresentation, rng: random.Random, max_len: int = 4)
     return _sequence(gp, tuple(random_symbol(gp, rng) for _ in range(count)))
 
 
-def _merge_pools(a: Sequence[YSymbol], b: Sequence[YSymbol]) -> list[YSymbol]:
-    """Sorted union of two pools over one presentation.  Symbols dedupe on
-    ``YSymbol.sort_key``: within one presentation equal keys mean equal
-    symbols."""
-    by_key = {s.sort_key(): s for pool in (a, b) for s in pool}
-    return [by_key[key] for key in sorted(by_key)]
-
-
 def scramble(
     gp: GroupPresentation, seed: int, k: int, conj_cap: int = 8
 ) -> tuple[YSequence, Certificate]:
@@ -423,11 +456,20 @@ def scramble(
 
     Each move is an insertion with probability 0.6 (always when no other move
     is legal), so the result grows; it is an identity sequence by
-    construction.  An insertion draws from the base pool merged with the
-    dynamic pool of the current sequence.  Returns the sequence and the
+    construction.  An insertion draws a position, then a symbol of the base
+    pool merged with the dynamic pool of the current sequence; any other
+    move is drawn from ``legal_moves(seq, ())``.  Returns the sequence and the
     replayable move list; k >= 1 on a presentation without relators, which
     has nothing to insert, raises ``ValueError`` before any draw.  So does a
     negative seed, which ``random.Random`` would read as its absolute value.
+
+    Neither list is built; the draw builds only the move at the drawn index.
+    The merged pool in ``YSymbol.sort_key`` order runs through the relators
+    in sorted order, each one's conjugators in shortlex order and the signs
+    -1, +1, so ``_row_symbol`` finds symbol j from the conjugator counts.
+    The step moves come off the shared tables in ``legal_moves`` order.  So
+    each draw takes the move the lists would give.  Each adjacent pair's two
+    twists are computed once per call.
     """
     if k < 0 or conj_cap < 0 or seed < 0:
         raise ValueError("k, conj_cap and seed must be >= 0")
@@ -437,14 +479,26 @@ def scramble(
     bits = rng.getrandbits
     seq = empty_sequence(gp)
     moves = []
-    base = _base_pool(gp)
+    twists: dict = {}
     for _ in range(k):
-        candidates = legal_moves(seq, ())
-        if not candidates or rng.random() < 0.6:
-            pool = _merge_pools(base, dynamic_insert_pool(seq, conj_cap))
-            m = Move(MoveKind.INSERT, _below(bits, len(seq) + 1), pool[_below(bits, len(pool))])
+        syms = seq.symbols
+        n = len(syms)
+        # legal_moves(seq, ()) is empty exactly when there is no adjacent pair
+        if n < 2 or rng.random() < 0.6:
+            rows = _scramble_rows(gp, syms, conj_cap, twists)
+            pos = _below(bits, n + 1)
+            j = _below(bits, sum(2 * len(us) for _, us in rows))
+            m = _move(_INSERT, pos, _row_symbol(rows, j))
         else:
-            m = candidates[_below(bits, len(candidates))]
+            pairs = n - 1
+            deletes, lefts, rights = _step_moves(pairs)
+            deletable = [i for i in range(pairs) if _deletable(syms[i], syms[i + 1])]
+            j = _below(bits, len(deletable) + 2 * pairs)
+            if j < len(deletable):
+                m = deletes[deletable[j]]
+            else:
+                j -= len(deletable)
+                m = (lefts if j < pairs else rights)[j % pairs]
         seq = apply_move(seq, m)
         moves.append(m)
     return seq, Certificate(tuple(moves), pool_spec=f"scramble(seed={seed},cap={conj_cap})")

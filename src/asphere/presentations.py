@@ -102,9 +102,11 @@ class GroupPresentation:
                 raise ValueError(f"relator {rel_name!r} is empty")
         if self.eliminate is not None and self.eliminate not in self.alphabet:
             raise AlphabetError(f"eliminate names unknown generator {self.eliminate!r}")
-        # name -> relator and (name, sign) -> r or r^-1, built once; not
-        # fields, so equality ignores them (peiffer reads both directly)
+        # name -> relator, the names in order and (name, sign) -> r or r^-1,
+        # built once; not fields, so equality and the hash ignore them
+        # (peiffer reads _by_name and _signed directly)
         object.__setattr__(self, "_by_name", dict(self.relators))
+        object.__setattr__(self, "_relator_names", tuple(self._by_name))
         signed = {}
         for rel_name, word in self.relators:
             signed[rel_name, 1], signed[rel_name, -1] = word, invert(word)
@@ -112,7 +114,7 @@ class GroupPresentation:
 
     @property
     def relator_names(self) -> tuple[str, ...]:
-        return tuple(self._by_name)
+        return self._relator_names
 
     def relator(self, name: str) -> FreeWord:
         try:

@@ -262,16 +262,22 @@ class TestScramble:
         assert d == empty_sequence(free) and cert.moves == ()
 
     def test_merged_pool_is_the_sorted_union(self):
-        # scramble merges its two ordered pools; the reference sorts their union
+        # scramble builds insert symbol j of the merged pool by index, sharing
+        # one twist table across the steps; the reference sorts the union of
+        # the two pools and indexes it
         steps = 0
         for gp in load_fixtures().presentations.values():
             base = base_insert_pool(gp)
             for seed in range(40):
                 d = empty_sequence(gp)
+                twists = {}
                 for m in scramble(gp, seed, 1 + seed % 8)[1].moves:
                     dynamic = dynamic_insert_pool(d)
                     reference = sorted(set(base) | set(dynamic), key=YSymbol.sort_key)
-                    assert peiffer._merge_pools(base, dynamic) == reference
+                    rows = peiffer._scramble_rows(gp, d.symbols, 8, twists)
+                    assert sum(2 * len(us) for _, us in rows) == len(reference)
+                    for j, expected in enumerate(reference):
+                        assert peiffer._row_symbol(rows, j) == expected
                     d = apply_move(d, m)
                     steps += 1
         assert steps == 1260
