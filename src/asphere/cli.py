@@ -102,6 +102,8 @@ def cmd_word(args):
     elif args.action == "conjugate":
         out = conjugate(w, word_from_text(alphabet, args.other))
     elif args.action == "exponent":
+        if not args.gen:
+            raise ValueError("exponent needs --gen")
         total = exponent_sum(w, args.gen)
         return 0, {"exponent": total}, str(total)
     else:

@@ -11,12 +11,11 @@ legality is syntactic.  The trivialization search is a bounded
 iterative-deepening walk of the move graph; it returns a replayable
 certificate or EXHAUSTED, never a refutation.  Its first depth limit is
 ``length_lower_bound``, a length no certificate falls short of (the proof is
-in its docstring; IDA* with a consistent heuristic, Korf 1985).  A child of
-length m is entered at depth g only when g + m // 2 fits the limit, so an
-expansion builds the insert pool only when an insert child, two symbols
-longer, could fit; the gate skips no child the loop would enter, so it
-changes no certificate, EXHAUSTED or budget.  Delete and exchange moves are
-shared objects, one per (kind, position), which every certificate reuses.
+in its docstring; IDA* with a consistent heuristic, Korf 1985); its
+per-child gates are argued in ``search_trivialization``.  Each move rule has
+one definition: the exchange twists are ``_twist_l`` and ``_twist_r``, and
+the step moves are shared objects, one per (kind, position), listed in one
+order by ``legal_moves``, which ``scramble`` draws from too.
 
 Validation happens once, at the boundary: the public ``YSymbol`` and
 ``YSequence`` constructors check every sign, relator name and conjugator
@@ -37,7 +36,6 @@ import enum
 import functools
 import random
 import sys
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -251,9 +249,14 @@ def _deletable(a: YSymbol, b: YSymbol) -> bool:
     return a.relator == b.relator and a.conjugator == b.conjugator and a.sign == -b.sign
 
 
-def _inverse_boundary(gp: GroupPresentation, s: YSymbol) -> FreeWord:
-    """The boundary of ``s.inverse()``, without building that symbol."""
-    return conjugate(s.conjugator, gp.signed_relator(s.relator, -s.sign))
+def _twist_l(gp: GroupPresentation, a: YSymbol, b: YSymbol) -> FreeWord:
+    """ExchangeL's (a, b) -> (b', a): b's conjugator twisted by a's boundary."""
+    return multiply(symbol_boundary(gp, a), b.conjugator)
+
+
+def _twist_r(gp: GroupPresentation, a: YSymbol, b: YSymbol) -> FreeWord:
+    """ExchangeR's (a, b) -> (b, a'): a's conjugator twisted by b^-1's boundary."""
+    return multiply(conjugate(b.conjugator, gp.signed_relator(b.relator, -b.sign)), a.conjugator)
 
 
 def apply_move(d: YSequence, m: Move) -> YSequence:
@@ -285,13 +288,9 @@ def apply_move(d: YSequence, m: Move) -> YSequence:
                 raise IllegalMoveError(f"pair at {pos} is not an adjacent inverse pair")
             out = syms[:pos] + syms[pos + 2 :]
         elif m.kind is _EXCHANGE_L:
-            # (a, b) -> (b twisted by a's boundary, a)
-            twist = multiply(symbol_boundary(gp, a), b.conjugator)
-            out = syms[:pos] + (_symbol(b.relator, twist, b.sign), a) + syms[pos + 2 :]
+            out = syms[:pos] + (_symbol(b.relator, _twist_l(gp, a, b), b.sign), a) + syms[pos + 2 :]
         elif m.kind is _EXCHANGE_R:
-            # (a, b) -> (b, a twisted by b's inverse boundary)
-            twist = multiply(_inverse_boundary(gp, b), a.conjugator)
-            out = syms[:pos] + (b, _symbol(a.relator, twist, a.sign)) + syms[pos + 2 :]
+            out = syms[:pos] + (b, _symbol(a.relator, _twist_r(gp, a, b), a.sign)) + syms[pos + 2 :]
         else:
             raise IllegalMoveError(f"unknown move kind {m.kind}")
     child = _NEW(YSequence)
@@ -300,28 +299,19 @@ def apply_move(d: YSequence, m: Move) -> YSequence:
     return child
 
 
-# Entry i of each table is the step move at position i: the Delete, the
-# ExchangeL and the ExchangeR tables, in that order.  The tables only grow,
-# by rebinding one longer triple, so an entry, once handed out, never
-# changes, and every certificate shares the one object per (kind, position).
-# Two threads growing them at once build equal entries, so neither result
-# is wrong if the other's rebinding is lost.
-_STEP_TABLES: tuple[tuple[Move, ...], ...] = ((), (), ())
+@functools.cache
+def _step_move(kind: MoveKind, pos: int) -> Move:
+    """The one Delete, ExchangeL or ExchangeR move at ``pos`` that all share."""
+    return _move(kind, pos)
 
 
-def _step_moves(pairs: int) -> tuple[tuple[Move, ...], ...]:
-    """The three step-move tables, each covering positions 0 .. pairs - 1."""
-    global _STEP_TABLES
-    tables = _STEP_TABLES
-    have = len(tables[0])
-    if have < pairs:
-        grown = range(have, max(pairs, 2 * have))
-        tables = tuple(
-            table + tuple(_move(kind, i) for i in grown)
-            for table, kind in zip(tables, (_DELETE, _EXCHANGE_L, _EXCHANGE_R))
-        )
-        _STEP_TABLES = tables
-    return tables
+# bounded: the tables of every length up to N would hold about 1.5 N^2 moves
+@functools.lru_cache(maxsize=128)
+def _step_tables(n: int) -> tuple[tuple[Move, ...], ...]:
+    """The Delete, ExchangeL and ExchangeR tables of a length-n sequence, in
+    that order; entry i of each is the step move at position i."""
+    kinds = (_DELETE, _EXCHANGE_L, _EXCHANGE_R)
+    return tuple(tuple(_step_move(kind, i) for i in range(n - 1)) for kind in kinds)
 
 
 def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]:
@@ -330,11 +320,10 @@ def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]
     from shared tables; only the insertions are built per call."""
     syms = d.symbols
     n = len(syms)
-    pairs = max(n - 1, 0)
-    deletes, lefts, rights = _step_moves(pairs)
-    moves = [deletes[i] for i in range(pairs) if _deletable(syms[i], syms[i + 1])]
-    moves += lefts[:pairs]
-    moves += rights[:pairs]
+    deletes, lefts, rights = _step_tables(n)
+    moves = [deletes[i] for i in range(n - 1) if _deletable(syms[i], syms[i + 1])]
+    moves += lefts
+    moves += rights
     for i in range(n + 1):
         for sym in insert_pool:
             m = _NEW(Move)
@@ -388,8 +377,7 @@ def _dynamic_conjugators(
         a, b = syms[i], syms[i + 1]
         pair = None if twists is None else twists.get((a, b))
         if pair is None:
-            twist_l = multiply(symbol_boundary(gp, a), b.conjugator)
-            pair = twist_l, multiply(_inverse_boundary(gp, b), a.conjugator)
+            pair = _twist_l(gp, a, b), _twist_r(gp, a, b)
             if twists is not None:
                 twists[a, b] = pair
         conjugators.update(pair)
@@ -458,18 +446,18 @@ def scramble(
     is legal), so the result grows; it is an identity sequence by
     construction.  An insertion draws a position, then a symbol of the base
     pool merged with the dynamic pool of the current sequence; any other
-    move is drawn from ``legal_moves(seq, ())``.  Returns the sequence and the
-    replayable move list; k >= 1 on a presentation without relators, which
-    has nothing to insert, raises ``ValueError`` before any draw.  So does a
-    negative seed, which ``random.Random`` would read as its absolute value.
+    move is drawn from the step moves ``legal_moves(seq)``, at most 3n of
+    them.  Returns the sequence and the replayable move list; k >= 1 on a
+    presentation without relators, which has nothing to insert, raises
+    ``ValueError`` before any draw.  So does a negative seed, which
+    ``random.Random`` would read as its absolute value.
 
-    Neither list is built; the draw builds only the move at the drawn index.
-    The merged pool in ``YSymbol.sort_key`` order runs through the relators
-    in sorted order, each one's conjugators in shortlex order and the signs
-    -1, +1, so ``_row_symbol`` finds symbol j from the conjugator counts.
-    The step moves come off the shared tables in ``legal_moves`` order.  So
-    each draw takes the move the lists would give.  Each adjacent pair's two
-    twists are computed once per call.
+    The merged pool is not built; the insert draw builds only the symbol at
+    the drawn index.  The pool in ``YSymbol.sort_key`` order runs through
+    the relators in sorted order, each one's conjugators in shortlex order
+    and the signs -1, +1, so ``_row_symbol`` finds symbol j from the
+    conjugator counts, the symbol the sorted pool would give.  Each adjacent
+    pair's two twists are computed once per call.
     """
     if k < 0 or conj_cap < 0 or seed < 0:
         raise ValueError("k, conj_cap and seed must be >= 0")
@@ -483,22 +471,15 @@ def scramble(
     for _ in range(k):
         syms = seq.symbols
         n = len(syms)
-        # legal_moves(seq, ()) is empty exactly when there is no adjacent pair
+        # legal_moves(seq) is empty exactly when there is no adjacent pair
         if n < 2 or rng.random() < 0.6:
             rows = _scramble_rows(gp, syms, conj_cap, twists)
             pos = _below(bits, n + 1)
             j = _below(bits, sum(2 * len(us) for _, us in rows))
             m = _move(_INSERT, pos, _row_symbol(rows, j))
         else:
-            pairs = n - 1
-            deletes, lefts, rights = _step_moves(pairs)
-            deletable = [i for i in range(pairs) if _deletable(syms[i], syms[i + 1])]
-            j = _below(bits, len(deletable) + 2 * pairs)
-            if j < len(deletable):
-                m = deletes[deletable[j]]
-            else:
-                j -= len(deletable)
-                m = (lefts if j < pairs else rights)[j % pairs]
+            steps = legal_moves(seq)
+            m = steps[_below(bits, len(steps))]
         seq = apply_move(seq, m)
         moves.append(m)
     return seq, Certificate(tuple(moves), pool_spec=f"scramble(seed={seed},cap={conj_cap})")
@@ -602,7 +583,8 @@ def search_trivialization(
     Iterative deepening; deletions are explored first, then exchanges, then
     insertions drawn from the dynamic pool.  Deterministic: among minimal
     certificates the lexicographically least move list is produced.  Returns
-    a Certificate or EXHAUSTED.
+    a Certificate or EXHAUSTED, also when the recursion limit cuts the walk
+    short.
     """
     if node_budget < 0 or (depth_limit is not None and depth_limit < 0) or conj_cap < 0:
         raise ValueError("node_budget, depth_limit and conj_cap must be >= 0")
@@ -632,9 +614,7 @@ def search_trivialization(
     remaining = node_budget
 
     def dfs(seq: YSequence, g: int, limit: int, visited: dict, trail: list[Move]):
-        """Expand a nonempty ``seq`` at depth g that the bound admits.  Each
-        child is tested in the loop, and only an admitted one is entered;
-        insert children are generated only when one can be admitted."""
+        """Expand a nonempty ``seq`` at depth g that the bound admits."""
         nonlocal remaining
         seen = visited.get(seq.symbols)
         if seen is not None and seen <= g:
@@ -664,37 +644,14 @@ def search_trivialization(
             found = dfs(d, 0, limit, {}, [])
             if found is not None:
                 return Certificate(tuple(found), pool_spec=pool_spec)
-    except _OutOfBudget:
+    except (_OutOfBudget, RecursionError):
+        # dfs recurses once per move: past the recursion limit is past the budget
         pass
     return EXHAUSTED
 
 
 class _OutOfBudget(Exception):
     pass
-
-
-def search_pair_crossing(
-    gp: GroupPresentation, b: YSymbol, a: YSymbol, node_budget: int = 64
-):
-    """Breadth-first witness that an inserted pair can cross a single symbol:
-    from (b, a, a^-1), reach a state whose first two symbols form a deletable
-    pair and whose last symbol is b.  Returns the move list or None."""
-    start = YSequence(gp, (b, a, a.inverse()))
-    frontier: deque[tuple[YSequence, tuple[Move, ...]]] = deque([(start, ())])
-    seen = {start.symbols}
-    spent = 0
-    while frontier and spent < node_budget:
-        seq, trail = frontier.popleft()
-        spent += 1
-        syms = seq.symbols
-        if len(syms) == 3 and _deletable(syms[0], syms[1]) and syms[2] == b:
-            return list(trail)
-        for m in legal_moves(seq, ()):
-            child = apply_move(seq, m)
-            if child.symbols not in seen:
-                seen.add(child.symbols)
-                frontier.append((child, trail + (m,)))
-    return None
 
 
 # --- JSON wire formats ---------------------------------------------------------

@@ -1,13 +1,14 @@
 import importlib.util
 import json
+import random
 import shutil
 from pathlib import Path
 
 import pytest
 
-from asphere import cli, presentations, relmod
+from asphere import cli, peiffer, presentations, relmod
 from asphere.cli import dispatch
-from asphere.fixtures import DEFAULT_DIR, monoid_corpus, monoid_to_json
+from asphere.fixtures import DEFAULT_DIR, load_fixtures, monoid_corpus, monoid_to_json
 
 
 @pytest.fixture
@@ -281,6 +282,24 @@ class TestPeifferCommands:
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out.strip() == "Exhausted"
 
+    def test_search_past_the_recursion_limit_is_exhausted(self, capsys, tmp_files):
+        # d d^-1 of 1,050 random c3 symbols needs 1,050 moves, one recursion
+        # level each; the search used to end in a RecursionError traceback
+        # and exit 1, the refutation code
+        rng = random.Random(0)
+        gp = load_fixtures().presentations["c3"]
+        d = peiffer.YSequence(gp, tuple(peiffer.random_symbol(gp, rng) for _ in range(1050)))
+        seq = tmp_files / "long.json"
+        seq.write_text(json.dumps(peiffer.ysequence_to_json(d.concat(peiffer.inverse_sequence(d)))))
+        code, out, _ = run(capsys, "--json", "peiffer", "search", C3, str(seq))
+        assert code == 2
+        assert json.loads(out) == {
+            "result": "exhausted",
+            "budget": 50000,
+            "depth_limit": 4200,
+            "lower_bound": 1050,
+        }
+
     def test_odd_length_identity_says_no_certificate_exists(self, capsys, tmp_files):
         pres = tmp_files / "odd.pres"
         pres.write_text("group odd\ngens a b\nrel r1 = a\nrel r2 = b\nrel r3 = a b\n")
@@ -367,6 +386,11 @@ class TestMiscCommands:
         assert code == 0 and out.strip() == "3"
         code, out, _ = run(capsys, "word", "abelianize", "--gens", "a b", "a a b^-1")
         assert code == 0 and out.strip() == "2 -1"
+
+    def test_exponent_without_a_generator_names_the_option(self, capsys):
+        # it used to say "unknown generator ''"
+        code, out, err = run(capsys, "word", "exponent", "--gens", "a b", "a a b^-1")
+        assert code == 3 and out == "" and err.strip() == "error: exponent needs --gen"
 
     def test_search_scaling_rejects_an_unknown_presentation(self, capsys, monkeypatch):
         # an unknown name used to end in a KeyError traceback

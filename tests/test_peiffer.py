@@ -34,7 +34,6 @@ from asphere.peiffer import (
     length_lower_bound,
     replay,
     scramble,
-    search_pair_crossing,
     search_trivialization,
     symbol_to_json,
     verify_certificate,
@@ -328,7 +327,28 @@ class TestBasePool:
         assert scramble(gp, 4, 6) == expected
 
 
+def long_identity(symbols: int, seed: int = 0) -> YSequence:
+    """d d^-1 for d of ``symbols`` random c3 symbols: its lower bound is
+    ``symbols`` moves, and deletions alone reach the empty sequence."""
+    gp = load_fixtures().presentations["c3"]
+    rng = random.Random(seed)
+    d = YSequence(gp, tuple(peiffer.random_symbol(gp, rng) for _ in range(symbols)))
+    return d.concat(inverse_sequence(d))
+
+
 class TestSearch:
+    def test_a_certificate_past_the_recursion_limit_is_exhausted(self):
+        # dfs recurses once per move; 1,050 moves past the default limit of
+        # 1,000 used to raise RecursionError
+        d = long_identity(1050)
+        assert length_lower_bound(d) == 1050
+        assert search_trivialization(d) is EXHAUSTED
+
+    def test_a_certificate_within_the_recursion_limit_is_found(self):
+        d = long_identity(600)
+        cert = search_trivialization(d)
+        assert len(cert.moves) == 600 and verify_certificate(d, cert)
+
     def test_empty_sequence(self):
         cert = search_trivialization(empty_sequence(GP))
         assert cert.moves == ()
@@ -618,7 +638,9 @@ class TestInsertionGenerator:
 
 
 class TestPairCrossing:
-    def test_crossing_found_within_budget(self):
+    def test_two_exchange_rights_carry_a_symbol_across_a_pair(self):
+        # the centrality battery's witness: ExchangeR at 0, then at 1, takes
+        # (b, a, a^-1) to exactly (a, a^-1, b)
         rng = random.Random(6)
         pool = base_insert_pool(GP)
         for _ in range(200):
@@ -626,7 +648,10 @@ class TestPairCrossing:
             b = YSymbol(
                 rng.choice(GP.relator_names), random_word(GP.alphabet, rng, 2), rng.choice((1, -1))
             )
-            assert search_pair_crossing(GP, b, a, node_budget=64) is not None
+            d = seq(b, a, a.inverse())
+            for pos in (0, 1):
+                d = apply_move(d, Move(MoveKind.EXCHANGE_R, pos))
+            assert d == seq(a, a.inverse(), b)
 
     def test_boundary_level_centrality(self):
         rng = random.Random(8)
@@ -675,6 +700,13 @@ class TestDynamicPool:
             )
             pool = dynamic_insert_pool(d, conj_cap=cap)
             assert pool == expected
+            # the pool holds every one-step exchange product within the cap:
+            # the slid symbol of each ExchangeL and ExchangeR child
+            for i in range(len(syms) - 1):
+                for kind, slid in ((MoveKind.EXCHANGE_L, i), (MoveKind.EXCHANGE_R, i + 1)):
+                    twisted = apply_move(d, Move(kind, i)).symbols[slid]
+                    if len(twisted.conjugator.letters) <= cap:
+                        assert twisted in pool
             for i in range(len(syms) + 1):
                 for a in pool:
                     child = apply_move(d, Move(MoveKind.INSERT, i, a))
