@@ -19,7 +19,7 @@ from .presentations import (
     coset_table,
     universal_group_presentation,
 )
-from .words import Alphabet, FreeWord, MonoidWord, letter
+from .words import Alphabet, FreeWord, letter
 
 
 class MonoidError(ValueError):
@@ -196,8 +196,8 @@ def table_monoid_presentation(s: FiniteMonoid) -> MonoidPresentation:
     relations = []
     for x in range(s.size):
         for y in range(s.size):
-            lhs = MonoidWord(alphabet, (letter(x, 1), letter(y, 1)))
-            rhs = MonoidWord(alphabet, (letter(s.mul(x, y), 1),))
+            lhs = FreeWord(alphabet, (letter(x, 1), letter(y, 1)))
+            rhs = FreeWord(alphabet, (letter(s.mul(x, y), 1),))
             relations.append((lhs, rhs))
     return MonoidPresentation("table", alphabet, tuple(relations))
 

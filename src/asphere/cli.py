@@ -206,9 +206,7 @@ def cmd_peiffer_check(args):
 def cmd_peiffer_search(args):
     gp = _load_group(args.presentation)
     d = _load_ysequence(gp, args.sequence)
-    cert = peiffer.search_trivialization(
-        d, node_budget=args.budget, depth_limit=args.depth, conj_cap=args.cap
-    )
+    cert = peiffer.search_trivialization(d, node_budget=args.budget, depth_limit=args.depth)
     if cert is EXHAUSTED:
         depth = peiffer.default_depth_limit(d) if args.depth is None else args.depth
         bound = peiffer.length_lower_bound(d)
@@ -243,7 +241,7 @@ def cmd_peiffer_verify(args):
 
 def cmd_peiffer_scramble(args):
     gp = _load_group(args.presentation)
-    d, cert = peiffer.scramble(gp, seed=args.seed, k=args.k, conj_cap=args.cap)
+    d, cert = peiffer.scramble(gp, seed=args.seed, k=args.k)
     payload = {
         "seed": args.seed,
         "sequence": peiffer.ysequence_to_json(d),
@@ -320,7 +318,6 @@ def cmd_suite(args):
     config = suite_mod.RunConfig(
         seed=args.seed,
         samples=args.samples,
-        node_budget=args.budget,
         fixtures_dir=args.fixtures,
     )
     report = suite_mod.run_suite(config)
@@ -395,7 +392,7 @@ def build_parser() -> _Parser:
     for name, handler, extra in (
         ("boundary", cmd_peiffer_boundary, ()),
         ("check", cmd_peiffer_check, ()),
-        ("search", cmd_peiffer_search, ("budget", "depth", "cap")),
+        ("search", cmd_peiffer_search, ("budget", "depth")),
         ("verify", cmd_peiffer_verify, ("certificate",)),
         ("fiber", cmd_peiffer_fiber, ("n0",)),
     ):
@@ -407,7 +404,6 @@ def build_parser() -> _Parser:
         if "budget" in extra:
             cp.add_argument("--budget", type=int, default=50_000)
             cp.add_argument("--depth", type=int, default=None)
-            cp.add_argument("--cap", type=int, default=8)
         if "n0" in extra:
             cp.add_argument("--n0", required=True, help="conjugating word")
         cp.set_defaults(handler=handler)
@@ -415,7 +411,6 @@ def build_parser() -> _Parser:
     sc.add_argument("presentation")
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--k", type=int, default=4)
-    sc.add_argument("--cap", type=int, default=8)
     sc.set_defaults(handler=cmd_peiffer_scramble)
 
     r = sub.add_parser("relmod", parents=[common])
@@ -443,7 +438,6 @@ def build_parser() -> _Parser:
     s = sub.add_parser("suite", parents=[common])
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=None)
-    s.add_argument("--budget", type=int, default=50_000)
     s.add_argument("--fixtures", default=None, help="directory of the .pres presentation files")
     s.set_defaults(handler=cmd_suite)
 

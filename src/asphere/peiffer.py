@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import functools
 import random
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -365,11 +364,17 @@ def _base_rows(gp: GroupPresentation) -> tuple[tuple[str, tuple[FreeWord, ...]],
     return tuple((rel, tuple(conjugators)) for rel in sorted(gp.relator_names))
 
 
+# The longest conjugator the dynamic insert pool keeps; every pool_spec names
+# it, and every certificate the search writes shares one pool_spec string.
+CONJ_CAP = 8
+_SEARCH_POOL_SPEC = f"dynamic(cap={CONJ_CAP})"
+
+
 def _dynamic_conjugators(
-    gp: GroupPresentation, syms: tuple[YSymbol, ...], conj_cap: int, twists: dict | None = None
+    gp: GroupPresentation, syms: tuple[YSymbol, ...], twists: dict | None = None
 ) -> list[FreeWord]:
     """The dynamic pool's conjugators, unordered: those of ``syms`` and each
-    adjacent pair's ExchangeL and ExchangeR twists, at most ``conj_cap``
+    adjacent pair's ExchangeL and ExchangeR twists, at most ``CONJ_CAP``
     letters long.  ``twists``, when given, maps a pair (a, b) over ``gp`` to
     its two twists, and gains the pairs it lacked."""
     conjugators = {s.conjugator for s in syms}
@@ -381,29 +386,29 @@ def _dynamic_conjugators(
             if twists is not None:
                 twists[a, b] = pair
         conjugators.update(pair)
-    return [u for u in conjugators if len(u.letters) <= conj_cap]
+    return [u for u in conjugators if len(u.letters) <= CONJ_CAP]
 
 
-def dynamic_insert_pool(d: YSequence, conj_cap: int = 8) -> list[YSymbol]:
+def dynamic_insert_pool(d: YSequence) -> list[YSymbol]:
     """Symbols built from relators and conjugators already present in the
-    sequence, plus their one-step exchange products, capped by conjugator
-    length.  Emitted in ``YSymbol.sort_key`` order: relator, then conjugator
-    in shortlex order, then sign -1 before +1."""
+    sequence, plus their one-step exchange products, with conjugators of at
+    most ``CONJ_CAP`` letters.  Emitted in ``YSymbol.sort_key`` order:
+    relator, then conjugator in shortlex order, then sign -1 before +1."""
     syms = d.symbols
     relators = sorted({s.relator for s in syms})
-    kept = sorted(_dynamic_conjugators(d.presentation, syms, conj_cap), key=shortlex_key)
+    kept = sorted(_dynamic_conjugators(d.presentation, syms), key=shortlex_key)
     return [_symbol(rel, u, sign) for rel in relators for u in kept for sign in (-1, 1)]
 
 
 def _scramble_rows(
-    gp: GroupPresentation, syms: tuple[YSymbol, ...], conj_cap: int, twists: dict
+    gp: GroupPresentation, syms: tuple[YSymbol, ...], twists: dict
 ) -> Sequence[tuple[str, Sequence[FreeWord]]]:
     """The sorted union of the base pool and the dynamic pool of ``syms``,
     as rows like ``_base_rows``: a relator of ``syms`` has the base and the
     dynamic conjugators, any other relator the base ones only."""
     rows = _base_rows(gp)
     present = {s.relator for s in syms}
-    dynamic = _dynamic_conjugators(gp, syms, conj_cap, twists)
+    dynamic = _dynamic_conjugators(gp, syms, twists)
     both = sorted(set(rows[0][1]).union(dynamic), key=shortlex_key)
     return [(rel, both if rel in present else us) for rel, us in rows]
 
@@ -437,9 +442,7 @@ def random_sequence(gp: GroupPresentation, rng: random.Random, max_len: int = 4)
     return _sequence(gp, tuple(random_symbol(gp, rng) for _ in range(count)))
 
 
-def scramble(
-    gp: GroupPresentation, seed: int, k: int, conj_cap: int = 8
-) -> tuple[YSequence, Certificate]:
+def scramble(gp: GroupPresentation, seed: int, k: int) -> tuple[YSequence, Certificate]:
     """Apply k random legal moves starting from the empty sequence.
 
     Each move is an insertion with probability 0.6 (always when no other move
@@ -459,8 +462,8 @@ def scramble(
     conjugator counts, the symbol the sorted pool would give.  Each adjacent
     pair's two twists are computed once per call.
     """
-    if k < 0 or conj_cap < 0 or seed < 0:
-        raise ValueError("k, conj_cap and seed must be >= 0")
+    if k < 0 or seed < 0:
+        raise ValueError("k and seed must be >= 0")
     if k and not gp.relators:
         raise ValueError(f"cannot scramble {gp.name}: it has no relators to insert")
     rng = random.Random(seed)
@@ -473,7 +476,7 @@ def scramble(
         n = len(syms)
         # legal_moves(seq) is empty exactly when there is no adjacent pair
         if n < 2 or rng.random() < 0.6:
-            rows = _scramble_rows(gp, syms, conj_cap, twists)
+            rows = _scramble_rows(gp, syms, twists)
             pos = _below(bits, n + 1)
             j = _below(bits, sum(2 * len(us) for _, us in rows))
             m = _move(_INSERT, pos, _row_symbol(rows, j))
@@ -482,7 +485,7 @@ def scramble(
             m = steps[_below(bits, len(steps))]
         seq = apply_move(seq, m)
         moves.append(m)
-    return seq, Certificate(tuple(moves), pool_spec=f"scramble(seed={seed},cap={conj_cap})")
+    return seq, Certificate(tuple(moves), pool_spec=f"scramble(seed={seed},cap={CONJ_CAP})")
 
 
 def invert_certificate(start: YSequence, cert: Certificate) -> Certificate:
@@ -573,10 +576,7 @@ def default_depth_limit(d: YSequence) -> int:
 
 
 def search_trivialization(
-    d: YSequence,
-    node_budget: int = 50_000,
-    depth_limit: int | None = None,
-    conj_cap: int = 8,
+    d: YSequence, node_budget: int = 50_000, depth_limit: int | None = None
 ):
     """Bounded search for a move list taking d to the empty sequence.
 
@@ -586,16 +586,14 @@ def search_trivialization(
     a Certificate or EXHAUSTED, also when the recursion limit cuts the walk
     short.
     """
-    if node_budget < 0 or (depth_limit is not None and depth_limit < 0) or conj_cap < 0:
-        raise ValueError("node_budget, depth_limit and conj_cap must be >= 0")
+    if node_budget < 0 or (depth_limit is not None and depth_limit < 0):
+        raise ValueError("node_budget and depth_limit must be >= 0")
     if not is_identity(d):
         raise NotIdentityError("cannot trivialize: boundary is not the empty word")
     if depth_limit is None:
         depth_limit = default_depth_limit(d)
-    # one string for every certificate of this cap
-    pool_spec = sys.intern(f"dynamic(cap={conj_cap})")
     if not d.symbols:
-        return Certificate((), pool_spec=pool_spec)
+        return Certificate((), pool_spec=_SEARCH_POOL_SPEC)
     # Admissible bounds: every move changes the length by 0 or 2, so it keeps
     # the length's parity, and each deletion removes two symbols.  So an odd
     # length never reaches empty, every sequence the search meets from an
@@ -625,7 +623,7 @@ def search_trivialization(
             raise _OutOfBudget
         g += 1
         insert_fits = g + len(seq.symbols) // 2 + 1 <= limit
-        for m in legal_moves(seq, dynamic_insert_pool(seq, conj_cap) if insert_fits else ()):
+        for m in legal_moves(seq, dynamic_insert_pool(seq) if insert_fits else ()):
             child = apply_move(seq, m)
             n = len(child.symbols)
             if not n:
@@ -643,7 +641,7 @@ def search_trivialization(
         for limit in range(length_lower_bound(d), depth_limit + 1):
             found = dfs(d, 0, limit, {}, [])
             if found is not None:
-                return Certificate(tuple(found), pool_spec=pool_spec)
+                return Certificate(tuple(found), pool_spec=_SEARCH_POOL_SPEC)
     except (_OutOfBudget, RecursionError):
         # dfs recurses once per move: past the recursion limit is past the budget
         pass

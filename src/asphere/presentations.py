@@ -23,7 +23,6 @@ from .words import (
     Alphabet,
     AlphabetError,
     FreeWord,
-    MonoidWord,
     _word,
     embed,
     empty_word,
@@ -117,10 +116,7 @@ class GroupPresentation:
         return self._relator_names
 
     def relator(self, name: str) -> FreeWord:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no relator named {name!r}") from None
+        return self.signed_relator(name, 1)
 
     def signed_relator(self, name: str, sign: int) -> FreeWord:
         """The relator for sign +1, its inverse for sign -1."""
@@ -137,7 +133,7 @@ class GroupPresentation:
 class MonoidPresentation:
     name: str
     alphabet: Alphabet
-    relations: tuple[tuple[MonoidWord, MonoidWord], ...]
+    relations: tuple[tuple[FreeWord, FreeWord], ...]
 
     def __post_init__(self):
         for lhs, rhs in self.relations:
@@ -214,7 +210,7 @@ def parse(text: str) -> GroupPresentation | MonoidPresentation:
         raise ParseError(str(exc), lineno) from None
 
     group_relators: list[tuple[str, FreeWord]] = []
-    monoid_relations: list[tuple[MonoidWord, MonoidWord]] = []
+    monoid_relations: list[tuple[FreeWord, FreeWord]] = []
     eliminate: str | None = None
     for lineno, line in content[2:]:
         tokens = line.split()
@@ -288,7 +284,7 @@ def universal_group_presentation(mp: MonoidPresentation) -> GroupPresentation:
     counter = 0
     for lhs, rhs in mp.relations:
         counter += 1
-        word = multiply(lhs.as_free(), invert(rhs.as_free()))
+        word = multiply(lhs, invert(rhs))
         if word.is_identity:
             continue
         relators.append((f"h{counter}", word))

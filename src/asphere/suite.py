@@ -55,7 +55,6 @@ _PAIR_CROSSING = peiffer.Certificate((Move(MoveKind.EXCHANGE_R, 0), Move(MoveKin
 class RunConfig:
     seed: int = 0
     samples: int | None = None  # None: per-battery defaults
-    node_budget: int = 50_000
     fixtures_dir: str | None = None
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class RunConfig:
             raise ValueError(f"samples must be non-negative, got {self.samples}")
         if self.samples == 0:
             raise ValueError("samples must be positive: zero draws would pass vacuously")
-        if self.node_budget < 0:
-            raise ValueError(f"node budget must be non-negative, got {self.node_budget}")
 
     def count(self, default: int) -> int:
         return default if self.samples is None else self.samples
@@ -238,7 +235,7 @@ def battery_scramble_recover(config: RunConfig, fixtures: FixtureSet) -> Battery
         if not is_identity(d):
             failures.append(f"seed {i}: scramble output is not an identity sequence")
             continue
-        cert = search_trivialization(d, node_budget=config.node_budget, depth_limit=2 * k)
+        cert = search_trivialization(d, depth_limit=2 * k)
         if cert is EXHAUSTED:
             continue
         if not verify_certificate(d, cert):
@@ -401,9 +398,7 @@ def fixture_batteries(fx: ReducibleFixture, config: RunConfig) -> list[BatteryRe
                 BatteryResult.collect(f"{fixture_name}/{name}/negative-control", control_n, missed)
             )
     n_proj = config.count(100)
-    proj = xmod.check_projection(
-        fx, _rng(config, f"{fixture_name}/projection"), n_proj, node_budget=config.node_budget
-    )
+    proj = xmod.check_projection(fx, _rng(config, f"{fixture_name}/projection"), n_proj)
     out.append(replace(proj, name=f"{fixture_name}/projection-pipeline"))
     return out
 

@@ -1,8 +1,9 @@
 """Free-group and free-monoid words over named alphabets.
 
 Words are value types: a ``FreeWord`` is stored eagerly reduced, so equality
-and hashing read its letters.  Cross-alphabet arithmetic is an error; moving a
-word into a larger alphabet is the explicit ``embed``.
+and hashing read its letters.  A free-monoid word is a ``FreeWord`` of
+positive letters, which is reduced as it stands.  Cross-alphabet arithmetic
+is an error; moving a word into a larger alphabet is the explicit ``embed``.
 
 A letter is one int: generator ``i`` is ``2*i + 1`` and its inverse ``2*i``, so
 the inverse of code ``c`` is ``c ^ 1``.  Codes sort exactly as ``(index, sign)``
@@ -151,23 +152,6 @@ class FreeWord:
 
     def __repr__(self) -> str:
         return f"FreeWord({word_to_text(self)!r})"
-
-
-@dataclass(frozen=True)
-class MonoidWord:
-    """A word of positive letters, with no reduction applied."""
-
-    alphabet: Alphabet
-    letters: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def as_free(self) -> FreeWord:
-        return reduce(self.alphabet, self.letters)
-
-    def __repr__(self) -> str:
-        return f"MonoidWord({letters_to_text(self.alphabet, self.letters)!r})"
 
 
 _SET_WORD_ALPHABET = FreeWord.alphabet.__set__
@@ -342,11 +326,12 @@ def word_from_text(alphabet: Alphabet, text: str) -> FreeWord:
     return reduce(alphabet, parse_letters(alphabet, text))
 
 
-def monoid_word_from_text(alphabet: Alphabet, text: str) -> MonoidWord:
+def monoid_word_from_text(alphabet: Alphabet, text: str) -> FreeWord:
+    """A word of positive letters, which is freely reduced as it stands."""
     letters = parse_letters(alphabet, text)
     if any(letter_sign(c) < 0 for c in letters):
         raise WordSyntaxError("inverse letters are not allowed here")
-    return MonoidWord(alphabet, letters)
+    return _word(alphabet, letters)
 
 
 def letters_to_text(alphabet: Alphabet, letters: Sequence[int]) -> str:
@@ -356,7 +341,7 @@ def letters_to_text(alphabet: Alphabet, letters: Sequence[int]) -> str:
     return " ".join(names[c >> 1] if c & 1 else f"{names[c >> 1]}^-1" for c in letters)
 
 
-def word_to_text(u: FreeWord | MonoidWord) -> str:
+def word_to_text(u: FreeWord) -> str:
     return letters_to_text(u.alphabet, u.letters)
 
 

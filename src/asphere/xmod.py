@@ -55,6 +55,7 @@ from .words import (
     AlphabetError,
     FreeWord,
     _below,
+    _inverse_letters,
     _random_codes,
     _reduce,
     conjugate,
@@ -100,7 +101,7 @@ def random_kernel_element(retr: Retraction, rng: random.Random, max_factors: int
         u = _random_codes(bits, size, 3)
         raw += u
         raw += (seed_rel if rng.random() < 0.5 else seed_inv).letters
-        raw += [c ^ 1 for c in reversed(u)]
+        raw += _inverse_letters(u)
     return _reduce(big, raw)
 
 
@@ -553,9 +554,7 @@ def check_decompose_roundtrip(
     return BatteryResult.collect("decompose-roundtrip", samples, failures)
 
 
-def check_projection(
-    fx: ReducibleFixture, rng: random.Random, sequences: int, node_budget: int = 50_000
-) -> BatteryResult:
+def check_projection(fx: ReducibleFixture, rng: random.Random, sequences: int) -> BatteryResult:
     """Project scrambled identity sequences and search for certificates of
     the residual sequences.  Projection failures are hard failures; search
     misses are counted and only fail the battery below a 0.9 success rate."""
@@ -571,7 +570,7 @@ def check_projection(
             failures.append(f"sequence {i}: {exc}")
             continue
         searched += 1
-        cert = search_trivialization(d1, node_budget=node_budget)
+        cert = search_trivialization(d1)
         if cert is EXHAUSTED:
             continue
         if not verify_certificate(d1, cert):

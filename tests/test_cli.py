@@ -123,7 +123,6 @@ class TestExitCodes:
         [
             ("peiffer", "search", C3, "{seq}", "--budget", "-1"),
             ("peiffer", "search", C3, "{seq}", "--depth", "-3"),
-            ("peiffer", "search", C3, "{seq}", "--cap", "-2"),
             ("peiffer", "scramble", C3, "--k", "-3"),
         ],
     )
@@ -134,6 +133,23 @@ class TestExitCodes:
         argv = [arg.format(seq=seq) for arg in command]
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("peiffer", "search", C3, "{seq}", "--cap", "8"),
+            ("peiffer", "scramble", C3, "--cap", "8"),
+            ("suite", "--budget", "10"),
+        ],
+    )
+    def test_constant_settings_are_not_options(self, capsys, tmp_files, command):
+        # the insert pool's conjugator cap and the suite's search budget are
+        # constants, so naming one on the command line is a usage error
+        seq = tmp_files / "seq.json"
+        seq.write_text(json.dumps([ONE_SYMBOL, {**ONE_SYMBOL, "sign": -1}]))
+        argv = [arg.format(seq=seq) for arg in command]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("usage error: ")
 
     def test_scramble_without_relators_is_three(self, capsys, tmp_files):
         # nothing can be inserted; the draw used to die in rng.choice([])
@@ -471,7 +487,7 @@ class TestSuiteCommand:
         assert "FAIL envelope-probe (4 samples, 1 failures)\n      c3: index 4 != 3\n" in out
         assert "ok  scramble-recover (1 samples, 0 failures) found=1\n" in out
 
-    @pytest.mark.parametrize("flag", ("--samples", "--budget"))
+    @pytest.mark.parametrize("flag", ("--samples",))
     def test_negative_counts_are_usage_errors(self, capsys, flag):
         code, out, err = run(capsys, "--json", "suite", flag, "-1")
         assert code == 3 and out == "" and "non-negative" in err

@@ -239,10 +239,14 @@ class TestScramble:
         assert d.symbols[1] == d.symbols[0].inverse()
         assert cert.moves[0].kind == MoveKind.INSERT
 
-    @pytest.mark.parametrize("k,conj_cap", [(-1, 8), (2, -1)])
-    def test_negative_arguments_rejected(self, k, conj_cap):
-        with pytest.raises(ValueError):
-            scramble(GP, seed=0, k=k, conj_cap=conj_cap)
+    def test_pool_specs_name_the_cap(self):
+        d, cert = scramble(GP, seed=3, k=2)
+        assert cert.pool_spec == "scramble(seed=3,cap=8)"
+        assert search_trivialization(d).pool_spec == "dynamic(cap=8)"
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k"):
+            scramble(GP, seed=0, k=-1)
 
     def test_negative_seed_rejected(self):
         # random.Random(-5) draws the stream of random.Random(5), so the
@@ -273,7 +277,7 @@ class TestScramble:
                 for m in scramble(gp, seed, 1 + seed % 8)[1].moves:
                     dynamic = dynamic_insert_pool(d)
                     reference = sorted(set(base) | set(dynamic), key=YSymbol.sort_key)
-                    rows = peiffer._scramble_rows(gp, d.symbols, 8, twists)
+                    rows = peiffer._scramble_rows(gp, d.symbols, twists)
                     assert sum(2 * len(us) for _, us in rows) == len(reference)
                     for j, expected in enumerate(reference):
                         assert peiffer._row_symbol(rows, j) == expected
@@ -359,9 +363,7 @@ class TestSearch:
         assert len(cert.moves) == 1 and cert.moves[0].kind == MoveKind.DELETE
         assert verify_certificate(d, cert)
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"node_budget": -1}, {"depth_limit": -3}, {"conj_cap": -2}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"node_budget": -1}, {"depth_limit": -3}])
     def test_negative_budgets_rejected(self, kwargs):
         # a negative budget is an input error, not an exhausted search;
         # zero stays legal everywhere
@@ -369,7 +371,6 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_trivialization(d, **kwargs)
         assert search_trivialization(d, node_budget=0) is EXHAUSTED
-        assert search_trivialization(d, conj_cap=0) is not EXHAUSTED
         assert search_trivialization(d, depth_limit=0) is EXHAUSTED
 
     def test_rejects_non_identity(self):
@@ -671,19 +672,27 @@ class TestDynamicPool:
         assert sym(conj=A, sign=-1) in pool
 
     def test_cap_filters_long_conjugators(self):
-        long_word = word_from_text(GP.alphabet, "a b a b a b")
-        d = seq(sym(conj=long_word))
-        assert all(len(s.conjugator.letters) <= 2 for s in dynamic_insert_pool(d, conj_cap=2))
+        long_word = word_from_text(GP.alphabet, "a b a b a b a b a")
+        assert len(long_word.letters) > peiffer.CONJ_CAP
+        d = seq(sym(conj=long_word), sym(conj=A))
+        conjugators = {s.conjugator for s in dynamic_insert_pool(d)}
+        assert A in conjugators and long_word not in conjugators
+        assert all(len(u.letters) <= peiffer.CONJ_CAP for u in conjugators)
 
-    @given(st.integers(0, 10_000), st.integers(0, 6), st.sampled_from((0, 1, 3, 8)))
+    @given(st.integers(0, 10_000), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
-    def test_pool_and_insert_children_match_their_definitions(self, seed, max_len, cap):
+    def test_pool_and_insert_children_match_their_definitions(self, seed, max_len):
         # the pool is emitted in order and Insert children are built in place;
-        # both must equal the plain construction over public constructors
+        # both must equal the plain construction over public constructors.  A
+        # symbol one letter over the cap joins each sequence, so the cap acts
+        cap = peiffer.CONJ_CAP
         rng = random.Random(seed)
         for gp in load_fixtures().peiffer_presentations():
-            d = peiffer.random_sequence(gp, rng, max_len=max_len)
-            syms = d.symbols
+            long_word = word_from_text(gp.alphabet, f"{gp.alphabet.generators[0]} " * (cap + 1))
+            syms = peiffer.random_sequence(gp, rng, max_len=max_len).symbols
+            at = rng.randrange(len(syms) + 1)
+            syms = syms[:at] + (YSymbol(gp.relator_names[0], long_word, 1),) + syms[at:]
+            d = YSequence(gp, syms)
             conjugators = {s.conjugator for s in syms}
             for a, b in zip(syms, syms[1:]):
                 conjugators.add(multiply(peiffer.symbol_boundary(gp, a), b.conjugator))
@@ -698,8 +707,9 @@ class TestDynamicPool:
                 ),
                 key=YSymbol.sort_key,
             )
-            pool = dynamic_insert_pool(d, conj_cap=cap)
+            pool = dynamic_insert_pool(d)
             assert pool == expected
+            assert all(s.conjugator != long_word for s in pool)
             # the pool holds every one-step exchange product within the cap:
             # the slid symbol of each ExchangeL and ExchangeR child
             for i in range(len(syms) - 1):

@@ -83,7 +83,7 @@ def ref_random_sequence(gp, rng, max_len=4):
     return tuple(ref_random_symbol(gp, rng) for _ in range(rng.randrange(max_len + 1)))
 
 
-def ref_scramble_moves(gp, seed, k, conj_cap=8):
+def ref_scramble_moves(gp, seed, k):
     rng = random.Random(seed)
     seq = empty_sequence(gp)
     moves = []
@@ -92,7 +92,7 @@ def ref_scramble_moves(gp, seed, k, conj_cap=8):
         candidates = legal_moves(seq, ())
         if not candidates or rng.random() < 0.6:
             # the merged pool: the sorted union of the two pools
-            dynamic = dynamic_insert_pool(seq, conj_cap)
+            dynamic = dynamic_insert_pool(seq)
             pool = sorted(set(base) | set(dynamic), key=YSymbol.sort_key)
             m = Move(MoveKind.INSERT, rng.randrange(len(seq) + 1), rng.choice(pool))
         else:

@@ -32,10 +32,10 @@ class _OutOfBudget(Exception):
     pass
 
 
-def reference_search(d, node_budget=50_000, depth_limit=None, conj_cap=8, root_bound=True):
+def reference_search(d, node_budget=50_000, depth_limit=None, root_bound=True):
     if depth_limit is None:
         depth_limit = 2 * len(d.symbols)
-    pool_spec = f"dynamic(cap={conj_cap})"
+    pool_spec = "dynamic(cap=8)"
     if not d.symbols:
         return Certificate((), pool_spec=pool_spec)
     remaining = [node_budget]
@@ -56,7 +56,7 @@ def reference_search(d, node_budget=50_000, depth_limit=None, conj_cap=8, root_b
         remaining[0] -= 1
         if remaining[0] < 0:
             raise _OutOfBudget
-        for m in peiffer.legal_moves(seq, peiffer.dynamic_insert_pool(seq, conj_cap)):
+        for m in peiffer.legal_moves(seq, peiffer.dynamic_insert_pool(seq)):
             child = peiffer.apply_move(seq, m)
             trail.append(m)
             found = dfs(child, g + 1, limit, visited, trail)

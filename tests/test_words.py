@@ -279,7 +279,7 @@ class TestEmbedAndText:
     def test_monoid_word_keeps_raw_letters(self):
         mw = monoid_word_from_text(AB, "a a b")
         assert len(mw.letters) == 3
-        assert mw.as_free() == w("a a b")
+        assert mw == w("a a b")
 
     def test_monoid_word_can_forbid_signs(self):
         with pytest.raises(WordSyntaxError):
