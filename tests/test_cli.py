@@ -123,6 +123,7 @@ class TestExitCodes:
         [
             ("peiffer", "search", C3, "{seq}", "--budget", "-1"),
             ("peiffer", "search", C3, "{seq}", "--depth", "-3"),
+            ("peiffer", "search", C3, "{seq}", "--budget", "-1", "--depth", "4"),
             ("peiffer", "scramble", C3, "--k", "-3"),
         ],
     )
