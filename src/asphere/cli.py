@@ -136,7 +136,7 @@ def cmd_present_solve(args):
 
 def cmd_present_lot(args):
     edges = []
-    for part in args.edges.split(";"):
+    for part in filter(str.strip, args.edges.split(";")):
         pieces = [int(x) for x in part.split(",")]
         if len(pieces) != 3:
             raise ParseError(f"bad edge {part!r}", 1)

@@ -8,7 +8,7 @@ pair, and insertion of such a pair.  All four preserve the boundary product.
 
 Equality of symbols is componentwise on the reduced conjugator, so deletion
 legality is syntactic.  The trivialization search is a bounded
-iterative-deepening walk of the move graph; it returns a replayable
+iterative-deepening walk over an explicit stack; it returns a replayable
 certificate or EXHAUSTED, never a refutation.  Its first depth limit is
 ``length_lower_bound``, a length no certificate falls short of (the proof is
 in its docstring; IDA* with a consistent heuristic, Korf 1985); its
@@ -583,8 +583,7 @@ def search_trivialization(
     Iterative deepening; deletions are explored first, then exchanges, then
     insertions drawn from the dynamic pool.  Deterministic: among minimal
     certificates the lexicographically least move list is produced.  Returns
-    a Certificate or EXHAUSTED, also when the recursion limit cuts the walk
-    short.
+    a Certificate or EXHAUSTED.
     """
     if node_budget < 0 or (depth_limit is not None and depth_limit < 0):
         raise ValueError("node_budget and depth_limit must be >= 0")
@@ -610,46 +609,40 @@ def search_trivialization(
         return EXHAUSTED
 
     remaining = node_budget
-
-    def dfs(seq: YSequence, g: int, limit: int, visited: dict, trail: list[Move]):
-        """Expand a nonempty ``seq`` at depth g that the bound admits."""
-        nonlocal remaining
-        seen = visited.get(seq.symbols)
-        if seen is not None and seen <= g:
-            return None
-        visited[seq.symbols] = g
-        remaining -= 1
-        if remaining < 0:
-            raise _OutOfBudget
-        g += 1
-        insert_fits = g + len(seq.symbols) // 2 + 1 <= limit
-        for m in legal_moves(seq, dynamic_insert_pool(seq) if insert_fits else ()):
-            child = apply_move(seq, m)
-            n = len(child.symbols)
-            if not n:
-                return trail + [m]
-            if g + n // 2 > limit:
-                continue
-            trail.append(m)
-            found = dfs(child, g, limit, visited, trail)
-            if found is not None:
-                return found
-            trail.pop()
-        return None
-
-    try:
-        for limit in range(length_lower_bound(d), depth_limit + 1):
-            found = dfs(d, 0, limit, {}, [])
-            if found is not None:
-                return Certificate(tuple(found), pool_spec=_SEARCH_POOL_SPEC)
-    except (_OutOfBudget, RecursionError):
-        # dfs recurses once per move: past the recursion limit is past the budget
-        pass
+    for limit in range(length_lower_bound(d), depth_limit + 1):
+        visited = {}
+        # one frame per entered sequence on the path: the sequence, its
+        # children's depth, its unread moves and the move that entered it
+        stack = []
+        seq, g, m = d, 0, None
+        while seq is not None:
+            # seq, at depth g, fits the limit; enter it unless seen no deeper
+            seen = visited.get(seq.symbols)
+            if seen is None or seen > g:
+                visited[seq.symbols] = g
+                remaining -= 1
+                if remaining < 0:
+                    return EXHAUSTED
+                g += 1
+                insert_fits = g + len(seq.symbols) // 2 + 1 <= limit
+                pool = dynamic_insert_pool(seq) if insert_fits else ()
+                stack.append((seq, g, iter(legal_moves(seq, pool)), m))
+            # the next child the bound admits, from the deepest frame with one
+            seq = None
+            while stack and seq is None:
+                parent, g, moves, _ = stack[-1]
+                for m in moves:
+                    child = apply_move(parent, m)
+                    n = len(child.symbols)
+                    if not n:
+                        path = tuple(frame[3] for frame in stack[1:]) + (m,)
+                        return Certificate(path, pool_spec=_SEARCH_POOL_SPEC)
+                    if g + n // 2 <= limit:
+                        seq = child
+                        break
+                else:
+                    stack.pop()
     return EXHAUSTED
-
-
-class _OutOfBudget(Exception):
-    pass
 
 
 # --- JSON wire formats ---------------------------------------------------------

@@ -33,6 +33,7 @@ from .peiffer import (
     NotIdentityError,
     YSequence,
     YSymbol,
+    boundary,
     conjugate_sequence,
     is_identity,
     random_sequence,
@@ -143,7 +144,12 @@ def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) ->
         raise AlphabetError("conjugator and relator must avoid the eliminated generator")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    c = embed(conjugate(u, r if sign > 0 else invert(r)), retr.big_alphabet)
+    return _inner_derivation(retr, conjugate(u, r if sign > 0 else invert(r)))
+
+
+def _inner_derivation(retr: Retraction, c: FreeWord) -> Derivation:
+    """x -> c x c^-1 x^-1, for c over the small alphabet."""
+    c = embed(c, retr.big_alphabet)
     return Derivation(retr, lambda x: multiply(conjugate(c, x), invert(x)))
 
 
@@ -237,13 +243,13 @@ def symbol_derivation(retr: Retraction, gp: GroupPresentation, s: YSymbol) -> De
 
 
 def sequence_derivation(retr: Retraction, m: YSequence) -> Derivation:
-    """Derivation attached to a whole Y-sequence on the complement side:
-    the composition of the per-symbol relator derivations."""
-    acc = None
-    for s in m.symbols:
-        d = symbol_derivation(retr, m.presentation, s)
-        acc = d if acc is None else compose_derivations(acc, d)
-    return trivial_derivation(retr) if acc is None else acc
+    """Derivation attached to a whole Y-sequence on the complement side: the
+    composition of the per-symbol relator derivations.  Each is inner, and
+    composing the inner derivations of c1 and c2 gives that of c1 c2, so the
+    chain is the inner derivation of the boundary of m."""
+    if m.presentation.alphabet is not retr.small_alphabet:
+        raise AlphabetError("m must live over the subpresentation")
+    return _inner_derivation(retr, boundary(m))
 
 
 def semidirect_action(

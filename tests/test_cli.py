@@ -299,23 +299,21 @@ class TestPeifferCommands:
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out.strip() == "Exhausted"
 
-    def test_search_past_the_recursion_limit_is_exhausted(self, capsys, tmp_files):
-        # d d^-1 of 1,050 random c3 symbols needs 1,050 moves, one recursion
-        # level each; the search used to end in a RecursionError traceback
-        # and exit 1, the refutation code
+    def test_search_past_the_recursion_limit_finds_a_certificate(self, capsys, tmp_files):
+        # d d^-1 of 1,050 random c3 symbols needs 1,050 moves, past Python's
+        # default recursion limit of 1,000; only the budget bounds the depth
         rng = random.Random(0)
         gp = load_fixtures().presentations["c3"]
         d = peiffer.YSequence(gp, tuple(peiffer.random_symbol(gp, rng) for _ in range(1050)))
         seq = tmp_files / "long.json"
         seq.write_text(json.dumps(peiffer.ysequence_to_json(d.concat(peiffer.inverse_sequence(d)))))
         code, out, _ = run(capsys, "--json", "peiffer", "search", C3, str(seq))
-        assert code == 2
-        assert json.loads(out) == {
-            "result": "exhausted",
-            "budget": 50000,
-            "depth_limit": 4200,
-            "lower_bound": 1050,
-        }
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert len(cert["moves"]) == 1050
+        cert_file = tmp_files / "cert.json"
+        cert_file.write_text(json.dumps(cert))
+        assert run(capsys, "peiffer", "verify", C3, str(seq), str(cert_file))[0] == 0
 
     def test_odd_length_identity_says_no_certificate_exists(self, capsys, tmp_files):
         pres = tmp_files / "odd.pres"
@@ -391,6 +389,17 @@ class TestMiscCommands:
     def test_present_lot(self, capsys):
         code, out, _ = run(capsys, "present", "lot", "--n", "3", "--edges", "2,3,1;3,3,2")
         assert code == 0 and "rel r1 = x3 x1 x3^-1 x2^-1" in out
+
+    @pytest.mark.parametrize(
+        "n, edges, tree", [("1", "", []), ("2", "2,1,1;", [(2, 1, 1)]), ("2", " ;2,1,1", [(2, 1, 1)])]
+    )
+    def test_present_lot_skips_empty_edge_parts(self, capsys, n, edges, tree):
+        # a blank part is no edge: one vertex has none, and a trailing ";"
+        # is accepted as present cosets --subgroup accepts one
+        code, out, err = run(capsys, "--json", "present", "lot", "--n", n, "--edges", edges)
+        assert code == 0 and err == ""
+        expected = presentations.to_text(presentations.lot_presentation(int(n), tree))
+        assert json.loads(out) == {"text": expected}
 
     def test_present_lot_rejects_cycles(self, capsys):
         code, _, _ = run(capsys, "present", "lot", "--n", "2", "--edges", "1,2,2;2,1,1")

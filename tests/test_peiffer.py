@@ -340,18 +340,33 @@ def long_identity(symbols: int, seed: int = 0) -> YSequence:
     return d.concat(inverse_sequence(d))
 
 
+def leftmost_deletes(d: YSequence) -> tuple[Move, ...]:
+    """The moves that delete the leftmost adjacent inverse pair of d until
+    d is empty; d must reduce to the empty sequence by deletions alone."""
+    syms = list(d.symbols)
+    moves = []
+    i = 0
+    while syms:
+        # a deletion at i leaves the pairs left of i - 1 as they were
+        while syms[i + 1] != syms[i].inverse():
+            i += 1
+        moves.append(Move(MoveKind.DELETE, i))
+        del syms[i : i + 2]
+        i = max(i - 1, 0)
+    return tuple(moves)
+
+
 class TestSearch:
-    def test_a_certificate_past_the_recursion_limit_is_exhausted(self):
-        # dfs recurses once per move; 1,050 moves past the default limit of
-        # 1,000 used to raise RecursionError
+    def test_a_certificate_past_the_recursion_limit_is_found(self):
+        # 1,050 moves, past Python's default recursion limit of 1,000: only
+        # the budget bounds the depth.  At the lower bound every move is a
+        # deletion, tried leftmost first, and deletions alone reduce d d^-1
+        # to empty from any sequence they reach
         d = long_identity(1050)
         assert length_lower_bound(d) == 1050
-        assert search_trivialization(d) is EXHAUSTED
-
-    def test_a_certificate_within_the_recursion_limit_is_found(self):
-        d = long_identity(600)
         cert = search_trivialization(d)
-        assert len(cert.moves) == 600 and verify_certificate(d, cert)
+        assert cert.moves == leftmost_deletes(d)
+        assert len(cert.moves) == 1050 and verify_certificate(d, cert)
 
     def test_empty_sequence(self):
         cert = search_trivialization(empty_sequence(GP))

@@ -414,6 +414,23 @@ class TestSequenceDerivation:
             assert composed(x) == direct(x)
 
 
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_closed_form_matches_the_composed_chain(self, fx):
+        # the deliberate cross-check of the closed form: Whitehead composition
+        # of the per-symbol relator derivations, left to right
+        retr, sub = fx.retraction, fx.subpresentation
+        rng = random.Random(f"sequence-derivation/{fx.presentation.name}")
+        for _ in range(40):
+            m = random_sequence(sub, rng, max_len=5)
+            chain = trivial_derivation(retr)
+            for s in m.symbols:
+                chain = compose_derivations(chain, xmod.symbol_derivation(retr, sub, s))
+            closed = sequence_derivation(retr, m)
+            for _ in range(3):
+                x = random_kernel_element(retr, rng)
+                assert closed(x) == chain(x)
+
+
 class TestFixtureConstruction:
     def test_direct_construction_of_a_fitting_fixture(self):
         for fx in [TOY, LOT3, *LOTS]:
