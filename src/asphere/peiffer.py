@@ -22,13 +22,13 @@ Validation happens once, at the boundary: the public ``YSymbol`` and
 alphabet.  Symbols, sequences and moves the calculus proves valid (a move
 applied to a valid sequence, an inverse, a concatenation, the moves of
 ``legal_moves``) are built unchecked by setting their slots, through
-``_symbol``, ``_sequence`` and ``_move`` or, on the search's per-child
-paths, inline.  The one per-child validation is ``apply_move``'s check of
-an ``Insert`` move's symbol, the one thing a move brings in from outside:
+``_symbol``, ``_sequence`` and ``_move``; only ``legal_moves`` builds its
+insert moves inline.  The one per-child validation is ``apply_move``'s check
+of an ``Insert`` move's symbol, the one thing a move brings in from outside:
 its relator must belong to the presentation and its conjugator must be over
 its alphabet, so a replayed certificate still fails on a bad symbol.  The
-search's entry check that d is an identity is one pass over a stack of
-letters, which builds no word.
+boundary, which the search's entry check reads, is the symbols' letters
+freely reduced by ``words._reduce`` as one stream.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .words import (
     FreeWord,
     _below,
     _inverse_letters,
-    _word,
+    _reduce,
     conjugate,
     empty_word,
     multiply,
@@ -75,8 +75,8 @@ class YSymbol:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"sign must be the int +1 or -1, got {self.sign!r}")
 
     def __hash__(self) -> int:
         # the generated hash's value, without FreeWord.__hash__'s frame
@@ -147,28 +147,22 @@ def symbol_boundary(gp: GroupPresentation, s: YSymbol) -> FreeWord:
     return conjugate(s.conjugator, gp.signed_relator(s.relator, s.sign))
 
 
-def _boundary_letters(d: YSequence) -> list[int]:
-    """The letters of the reduced boundary: each symbol's u, r^e and u^-1
-    pushed onto one stack, cancelling as they come.  Free reduction is
-    confluent, so the stack is the reduced product."""
+def boundary(d: YSequence) -> FreeWord:
+    """The product of every symbol's u r^e u^-1: their letters, in order, freely
+    reduced as one stream.  Free reduction is confluent, so that is the
+    reduced product."""
     signed = d.presentation._signed
-    stack: list[int] = []
+    letters: list[int] = []
     for s in d.symbols:
         u = s.conjugator.letters
-        for c in u + signed[s.relator, s.sign].letters + _inverse_letters(u):
-            if stack and stack[-1] == c ^ 1:
-                stack.pop()
-            else:
-                stack.append(c)
-    return stack
-
-
-def boundary(d: YSequence) -> FreeWord:
-    return _word(d.presentation.alphabet, tuple(_boundary_letters(d)))
+        letters += u
+        letters += signed[s.relator, s.sign].letters
+        letters += _inverse_letters(u)
+    return _reduce(d.presentation.alphabet, letters)
 
 
 def is_identity(d: YSequence) -> bool:
-    return not _boundary_letters(d)
+    return not boundary(d).letters
 
 
 def inverse_sequence(d: YSequence) -> YSequence:
@@ -217,6 +211,9 @@ class Move:
     symbol: YSymbol | None = None  # Insert only
 
     def __post_init__(self):
+        # the range check is apply_move's, so a bad position replays as an illegal move
+        if type(self.pos) is not int:
+            raise ValueError(f"a move's position must be an int, got {self.pos!r}")
         if (self.kind is MoveKind.INSERT) != (self.symbol is not None):
             raise ValueError("exactly the Insert move carries a symbol")
 
@@ -273,11 +270,7 @@ def apply_move(d: YSequence, m: Move) -> YSequence:
             raise KeyError(f"unknown relator {relator!r}")
         if conjugator.alphabet is not gp.alphabet:
             raise AlphabetError(f"conjugator of {relator!r} over the wrong alphabet")
-        inv = _NEW(YSymbol)
-        _SET_RELATOR(inv, relator)
-        _SET_CONJUGATOR(inv, conjugator)
-        _SET_SIGN(inv, -a.sign)
-        out = syms[:pos] + (a, inv) + syms[pos:]
+        out = syms[:pos] + (a, _symbol(relator, conjugator, -a.sign)) + syms[pos:]
     else:
         if not 0 <= pos <= n - 2:
             raise IllegalMoveError(f"position {pos} has no adjacent pair in length {n}")
@@ -292,10 +285,7 @@ def apply_move(d: YSequence, m: Move) -> YSequence:
             out = syms[:pos] + (b, _symbol(a.relator, _twist_r(gp, a, b), a.sign)) + syms[pos + 2 :]
         else:
             raise IllegalMoveError(f"unknown move kind {m.kind}")
-    child = _NEW(YSequence)
-    _SET_PRESENTATION(child, gp)
-    _SET_SYMBOLS(child, out)
-    return child
+    return _sequence(gp, out)
 
 
 @functools.cache
@@ -323,6 +313,7 @@ def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]
     moves = [deletes[i] for i in range(n - 1) if _deletable(syms[i], syms[i + 1])]
     moves += lefts
     moves += rights
+    # inline, not through _move: the call per insert move slowed the search
     for i in range(n + 1):
         for sym in insert_pool:
             m = _NEW(Move)

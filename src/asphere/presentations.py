@@ -23,7 +23,7 @@ from .words import (
     Alphabet,
     AlphabetError,
     FreeWord,
-    _word,
+    _reduce,
     embed,
     empty_word,
     generator,
@@ -294,14 +294,6 @@ def universal_group_presentation(mp: MonoidPresentation) -> GroupPresentation:
 # --- single-occurrence elimination ------------------------------------------
 
 
-def occurrence_counts(gp: GroupPresentation) -> dict[str, int]:
-    counts = {name: 0 for name in gp.alphabet.generators}
-    for _, word in gp.relators:
-        for c in word.letters:
-            counts[gp.alphabet.name(letter_index(c))] += 1
-    return counts
-
-
 def solve_single_occurrence(gp: GroupPresentation, z: str) -> Retraction:
     """Eliminate a generator occurring exactly once among the relators.
 
@@ -334,32 +326,23 @@ def solve_single_occurrence(gp: GroupPresentation, z: str) -> Retraction:
     return retr
 
 
-def _retracted_letters(retr: Retraction, u: FreeWord) -> list[int]:
-    """The letters of the retracted word: each letter's image, reduced on a
-    stack as it comes."""
+def retract(retr: Retraction, u: FreeWord) -> FreeWord:
+    """Apply the retraction: fixes the small generators, sends z to its
+    solved value.  Result is over the small alphabet: the letters' images,
+    in order, freely reduced as one stream.
+    """
     if u.alphabet is not retr.big_alphabet:
         raise AlphabetError("retract expects a word over the big alphabet")
     images = retr._images
-    stack: list[int] = []
+    letters: list[int] = []
     for c in u.letters:
-        for x in images[c]:
-            if stack and stack[-1] == x ^ 1:
-                stack.pop()
-            else:
-                stack.append(x)
-    return stack
-
-
-def retract(retr: Retraction, u: FreeWord) -> FreeWord:
-    """Apply the retraction: fixes the small generators, sends z to its
-    solved value.  Result is over the small alphabet.
-    """
-    return _word(retr.small_alphabet, tuple(_retracted_letters(retr, u)))
+        letters += images[c]
+    return _reduce(retr.small_alphabet, letters)
 
 
 def in_kernel(retr: Retraction, u: FreeWord) -> bool:
-    """Whether u retracts to the empty word; builds no retracted word."""
-    return not _retracted_letters(retr, u)
+    """Whether u retracts to the empty word."""
+    return not retract(retr, u).letters
 
 
 def decompose(retr: Retraction, u: FreeWord) -> tuple[FreeWord, FreeWord]:
@@ -407,11 +390,13 @@ def is_reducible_lot(gp: GroupPresentation) -> str | None:
     """First generator (alphabet order) occurring exactly once among the
     relators, or None.
     """
-    counts = occurrence_counts(gp)
-    for name in gp.alphabet.generators:
-        if counts[name] == 1:
-            return name
-    return None
+    counts = [0] * len(gp.alphabet)
+    for _, word in gp.relators:
+        for c in word.letters:
+            counts[letter_index(c)] += 1
+    if 1 not in counts:
+        return None
+    return gp.alphabet.name(counts.index(1))
 
 
 # --- Todd-Coxeter coset enumeration ------------------------------------------

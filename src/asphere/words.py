@@ -18,7 +18,9 @@ Results the arithmetic proves reduced, such as the junction-cancelled
 concatenation of two reduced factors, the reversal of a reduced word or its
 renaming by ``embed`` and ``restrict``, go through the private ``_word``,
 which checks nothing and sets the two slots directly; only code that has such
-a proof may call it.
+a proof may call it.  ``_reduce`` is the package's one free reduction of a
+stream of letters: the boundary of a Y-sequence and the retraction of a word
+are such streams, and their modules hand them to it.
 
 Textual syntax (shared by file formats and the CLI): whitespace-separated
 tokens, ``x`` for a generator, ``x^-1`` for its inverse, ``1`` for the empty
@@ -334,15 +336,11 @@ def monoid_word_from_text(alphabet: Alphabet, text: str) -> FreeWord:
     return _word(alphabet, letters)
 
 
-def letters_to_text(alphabet: Alphabet, letters: Sequence[int]) -> str:
-    if not letters:
-        return "1"
-    names = alphabet.generators
-    return " ".join(names[c >> 1] if c & 1 else f"{names[c >> 1]}^-1" for c in letters)
-
-
 def word_to_text(u: FreeWord) -> str:
-    return letters_to_text(u.alphabet, u.letters)
+    if not u.letters:
+        return "1"
+    names = u.alphabet.generators
+    return " ".join(names[c >> 1] if c & 1 else f"{names[c >> 1]}^-1" for c in u.letters)
 
 
 # --- sampling (deterministic, for the test batteries) -----------------------

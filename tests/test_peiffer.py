@@ -227,6 +227,20 @@ class TestTrustedMoves:
         with pytest.raises(ValueError):
             Move(MoveKind.DELETE, 0, sym())
 
+    @pytest.mark.parametrize("pos", [True, 1.5, "0"])
+    def test_public_move_takes_only_an_int_position(self, pos):
+        # a bool would be written as a JSON boolean the reader rejects, and a
+        # float or string would fail a replay by TypeError, not by report
+        with pytest.raises(ValueError, match="position"):
+            Move(MoveKind.DELETE, pos)
+
+    @pytest.mark.parametrize("sign", [True, 1.0])
+    def test_public_symbol_takes_only_an_int_sign(self, sign):
+        # True == 1, but it would be written as "sign": true, which
+        # ysequence_from_json rejects
+        with pytest.raises(ValueError, match="sign"):
+            YSymbol("r", ONE, sign)
+
 
 class TestScramble:
     def test_zero_moves(self):
@@ -556,9 +570,11 @@ class TestCertificates:
             assert verify_certificate(d, backward)
 
     def test_out_of_range_move_fails_at_step_zero(self):
-        report = verify_certificate(seq(sym()), Certificate((Move(MoveKind.DELETE, 5),)))
-        assert not report
-        assert report.failed_step == 0
+        # the range is apply_move's check, not Move's: a replay reports it
+        for pos in (5, -1):
+            report = verify_certificate(seq(sym()), Certificate((Move(MoveKind.DELETE, pos),)))
+            assert not report
+            assert report.failed_step == 0
 
     def test_leftover_symbols_fail(self):
         report = verify_certificate(seq(sym()), Certificate(()))
