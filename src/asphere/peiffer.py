@@ -255,7 +255,28 @@ def _twist_r(gp: GroupPresentation, a: YSymbol, b: YSymbol) -> FreeWord:
     return multiply(conjugate(b.conjugator, gp.signed_relator(b.relator, -b.sign)), a.conjugator)
 
 
-def apply_move(d: YSequence, m: Move) -> YSequence:
+def _exchanged(
+    gp: GroupPresentation, a: YSymbol, b: YSymbol, left: bool, table: dict | None
+) -> YSymbol:
+    """ExchangeL's b' (``left``) or ExchangeR's a' of the adjacent pair (a, b).
+    ``table``, when given, holds those already built over ``gp``, keyed by
+    the fields of a and b and by ``left``, and gains this one: a repeated key
+    returns the same object.  The fields hash without YSymbol.__hash__'s frame."""
+    key = (a.relator, a.conjugator.letters, a.sign, b.relator, b.conjugator.letters, b.sign, left)
+    s = None if table is None else table.get(key)
+    if s is None:
+        if left:
+            s = _symbol(b.relator, _twist_l(gp, a, b), b.sign)
+        else:
+            s = _symbol(a.relator, _twist_r(gp, a, b), a.sign)
+        if table is not None:
+            table[key] = s
+    return s
+
+
+def apply_move(d: YSequence, m: Move, table: dict | None = None) -> YSequence:
+    """d after the move m; raises on an illegal move.  ``table`` is passed to
+    ``_exchanged``."""
     gp = d.presentation
     syms = d.symbols
     n = len(syms)
@@ -280,9 +301,9 @@ def apply_move(d: YSequence, m: Move) -> YSequence:
                 raise IllegalMoveError(f"pair at {pos} is not an adjacent inverse pair")
             out = syms[:pos] + syms[pos + 2 :]
         elif m.kind is _EXCHANGE_L:
-            out = syms[:pos] + (_symbol(b.relator, _twist_l(gp, a, b), b.sign), a) + syms[pos + 2 :]
+            out = syms[:pos] + (_exchanged(gp, a, b, True, table), a) + syms[pos + 2 :]
         elif m.kind is _EXCHANGE_R:
-            out = syms[:pos] + (b, _symbol(a.relator, _twist_r(gp, a, b), a.sign)) + syms[pos + 2 :]
+            out = syms[:pos] + (b, _exchanged(gp, a, b, False, table)) + syms[pos + 2 :]
         else:
             raise IllegalMoveError(f"unknown move kind {m.kind}")
     return _sequence(gp, out)
@@ -362,44 +383,39 @@ _SEARCH_POOL_SPEC = f"dynamic(cap={CONJ_CAP})"
 
 
 def _dynamic_conjugators(
-    gp: GroupPresentation, syms: tuple[YSymbol, ...], twists: dict | None = None
+    gp: GroupPresentation, syms: tuple[YSymbol, ...], table: dict | None
 ) -> list[FreeWord]:
     """The dynamic pool's conjugators, unordered: those of ``syms`` and each
     adjacent pair's ExchangeL and ExchangeR twists, at most ``CONJ_CAP``
-    letters long.  ``twists``, when given, maps a pair (a, b) over ``gp`` to
-    its two twists, and gains the pairs it lacked."""
+    letters long.  ``table`` is passed to ``_exchanged``."""
     conjugators = {s.conjugator for s in syms}
-    for i in range(len(syms) - 1):
-        a, b = syms[i], syms[i + 1]
-        pair = None if twists is None else twists.get((a, b))
-        if pair is None:
-            pair = _twist_l(gp, a, b), _twist_r(gp, a, b)
-            if twists is not None:
-                twists[a, b] = pair
-        conjugators.update(pair)
+    for a, b in zip(syms, syms[1:]):
+        conjugators.add(_exchanged(gp, a, b, True, table).conjugator)
+        conjugators.add(_exchanged(gp, a, b, False, table).conjugator)
     return [u for u in conjugators if len(u.letters) <= CONJ_CAP]
 
 
-def dynamic_insert_pool(d: YSequence) -> list[YSymbol]:
+def dynamic_insert_pool(d: YSequence, table: dict | None = None) -> list[YSymbol]:
     """Symbols built from relators and conjugators already present in the
     sequence, plus their one-step exchange products, with conjugators of at
     most ``CONJ_CAP`` letters.  Emitted in ``YSymbol.sort_key`` order:
-    relator, then conjugator in shortlex order, then sign -1 before +1."""
+    relator, then conjugator in shortlex order, then sign -1 before +1.
+    ``table`` is passed to ``_exchanged``."""
     syms = d.symbols
     relators = sorted({s.relator for s in syms})
-    kept = sorted(_dynamic_conjugators(d.presentation, syms), key=shortlex_key)
+    kept = sorted(_dynamic_conjugators(d.presentation, syms, table), key=shortlex_key)
     return [_symbol(rel, u, sign) for rel in relators for u in kept for sign in (-1, 1)]
 
 
 def _scramble_rows(
-    gp: GroupPresentation, syms: tuple[YSymbol, ...], twists: dict
+    gp: GroupPresentation, syms: tuple[YSymbol, ...], table: dict
 ) -> Sequence[tuple[str, Sequence[FreeWord]]]:
     """The sorted union of the base pool and the dynamic pool of ``syms``,
     as rows like ``_base_rows``: a relator of ``syms`` has the base and the
     dynamic conjugators, any other relator the base ones only."""
     rows = _base_rows(gp)
     present = {s.relator for s in syms}
-    dynamic = _dynamic_conjugators(gp, syms, twists)
+    dynamic = _dynamic_conjugators(gp, syms, table)
     both = sorted(set(rows[0][1]).union(dynamic), key=shortlex_key)
     return [(rel, both if rel in present else us) for rel, us in rows]
 
@@ -461,13 +477,13 @@ def scramble(gp: GroupPresentation, seed: int, k: int) -> tuple[YSequence, Certi
     bits = rng.getrandbits
     seq = empty_sequence(gp)
     moves = []
-    twists: dict = {}
+    table: dict = {}
     for _ in range(k):
         syms = seq.symbols
         n = len(syms)
         # legal_moves(seq) is empty exactly when there is no adjacent pair
         if n < 2 or rng.random() < 0.6:
-            rows = _scramble_rows(gp, syms, twists)
+            rows = _scramble_rows(gp, syms, table)
             pos = _below(bits, n + 1)
             j = _below(bits, sum(2 * len(us) for _, us in rows))
             m = _move(_INSERT, pos, _row_symbol(rows, j))
@@ -599,6 +615,14 @@ def search_trivialization(
     if len(d.symbols) % 2:
         return EXHAUSTED
 
+    # Each adjacent pair's twisted symbols, built once per call: the exchange
+    # children and the insert pools read them from this ``_exchanged`` table.
+    # It holds at most two entries, ExchangeL's and ExchangeR's, per distinct
+    # adjacent pair of d and its generated children, and is dropped on return.
+    # It memoizes a pure function of (gp, a, b, side), so every child is as
+    # without it.  A miss builds only the twist asked for, so a search that
+    # ends early builds no twist it does not read.
+    table: dict = {}
     remaining = node_budget
     for limit in range(length_lower_bound(d), depth_limit + 1):
         visited = {}
@@ -616,14 +640,14 @@ def search_trivialization(
                     return EXHAUSTED
                 g += 1
                 insert_fits = g + len(seq.symbols) // 2 + 1 <= limit
-                pool = dynamic_insert_pool(seq) if insert_fits else ()
+                pool = dynamic_insert_pool(seq, table) if insert_fits else ()
                 stack.append((seq, g, iter(legal_moves(seq, pool)), m))
             # the next child the bound admits, from the deepest frame with one
             seq = None
             while stack and seq is None:
                 parent, g, moves, _ = stack[-1]
                 for m in moves:
-                    child = apply_move(parent, m)
+                    child = apply_move(parent, m, table)
                     n = len(child.symbols)
                     if not n:
                         path = tuple(frame[3] for frame in stack[1:]) + (m,)

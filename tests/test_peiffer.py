@@ -754,6 +754,42 @@ class TestDynamicPool:
                     assert child == YSequence(gp, syms[:i] + (a, a.inverse()) + syms[i:])
 
 
+class TestExchangeTable:
+    """The search's per-call table of each adjacent pair's twisted symbols
+    memoizes a pure function, so every child and pool is as without it."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exchanges_and_pools_match_the_tableless_build(self, seed):
+        rng = random.Random(f"exchange-table/{seed}")
+        for gp in load_fixtures().peiffer_presentations():
+            table = {}
+            for _ in range(4):
+                d = peiffer.random_sequence(gp, rng, max_len=6)
+                for i in range(len(d) - 1):
+                    for kind in (MoveKind.EXCHANGE_L, MoveKind.EXCHANGE_R):
+                        m = Move(kind, i)
+                        assert apply_move(d, m, table) == apply_move(d, m)
+                assert dynamic_insert_pool(d, table) == dynamic_insert_pool(d)
+
+    def test_a_repeated_pair_returns_the_tables_own_symbols(self):
+        def build():
+            return seq(sym(conj=A), sym("s", sign=-1), sym(conj=A, sign=-1))
+
+        d = build()
+        table = {}
+        left = apply_move(d, Move(MoveKind.EXCHANGE_L, 0), table).symbols[0]
+        right = apply_move(d, Move(MoveKind.EXCHANGE_R, 0), table).symbols[1]
+        assert sorted(map(id, table.values())) == sorted((id(left), id(right)))
+        # the table is keyed on symbol values: an equal sequence of new
+        # symbols reads the same objects, and the pool adds only what it lacked
+        assert apply_move(build(), Move(MoveKind.EXCHANGE_L, 0), table).symbols[0] is left
+        assert apply_move(build(), Move(MoveKind.EXCHANGE_R, 0), table).symbols[1] is right
+        dynamic_insert_pool(build(), table)
+        assert len(table) == 4
+        assert apply_move(d, Move(MoveKind.EXCHANGE_L, 0), table).symbols[0] is left
+        assert apply_move(d, Move(MoveKind.EXCHANGE_R, 0), table).symbols[1] is right
+
+
 class TestRandomSamplers:
     """The draws are pinned: the suite's report bytes depend on them."""
 
