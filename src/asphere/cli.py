@@ -57,17 +57,12 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_group(path: str) -> GroupPresentation:
+def _load_presentation(path: str, kind: type) -> GroupPresentation | MonoidPresentation:
+    """The presentation in the file at ``path``, which must be a ``kind``."""
     p = parse(_read(path))
-    if not isinstance(p, GroupPresentation):
-        raise ParseError("expected a group presentation", 1)
-    return p
-
-
-def _load_monoid_presentation(path: str) -> MonoidPresentation:
-    p = parse(_read(path))
-    if not isinstance(p, MonoidPresentation):
-        raise ParseError("expected a monoid presentation", 1)
+    if not isinstance(p, kind):
+        noun = "group" if kind is GroupPresentation else "monoid"
+        raise ParseError(f"expected a {noun} presentation", 1)
     return p
 
 
@@ -118,13 +113,13 @@ def cmd_present_validate(args):
 
 
 def cmd_present_hat(args):
-    mp = _load_monoid_presentation(args.file)
+    mp = _load_presentation(args.file, MonoidPresentation)
     gp = universal_group_presentation(mp)
     return 0, {"text": to_text(gp)}, to_text(gp).rstrip()
 
 
 def cmd_present_solve(args):
-    gp = _load_group(args.file)
+    gp = _load_presentation(args.file, GroupPresentation)
     retr = solve_single_occurrence(gp, args.gen)
     payload = {
         "eliminated": retr.z,
@@ -146,7 +141,7 @@ def cmd_present_lot(args):
 
 
 def cmd_present_cosets(args):
-    gp = _load_group(args.file)
+    gp = _load_presentation(args.file, GroupPresentation)
     subgroup = []
     if args.subgroup:
         subgroup = [word_from_text(gp.alphabet, w) for w in args.subgroup.split(";")]
@@ -190,21 +185,21 @@ def cmd_monoid_wdom(args):
 
 
 def cmd_peiffer_boundary(args):
-    gp = _load_group(args.presentation)
+    gp = _load_presentation(args.presentation, GroupPresentation)
     d = _load_ysequence(gp, args.sequence)
     w = peiffer.boundary(d)
     return 0, {"boundary": word_to_text(w)}, word_to_text(w)
 
 
 def cmd_peiffer_check(args):
-    gp = _load_group(args.presentation)
+    gp = _load_presentation(args.presentation, GroupPresentation)
     d = _load_ysequence(gp, args.sequence)
     ok = peiffer.is_identity(d)
     return (0 if ok else 1), {"identity": ok}, "identity" if ok else "not an identity"
 
 
 def cmd_peiffer_search(args):
-    gp = _load_group(args.presentation)
+    gp = _load_presentation(args.presentation, GroupPresentation)
     d = _load_ysequence(gp, args.sequence)
     cert = peiffer.search_trivialization(d, node_budget=args.budget, depth_limit=args.depth)
     if cert is EXHAUSTED:
@@ -227,7 +222,7 @@ def cmd_peiffer_search(args):
 
 
 def cmd_peiffer_verify(args):
-    gp = _load_group(args.presentation)
+    gp = _load_presentation(args.presentation, GroupPresentation)
     d = _load_ysequence(gp, args.sequence)
     cert = peiffer.certificate_from_json(gp, json.loads(_read(args.certificate)))
     report = peiffer.verify_certificate(d, cert)
@@ -240,7 +235,7 @@ def cmd_peiffer_verify(args):
 
 
 def cmd_peiffer_scramble(args):
-    gp = _load_group(args.presentation)
+    gp = _load_presentation(args.presentation, GroupPresentation)
     d, cert = peiffer.scramble(gp, seed=args.seed, k=args.k)
     payload = {
         "seed": args.seed,
@@ -251,7 +246,7 @@ def cmd_peiffer_scramble(args):
 
 
 def cmd_peiffer_fiber(args):
-    gp = _load_group(args.presentation)
+    gp = _load_presentation(args.presentation, GroupPresentation)
     d = _load_ysequence(gp, args.sequence)
     n0 = word_from_text(gp.alphabet, args.n0)
     result = peiffer.fiber_pair(n0, d)
@@ -259,7 +254,7 @@ def cmd_peiffer_fiber(args):
 
 
 def cmd_relmod_gmap(args):
-    gp = _load_group(args.presentation)
+    gp = _load_presentation(args.presentation, GroupPresentation)
     d = _load_ysequence(gp, args.sequence)
     if args.oracle == "free":
         oracle = relmod.FreeOracle(gp.alphabet)
@@ -288,7 +283,7 @@ def _battery_lines(batteries) -> list[str]:
 
 
 def cmd_xmod_check(args):
-    gp = _load_group(args.fixture)
+    gp = _load_presentation(args.fixture, GroupPresentation)
     fx = ReducibleFixture.from_presentation(gp)
     config = suite_mod.RunConfig(seed=args.seed, samples=args.samples)
     batteries = suite_mod.fixture_batteries(fx, config)
@@ -303,7 +298,7 @@ def cmd_xmod_check(args):
 
 
 def cmd_xmod_project(args):
-    gp = _load_group(args.fixture)
+    gp = _load_presentation(args.fixture, GroupPresentation)
     fx = ReducibleFixture.from_presentation(gp)
     d = _load_ysequence(gp, args.sequence)
     d1 = xmod.project_identity_sequence(fx, d)

@@ -13,8 +13,8 @@ certificate or EXHAUSTED, never a refutation.  Its first depth limit is
 ``length_lower_bound``, a length no certificate falls short of (the proof is
 in its docstring; IDA* with a consistent heuristic, Korf 1985); its
 per-child gates are argued in ``search_trivialization``.  Each move rule has
-one definition: the exchange twists are ``_twist_l`` and ``_twist_r``, and
-the step moves are shared objects, one per (kind, position), listed in one
+one definition: the exchange twists are ``_exchanged``, over ``symbol_boundary``,
+and the step moves are shared objects, one per (kind, position), listed in one
 order by ``legal_moves``, which ``scramble`` draws from too.
 
 Validation happens once, at the boundary: the public ``YSymbol`` and
@@ -245,20 +245,11 @@ def _deletable(a: YSymbol, b: YSymbol) -> bool:
     return a.relator == b.relator and a.conjugator == b.conjugator and a.sign == -b.sign
 
 
-def _twist_l(gp: GroupPresentation, a: YSymbol, b: YSymbol) -> FreeWord:
-    """ExchangeL's (a, b) -> (b', a): b's conjugator twisted by a's boundary."""
-    return multiply(symbol_boundary(gp, a), b.conjugator)
-
-
-def _twist_r(gp: GroupPresentation, a: YSymbol, b: YSymbol) -> FreeWord:
-    """ExchangeR's (a, b) -> (b, a'): a's conjugator twisted by b^-1's boundary."""
-    return multiply(conjugate(b.conjugator, gp.signed_relator(b.relator, -b.sign)), a.conjugator)
-
-
 def _exchanged(
     gp: GroupPresentation, a: YSymbol, b: YSymbol, left: bool, table: dict | None
 ) -> YSymbol:
-    """ExchangeL's b' (``left``) or ExchangeR's a' of the adjacent pair (a, b).
+    """ExchangeL's b' (``left``: b's conjugator twisted by a's boundary) or
+    ExchangeR's a' (a's conjugator twisted by b^-1's boundary) of (a, b).
     ``table``, when given, holds those already built over ``gp``, keyed by
     the fields of a and b and by ``left``, and gains this one: a repeated key
     returns the same object.  The fields hash without YSymbol.__hash__'s frame."""
@@ -266,9 +257,10 @@ def _exchanged(
     s = None if table is None else table.get(key)
     if s is None:
         if left:
-            s = _symbol(b.relator, _twist_l(gp, a, b), b.sign)
+            s = _symbol(b.relator, multiply(symbol_boundary(gp, a), b.conjugator), b.sign)
         else:
-            s = _symbol(a.relator, _twist_r(gp, a, b), a.sign)
+            twist = symbol_boundary(gp, b.inverse())
+            s = _symbol(a.relator, multiply(twist, a.conjugator), a.sign)
         if table is not None:
             table[key] = s
     return s

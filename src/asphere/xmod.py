@@ -130,25 +130,14 @@ class Derivation:
         return self.rule(x)
 
 
-def trivial_derivation(retr: Retraction) -> Derivation:
-    identity = empty_word(retr.big_alphabet)
-    return Derivation(retr, lambda x: identity)
-
-
-def relator_derivation(retr: Retraction, u: FreeWord, r: FreeWord, sign: int) -> Derivation:
-    """The derivation attached to a conjugated relator: the displacement of a
-    kernel element under conjugation by c = u r^sign u^-1.  Its inverse under
-    composition is the opposite-sign instance, whose conjugating word is c^-1."""
-    small = retr.small_alphabet
-    if u.alphabet is not small or r.alphabet is not small:
-        raise AlphabetError("conjugator and relator must avoid the eliminated generator")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _inner_derivation(retr, conjugate(u, r if sign > 0 else invert(r)))
-
-
-def _inner_derivation(retr: Retraction, c: FreeWord) -> Derivation:
-    """x -> c x c^-1 x^-1, for c over the small alphabet."""
+def inner_derivation(retr: Retraction, c: FreeWord) -> Derivation:
+    """The inner derivation x -> c x c^-1 x^-1 of a word c over the small
+    alphabet: the displacement of a kernel element under conjugation by c.
+    Composing the inner derivations of c1 and c2 gives that of c1 c2, so the
+    empty word's is the unit and c^-1's is the compositional inverse.  The
+    one alphabet check of every derivation constructor."""
+    if c.alphabet is not retr.small_alphabet:
+        raise AlphabetError("a derivation's word must avoid the eliminated generator")
     c = embed(c, retr.big_alphabet)
     return Derivation(retr, lambda x: multiply(conjugate(c, x), invert(x)))
 
@@ -238,18 +227,17 @@ def _other_relators(gp: GroupPresentation, retr: Retraction) -> tuple:
 
 
 def symbol_derivation(retr: Retraction, gp: GroupPresentation, s: YSymbol) -> Derivation:
-    """The relator derivation of one symbol over the subpresentation gp."""
-    return relator_derivation(retr, s.conjugator, gp.relator(s.relator), s.sign)
+    """The relator derivation of one symbol over the subpresentation gp: the
+    inner derivation of its boundary u r^e u^-1.  The opposite-sign symbol's
+    is its compositional inverse."""
+    return inner_derivation(retr, symbol_boundary(gp, s))
 
 
 def sequence_derivation(retr: Retraction, m: YSequence) -> Derivation:
     """Derivation attached to a whole Y-sequence on the complement side: the
-    composition of the per-symbol relator derivations.  Each is inner, and
-    composing the inner derivations of c1 and c2 gives that of c1 c2, so the
-    chain is the inner derivation of the boundary of m."""
-    if m.presentation.alphabet is not retr.small_alphabet:
-        raise AlphabetError("m must live over the subpresentation")
-    return _inner_derivation(retr, boundary(m))
+    composition of the per-symbol relator derivations.  Each is inner, so
+    the chain is the inner derivation of the boundary of m."""
+    return inner_derivation(retr, boundary(m))
 
 
 def semidirect_action(
@@ -306,9 +294,9 @@ def project_symbol(fx: ReducibleFixture, s: YSymbol) -> tuple[FreeWord, YSymbol 
     if s.relator == retr.source_relator:
         return symbol_boundary(fx.presentation, s), None
     u0, u1 = decompose(retr, s.conjugator)
-    u1 = restrict(u1, retr.small_alphabet)
-    d = relator_derivation(retr, u1, fx.subpresentation.relator(s.relator), s.sign)
-    return invert(d.rule(u0)), YSymbol(s.relator, u1, s.sign)
+    m = YSymbol(s.relator, restrict(u1, retr.small_alphabet), s.sign)
+    d = symbol_derivation(retr, fx.subpresentation, m)
+    return invert(d.rule(u0)), m
 
 
 def project_identity_sequence(fx: ReducibleFixture, d: YSequence) -> YSequence:
@@ -337,10 +325,9 @@ def project_identity_sequence(fx: ReducibleFixture, d: YSequence) -> YSequence:
         raise InconsistencyError(
             "projection left a nonvanishing kernel component", residue=t_acc
         )
-    d1 = YSequence(sub, tuple(m_syms))
-    if not is_identity(d1):
+    if bm.letters:
         raise InconsistencyError("projected sequence is not an identity sequence")
-    return d1
+    return YSequence(sub, tuple(m_syms))
 
 
 # --- sampled batteries --------------------------------------------------------------
@@ -465,8 +452,8 @@ def check_composition_formulas(
         x = random_kernel_element(retr, rng)
         if composed(x) != alt(x):
             failures.append(f"sample {i}: the two composition expressions disagree")
-    d_any = relator_derivation(retr, empty_word(retr.small_alphabet), sub.relators[0][1], 1)
-    triv = trivial_derivation(retr)
+    d_any = inner_derivation(retr, sub.relators[0][1])
+    triv = inner_derivation(retr, empty_word(retr.small_alphabet))
     probe = random_kernel_element(retr, rng)
     left, right = compose_derivations(d_any, triv), compose_derivations(triv, d_any)
     if not left(probe) == d_any(probe) == right(probe):

@@ -61,14 +61,14 @@ from asphere.xmod import (
     compose_derivations,
     derivation_automorphism,
     induced_map,
+    inner_derivation,
     project_identity_sequence,
     project_symbol,
     random_kernel_element,
     recombine,
-    relator_derivation,
-    sequence_derivation,
     semidirect_action,
-    trivial_derivation,
+    sequence_derivation,
+    symbol_derivation,
 )
 
 # toy fixture: z a = 1 forces z = a^-1; one surviving relator b
@@ -94,6 +94,11 @@ def small(text):
     return word_from_text(SMALL, text)
 
 
+def toy_derivation(u, sign):
+    """The relator derivation of the toy symbol (r, u, sign)."""
+    return symbol_derivation(TOY.retraction, TOY.subpresentation, YSymbol("r", small(u), sign))
+
+
 class TestConjugationXmod:
     def test_action_stays_in_kernel(self):
         t = big("z a")
@@ -109,11 +114,11 @@ class TestConjugationXmod:
 
 class TestRelatorDerivation:
     def test_kills_the_identity(self):
-        d = relator_derivation(TOY.retraction, small("1"), small("b"), 1)
+        d = toy_derivation("1", 1)
         assert d(empty_word(BIG)).is_identity
 
     def test_toy_value_and_membership(self):
-        d = relator_derivation(TOY.retraction, small("1"), small("b"), 1)
+        d = toy_derivation("1", 1)
         n0 = big("z a")
         expected = multiply(conjugate(big("b"), n0), invert(n0))
         assert d(n0) == expected
@@ -121,8 +126,8 @@ class TestRelatorDerivation:
 
     def test_regularity_by_evaluation(self):
         rng = random.Random(2)
-        d_plus = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
-        d_minus = relator_derivation(TOY.retraction, small("a"), small("b"), -1)
+        d_plus = toy_derivation("a", 1)
+        d_minus = toy_derivation("a", -1)
         for _ in range(200):
             n0 = random_kernel_element(TOY.retraction, rng)
             assert compose_derivations(d_plus, d_minus)(n0).is_identity
@@ -132,7 +137,7 @@ class TestRelatorDerivation:
         assert check_derivation_law(LOT3, random.Random(3), 500).passed
 
     def test_rejects_non_kernel_argument(self):
-        d = relator_derivation(TOY.retraction, small("1"), small("b"), 1)
+        d = toy_derivation("1", 1)
         with pytest.raises(MembershipError):
             d(big("a"))
 
@@ -144,8 +149,8 @@ class TestRelatorDerivation:
 class TestComposition:
     def test_trivial_is_two_sided_identity(self):
         rng = random.Random(5)
-        d = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
-        triv = trivial_derivation(TOY.retraction)
+        d = toy_derivation("a", 1)
+        triv = inner_derivation(TOY.retraction, empty_word(SMALL))
         for _ in range(50):
             x = random_kernel_element(TOY.retraction, rng)
             assert compose_derivations(d, triv)(x) == d(x)
@@ -153,12 +158,13 @@ class TestComposition:
 
     def test_two_expressions_agree(self):
         rng = random.Random(6)
-        words = LOT3.subpresentation.relators
+        retr, sub = LOT3.retraction, LOT3.subpresentation
+        name = sub.relators[0][0]
         for _ in range(200):
             u1 = random_word(LOT3.retraction.small_alphabet, rng, 3)
             u2 = random_word(LOT3.retraction.small_alphabet, rng, 3)
-            d1 = relator_derivation(LOT3.retraction, u1, words[0][1], rng.choice((1, -1)))
-            d2 = relator_derivation(LOT3.retraction, u2, words[0][1], rng.choice((1, -1)))
+            d1 = symbol_derivation(retr, sub, YSymbol(name, u1, rng.choice((1, -1))))
+            d2 = symbol_derivation(retr, sub, YSymbol(name, u2, rng.choice((1, -1))))
             x = random_kernel_element(LOT3.retraction, rng)
             assert compose_derivations(d1, d2)(x) == compose_alternative(d1, d2)(x)
 
@@ -169,7 +175,7 @@ class TestComposition:
 
 class TestAutomorphismPairs:
     def test_trivial_derivation_gives_identity_pair(self):
-        triv = trivial_derivation(TOY.retraction)
+        triv = inner_derivation(TOY.retraction, empty_word(SMALL))
         aut = derivation_automorphism(triv, triv, random.Random(0), 16)
         x = big("z a")
         assert aut(x) == x
@@ -180,14 +186,14 @@ class TestAutomorphismPairs:
         rng = random.Random(f"sigma/{fx.presentation.name}")
         for _ in range(100):
             s = random_symbol(sub, rng, conj_len=4)
-            aut = induced_map(xmod.symbol_derivation(retr, sub, s))
+            aut = induced_map(symbol_derivation(retr, sub, s))
             c = embed(symbol_boundary(sub, s), retr.big_alphabet)
             n0 = random_kernel_element(retr, rng)
             assert aut(n0) == conjugate(c, n0)
 
     def test_bad_witness_rejected(self):
-        d = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
-        same = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
+        d = toy_derivation("a", 1)
+        same = toy_derivation("a", 1)
         with pytest.raises(NonRegularError):
             derivation_automorphism(d, same, random.Random(11), samples=24)
 
@@ -407,7 +413,7 @@ class TestSequenceDerivation:
     def test_singleton_matches_relator_derivation(self):
         m = YSequence(TOY.subpresentation, (YSymbol("r", small("a"), -1),))
         composed = sequence_derivation(TOY.retraction, m)
-        direct = relator_derivation(TOY.retraction, small("a"), small("b"), -1)
+        direct = toy_derivation("a", -1)
         rng = random.Random(22)
         for _ in range(100):
             x = random_kernel_element(TOY.retraction, rng)
@@ -422,9 +428,9 @@ class TestSequenceDerivation:
         rng = random.Random(f"sequence-derivation/{fx.presentation.name}")
         for _ in range(40):
             m = random_sequence(sub, rng, max_len=5)
-            chain = trivial_derivation(retr)
+            chain = inner_derivation(retr, empty_word(retr.small_alphabet))
             for s in m.symbols:
-                chain = compose_derivations(chain, xmod.symbol_derivation(retr, sub, s))
+                chain = compose_derivations(chain, symbol_derivation(retr, sub, s))
             closed = sequence_derivation(retr, m)
             for _ in range(3):
                 x = random_kernel_element(retr, rng)
@@ -484,12 +490,12 @@ class TestMembershipChecks:
     OUTSIDE = [(BIG, "a"), (BIG, "z"), (SMALL, "a")]
 
     def derivations(self):
-        d1 = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
-        d2 = relator_derivation(TOY.retraction, small("b"), small("b"), -1)
+        d1 = toy_derivation("a", 1)
+        d2 = toy_derivation("b", -1)
         m = YSequence(TOY.subpresentation, (YSymbol("r", small("a"), 1),) * 2)
         return (
             d1,
-            relator_derivation(TOY.retraction, small("a"), small("b"), -1),
+            toy_derivation("a", -1),
             compose_derivations(d1, d2),
             sequence_derivation(TOY.retraction, m),
         )
@@ -502,8 +508,8 @@ class TestMembershipChecks:
 
     @pytest.mark.parametrize("alphabet,text", OUTSIDE)
     def test_induced_maps_and_pairs_reject_non_kernel_arguments(self, alphabet, text):
-        d = relator_derivation(TOY.retraction, small("a"), small("b"), 1)
-        d_inverse = relator_derivation(TOY.retraction, small("a"), small("b"), -1)
+        d = toy_derivation("a", 1)
+        d_inverse = toy_derivation("a", -1)
         checked = (
             induced_map(d),
             compose_alternative(d, d_inverse),
@@ -519,12 +525,24 @@ class TestMembershipChecks:
             semidirect_action(TOY.retraction, big("z a"), small("1"), big("a"), m)
 
     def test_trivial_derivation_rejects_a_foreign_alphabet(self):
-        triv = trivial_derivation(TOY.retraction)
+        triv = inner_derivation(TOY.retraction, empty_word(SMALL))
         with pytest.raises(MembershipError):
             triv(word_from_text(Alphabet(("p", "q")), "p q"))
         with pytest.raises(MembershipError):
             triv(big("a"))
         assert triv(big("z a")).is_identity
+
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_derivation_constructors_reject_a_foreign_alphabet(self, fx):
+        # a word, symbol or sequence over the big alphabet names no derivation
+        retr, gp = fx.retraction, fx.presentation
+        source = YSymbol(retr.source_relator, word_from_text(gp.alphabet, retr.z), 1)
+        with pytest.raises(AlphabetError):
+            inner_derivation(retr, gp.relator(retr.source_relator))
+        with pytest.raises(AlphabetError):
+            symbol_derivation(retr, gp, source)
+        with pytest.raises(AlphabetError):
+            sequence_derivation(retr, YSequence(gp, (source, source.inverse())))
 
 
 class TestFastPathsAgainstDefinitions:
@@ -618,13 +636,14 @@ def _pinned_values(fx):
     rng = random.Random(f"xmod-values/{fx.presentation.name}")
     out = []
     for _ in range(6):
-        for name, r in fx.subpresentation.relators:
+        for name, _ in sub.relators:
             u = random_word(retr.small_alphabet, rng, 3)
             for sign in (1, -1):
                 x = random_kernel_element(retr, rng)
-                out.append(word_to_text(relator_derivation(retr, u, r, sign)(x)))
-        d1 = xmod.symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
-        d2 = xmod.symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+                d = symbol_derivation(retr, sub, YSymbol(name, u, sign))
+                out.append(word_to_text(d(x)))
+        d1 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+        d2 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
         x = random_kernel_element(retr, rng)
         out.append(word_to_text(compose_derivations(d1, d2)(x)))
         out.append(word_to_text(compose_alternative(d1, d2)(x)))
