@@ -19,16 +19,19 @@ order by ``legal_moves``, which ``scramble`` draws from too.
 
 Validation happens once, at the boundary: the public ``YSymbol`` and
 ``YSequence`` constructors check every sign, relator name and conjugator
-alphabet.  Symbols, sequences and moves the calculus proves valid (a move
-applied to a valid sequence, an inverse, a concatenation, the moves of
-``legal_moves``) are built unchecked by setting their slots, through
-``_symbol``, ``_sequence`` and ``_move``; only ``legal_moves`` builds its
-insert moves inline.  The one per-child validation is ``apply_move``'s check
-of an ``Insert`` move's symbol, the one thing a move brings in from outside:
-its relator must belong to the presentation and its conjugator must be over
-its alphabet, so a replayed certificate still fails on a bad symbol.  The
-boundary, which the search's entry check reads, is the symbols' letters
-freely reduced by ``words._reduce`` as one stream.
+alphabet.  Symbols, sequences, moves and certificates the calculus proves
+valid (a move applied to a valid sequence, an inverse, a concatenation, the
+moves of ``legal_moves``, the search's move lists) are built unchecked by
+setting their slots, through ``_symbol``, ``_sequence``, ``_move`` and
+``_certificate``; only ``legal_moves`` builds its insert moves inline.  The
+one per-child validation is ``apply_move``'s check of an ``Insert`` move's
+symbol, the one thing a move brings in from outside: its relator must belong
+to the presentation and its conjugator must be over its alphabet, so a
+replayed certificate still fails on a bad symbol.  The boundary is the
+symbols' letters freely reduced by ``words._reduce`` as one stream.  The
+search's entry check, ``is_identity``, first cancels adjacent inverse symbols
+on a stack and reduces only the letters of the symbols left, so a sequence
+that cancels completely builds no word.
 """
 from __future__ import annotations
 
@@ -151,18 +154,37 @@ def boundary(d: YSequence) -> FreeWord:
     """The product of every symbol's u r^e u^-1: their letters, in order, freely
     reduced as one stream.  Free reduction is confluent, so that is the
     reduced product."""
-    signed = d.presentation._signed
+    return _boundary(d.presentation, d.symbols)
+
+
+def _boundary(gp: GroupPresentation, symbols: Sequence[YSymbol]) -> FreeWord:
+    signed = gp._signed
     letters: list[int] = []
-    for s in d.symbols:
+    for s in symbols:
         u = s.conjugator.letters
         letters += u
         letters += signed[s.relator, s.sign].letters
         letters += _inverse_letters(u)
-    return _reduce(d.presentation.alphabet, letters)
+    return _reduce(gp.alphabet, letters)
 
 
 def is_identity(d: YSequence) -> bool:
-    return not boundary(d).letters
+    """Whether d's boundary is the empty word.
+
+    The symbols are read onto a stack first, and a symbol that is the inverse
+    of the one on top (``_deletable``) pops it instead.  The top and the next
+    symbol are adjacent in d after the pops so far, so each pop is a Delete
+    move, and a Delete keeps the boundary: u r^e u^-1 . u r^-e u^-1 = 1.  So
+    the symbols left on the stack have d's boundary, and only their letters
+    are freely reduced; a sequence that cancels completely builds no word.
+    """
+    stack: list[YSymbol] = []
+    for s in d.symbols:
+        if stack and _deletable(stack[-1], s):
+            stack.pop()
+        else:
+            stack.append(s)
+    return not stack or not _boundary(d.presentation, stack).letters
 
 
 def inverse_sequence(d: YSequence) -> YSequence:
@@ -239,6 +261,18 @@ class Certificate:
 
     def __len__(self) -> int:
         return len(self.moves)
+
+
+_SET_MOVES = Certificate.moves.__set__
+_SET_POOL_SPEC = Certificate.pool_spec.__set__
+
+
+def _certificate(moves: tuple[Move, ...], pool_spec: str) -> Certificate:
+    """Trusted constructor: ``moves`` must be a tuple of moves."""
+    c = _NEW(Certificate)
+    _SET_MOVES(c, moves)
+    _SET_POOL_SPEC(c, pool_spec)
+    return c
 
 
 def _deletable(a: YSymbol, b: YSymbol) -> bool:
@@ -424,6 +458,13 @@ def _row_symbol(rows: Sequence[tuple[str, Sequence[FreeWord]]], j: int) -> YSymb
 # --- random symbols and scrambles (test-case generators) ----------------------
 
 
+def _require_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int >= 0; a bool or a float
+    is not, so none reaches a certificate's ``pool_spec`` or a ``range``."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+
+
 def random_symbol(gp: GroupPresentation, rng: random.Random, conj_len: int = 3) -> YSymbol:
     """A uniformly drawn relator, a random conjugator of at most ``conj_len``
     letters and a random sign, drawn in that order."""
@@ -451,8 +492,9 @@ def scramble(gp: GroupPresentation, seed: int, k: int) -> tuple[YSequence, Certi
     move is drawn from the step moves ``legal_moves(seq)``, at most 3n of
     them.  Returns the sequence and the replayable move list; k >= 1 on a
     presentation without relators, which has nothing to insert, raises
-    ``ValueError`` before any draw.  So does a negative seed, which
-    ``random.Random`` would read as its absolute value.
+    ``ValueError`` before any draw.  So does a seed or k that is not an int
+    >= 0: ``random.Random`` would read a negative seed as its absolute value,
+    and a bool or float seed would be written into the ``pool_spec``.
 
     The merged pool is not built; the insert draw builds only the symbol at
     the drawn index.  The pool in ``YSymbol.sort_key`` order runs through
@@ -461,8 +503,8 @@ def scramble(gp: GroupPresentation, seed: int, k: int) -> tuple[YSequence, Certi
     conjugator counts, the symbol the sorted pool would give.  Each adjacent
     pair's two twists are computed once per call.
     """
-    if k < 0 or seed < 0:
-        raise ValueError("k and seed must be >= 0")
+    _require_count("seed", seed)
+    _require_count("k", k)
     if k and not gp.relators:
         raise ValueError(f"cannot scramble {gp.name}: it has no relators to insert")
     rng = random.Random(seed)
@@ -584,14 +626,15 @@ def search_trivialization(
     certificates the lexicographically least move list is produced.  Returns
     a Certificate or EXHAUSTED.
     """
-    if node_budget < 0 or (depth_limit is not None and depth_limit < 0):
-        raise ValueError("node_budget and depth_limit must be >= 0")
+    _require_count("node_budget", node_budget)
+    if depth_limit is not None:
+        _require_count("depth_limit", depth_limit)
     if not is_identity(d):
         raise NotIdentityError("cannot trivialize: boundary is not the empty word")
     if depth_limit is None:
         depth_limit = default_depth_limit(d)
     if not d.symbols:
-        return Certificate((), pool_spec=_SEARCH_POOL_SPEC)
+        return _certificate((), _SEARCH_POOL_SPEC)
     # Admissible bounds: every move changes the length by 0 or 2, so it keeps
     # the length's parity, and each deletion removes two symbols.  So an odd
     # length never reaches empty, every sequence the search meets from an
@@ -623,10 +666,14 @@ def search_trivialization(
         stack = []
         seq, g, m = d, 0, None
         while seq is not None:
-            # seq, at depth g, fits the limit; enter it unless seen no deeper
-            seen = visited.get(seq.symbols)
-            if seen is None or seen > g:
+            # seq, at depth g, fits the limit; enter it unless seen no deeper.
+            # One hash of its symbols enters a new one; a second write only
+            # records a shallower depth for one seen before.
+            size = len(visited)
+            seen = visited.setdefault(seq.symbols, g)
+            if seen > g:
                 visited[seq.symbols] = g
+            if seen > g or len(visited) > size:
                 remaining -= 1
                 if remaining < 0:
                     return EXHAUSTED
@@ -642,8 +689,9 @@ def search_trivialization(
                     child = apply_move(parent, m, table)
                     n = len(child.symbols)
                     if not n:
-                        path = tuple(frame[3] for frame in stack[1:]) + (m,)
-                        return Certificate(path, pool_spec=_SEARCH_POOL_SPEC)
+                        path = [frame[3] for frame in stack[1:]]
+                        path.append(m)
+                        return _certificate(tuple(path), _SEARCH_POOL_SPEC)
                     if g + n // 2 <= limit:
                         seq = child
                         break

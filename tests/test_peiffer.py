@@ -270,6 +270,16 @@ class TestScramble:
         with pytest.raises(ValueError, match="seed"):
             scramble(GP, seed=-1, k=0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"seed": True, "k": 2}, {"seed": 1.5, "k": 2}, {"seed": 1, "k": True}, {"seed": 1, "k": 2.0}]
+    )
+    def test_non_int_seed_and_k_rejected(self, kwargs):
+        # seed=True used to draw the stream of seed 1 and write
+        # "scramble(seed=True,cap=8)" into the certificate's pool_spec
+        name = next(k for k, v in kwargs.items() if type(v) is not int)
+        with pytest.raises(ValueError, match=name):
+            scramble(GP, **kwargs)
+
     def test_no_relators_rejected(self):
         # nothing can be inserted, so a move cannot be drawn
         free = parse("group free\ngens a b\n")
@@ -402,6 +412,17 @@ class TestSearch:
         assert search_trivialization(d, node_budget=0) is EXHAUSTED
         assert search_trivialization(d, depth_limit=0) is EXHAUSTED
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"node_budget": True}, {"node_budget": 2.5}, {"depth_limit": True}, {"depth_limit": 2.5}],
+    )
+    def test_non_int_budgets_rejected(self, kwargs):
+        # True ran as a budget of 1 and 2.5 as a fraction of one; a float
+        # depth limit reached range() and raised TypeError
+        d = seq(sym(conj=A), sym(conj=A, sign=-1))
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            search_trivialization(d, **kwargs)
+
     def test_rejects_non_identity(self):
         with pytest.raises(NotIdentityError):
             search_trivialization(seq(sym()))
@@ -465,7 +486,12 @@ class TestEntryFormulas:
     """The search's entry work against the plain formulas, over random
     sequences of every fixture with conjugators of up to 8 letters: each
     sequence d, the identity d d^-1, and a shuffle of d d^-1 d, which repeats
-    keys with both signs and is rarely an identity."""
+    keys with both signs and is rarely an identity.  Two more identities
+    cancel completely at the symbol level: a chain of insertions at random
+    positions, and its conjugate.  Three do not, so ``is_identity`` must
+    reduce the letters left: d d^-1 after random exchange moves, a scramble
+    (which draws exchanges too), and on c3 the planted (r, 1, +1)(r, a, -1),
+    where no adjacent pair cancels although the boundary is trivial."""
 
     @staticmethod
     def sequences(seed):
@@ -477,6 +503,20 @@ class TestEntryFormulas:
             mixed = list(doubled.symbols + d.symbols)
             rng.shuffle(mixed)
             yield from (d, doubled, YSequence(gp, tuple(mixed)))
+            chain = empty_sequence(gp)
+            for _ in range(count):
+                pos = rng.randrange(len(chain) + 1)
+                chain = apply_move(chain, Move(MoveKind.INSERT, pos, peiffer.random_symbol(gp, rng, 8)))
+            yield from (chain, conjugate_sequence(random_word(gp.alphabet, rng, 3), chain))
+            exchanged = doubled
+            for _ in range(rng.randrange(1, 4) if len(doubled) > 1 else 0):
+                kind = rng.choice((MoveKind.EXCHANGE_L, MoveKind.EXCHANGE_R))
+                exchanged = apply_move(exchanged, Move(kind, rng.randrange(len(exchanged) - 1)))
+            yield exchanged
+            yield scramble(gp, seed=rng.randrange(1 << 30), k=rng.randrange(1, 9))[0]
+            if gp.name == "c3":
+                a = word_from_text(gp.alphabet, "a")
+                yield YSequence(gp, (YSymbol("r", empty_word(gp.alphabet), 1), YSymbol("r", a, -1)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
