@@ -29,9 +29,20 @@ symbol, the one thing a move brings in from outside: its relator must belong
 to the presentation and its conjugator must be over its alphabet, so a
 replayed certificate still fails on a bad symbol.  The boundary is the
 symbols' letters freely reduced by ``words._reduce`` as one stream.  The
-search's entry check, ``is_identity``, first cancels adjacent inverse symbols
-on a stack and reduces only the letters of the symbols left, so a sequence
-that cancels completely builds no word.
+entry check of ``is_identity`` and of the search is one scan, ``_cancel``:
+it cancels adjacent inverse symbols on a stack, so only the letters of the
+symbols left are reduced, and a sequence that cancels completely builds no
+word.
+
+A root that cancels completely, n symbols, is answered in closed form,
+without a search: the Deletes of the scan's pops, or EXHAUSTED when n / 2
+exceeds the depth limit or the budget.  That is the loop's own answer.  Its
+lower bound is n / 2, each pop deletes the leftmost adjacent inverse pair,
+the loop tries Deletes first, leftmost first, and Deletes alone keep the
+sequence cancelling completely; so at the first limit the loop walks the
+pops' path in n / 2 expansions, without backtracking (the full argument is
+at the closed form in ``search_trivialization``).  A count of the search's
+expansions must count those n / 2 for such a root.
 """
 from __future__ import annotations
 
@@ -168,23 +179,36 @@ def _boundary(gp: GroupPresentation, symbols: Sequence[YSymbol]) -> FreeWord:
     return _reduce(gp.alphabet, letters)
 
 
-def is_identity(d: YSequence) -> bool:
-    """Whether d's boundary is the empty word.
+def _cancel(symbols: tuple[YSymbol, ...]) -> tuple[list[YSymbol], list[int]]:
+    """The symbols left after cancelling adjacent inverse symbols, and the
+    Delete positions that cancel them.
 
-    The symbols are read onto a stack first, and a symbol that is the inverse
-    of the one on top (``_deletable``) pops it instead.  The top and the next
-    symbol are adjacent in d after the pops so far, so each pop is a Delete
-    move, and a Delete keeps the boundary: u r^e u^-1 . u r^-e u^-1 = 1.  So
-    the symbols left on the stack have d's boundary, and only their letters
-    are freely reduced; a sequence that cancels completely builds no word.
+    The symbols are read onto a stack, and a symbol that is the inverse of
+    the one on top (``_deletable``) pops it instead.  Before each read the
+    sequence so far is the stack followed by the unread symbols, and the
+    stack holds no adjacent inverse pair, so a pop deletes the leftmost
+    adjacent inverse pair of that sequence, at position ``len(stack)`` after
+    the pop; the positions are listed in the order of the pops.  A Delete
+    keeps the boundary (u r^e u^-1 . u r^-e u^-1 = 1), so the symbols left
+    have the boundary of ``symbols``.
     """
     stack: list[YSymbol] = []
-    for s in d.symbols:
+    deletes: list[int] = []
+    for s in symbols:
         if stack and _deletable(stack[-1], s):
             stack.pop()
+            deletes.append(len(stack))
         else:
             stack.append(s)
-    return not stack or not _boundary(d.presentation, stack).letters
+    return stack, deletes
+
+
+def is_identity(d: YSequence) -> bool:
+    """Whether d's boundary is the empty word.  Only the letters of the
+    symbols ``_cancel`` leaves are freely reduced, so a sequence that cancels
+    completely builds no word."""
+    left, _ = _cancel(d.symbols)
+    return not left or not _boundary(d.presentation, left).letters
 
 
 def inverse_sequence(d: YSequence) -> YSequence:
@@ -629,12 +653,32 @@ def search_trivialization(
     _require_count("node_budget", node_budget)
     if depth_limit is not None:
         _require_count("depth_limit", depth_limit)
-    if not is_identity(d):
+    left, deletes = _cancel(d.symbols)
+    if left and _boundary(d.presentation, left).letters:
         raise NotIdentityError("cannot trivialize: boundary is not the empty word")
     if depth_limit is None:
         depth_limit = default_depth_limit(d)
-    if not d.symbols:
-        return _certificate((), _SEARCH_POOL_SPEC)
+    # The closed form: a root that ``_cancel`` empties, n symbols, gets the
+    # loop's answer without the loop.  Its pops pair every symbol with an
+    # inverse of its key, so length_lower_bound(d) = n - n / 2 = n / 2 and
+    # the first limit is n / 2.  Deleting an adjacent inverse pair keeps the
+    # symbol-level reduced form (reduction is confluent), so every sequence
+    # Deletes reach still cancels completely, and a length-m one needs m / 2
+    # more moves.  At that limit an insert child never fits, Deletes are tried
+    # first, leftmost first, and each pop deletes the leftmost adjacent pair:
+    # the walk takes the pops' path, every Delete child fits, and no sequence
+    # on it is met twice (each is shorter than the last).  So the loop enters
+    # the root and each non-empty sequence on the path, n / 2 expansions, and
+    # returns these Deletes; with a depth limit below n / 2 it runs no
+    # iteration, and with a budget below n / 2 it spends it on this path.
+    # An empty root gets the empty certificate.  A count of expansions must
+    # count n / 2 for this path.
+    if not left:
+        half = len(deletes)
+        if half > depth_limit or half > node_budget:
+            return EXHAUSTED
+        delete_at = _step_tables(len(d.symbols))[0]
+        return _certificate(tuple([delete_at[p] for p in deletes]), _SEARCH_POOL_SPEC)
     # Admissible bounds: every move changes the length by 0 or 2, so it keeps
     # the length's parity, and each deletion removes two symbols.  So an odd
     # length never reaches empty, every sequence the search meets from an

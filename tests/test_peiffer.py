@@ -51,6 +51,7 @@ from asphere.words import (
     word_from_text,
     word_to_text,
 )
+from test_search_reference import reference_search
 
 GP = parse("group P\ngens a b\nrel r = a b\nrel s = a a b^-1\n")
 ONE = empty_word(GP.alphabet)
@@ -382,15 +383,23 @@ def leftmost_deletes(d: YSequence) -> tuple[Move, ...]:
 
 class TestSearch:
     def test_a_certificate_past_the_recursion_limit_is_found(self):
-        # 1,050 moves, past Python's default recursion limit of 1,000: only
-        # the budget bounds the depth.  At the lower bound every move is a
-        # deletion, tried leftmost first, and deletions alone reduce d d^-1
-        # to empty from any sequence they reach
+        # 1,050 moves, past Python's default recursion limit of 1,000.  d d^-1
+        # cancels completely at the symbol level, so the search answers it in
+        # closed form: the deletions the loop would take, leftmost first
         d = long_identity(1050)
         assert length_lower_bound(d) == 1050
         cert = search_trivialization(d)
         assert cert.moves == leftmost_deletes(d)
         assert len(cert.moves) == 1050 and verify_certificate(d, cert)
+
+    def test_an_exchanged_certificate_past_the_recursion_limit_is_found(self):
+        # after one exchange d d^-1 no longer cancels completely and its lower
+        # bound, 1,051, exceeds n // 2, so the explicit-stack loop finds the
+        # 1,051-move certificate: only the budget bounds the depth
+        d = apply_move(long_identity(1050), Move(MoveKind.EXCHANGE_R, 0))
+        assert length_lower_bound(d) == 1051
+        cert = search_trivialization(d)
+        assert len(cert.moves) == 1051 and verify_certificate(d, cert)
 
     def test_empty_sequence(self):
         cert = search_trivialization(empty_sequence(GP))
@@ -472,6 +481,56 @@ class TestSearch:
         )
         assert is_identity(d)
         assert search_trivialization(d, node_budget=10_000, depth_limit=8) is EXHAUSTED
+
+
+class TestClosedForm:
+    """A root that adjacent inverse symbols cancel completely gets the
+    Deletes of that cancellation, leftmost first, or EXHAUSTED when n / 2
+    exceeds the budget or the depth limit, as the search loop would."""
+
+    @staticmethod
+    def nested():
+        # A B B^-1 A^-1 C C^-1
+        a, b, c = sym(conj=A), sym("s"), sym("s", conj=A)
+        return seq(a, b, b.inverse(), a.inverse(), c, c.inverse())
+
+    def test_nested_pairs_delete_at_their_positions(self):
+        cert = search_trivialization(self.nested())
+        assert [(m.kind, m.pos) for m in cert.moves] == [(MoveKind.DELETE, p) for p in (1, 0, 0)]
+        assert cert.moves == leftmost_deletes(self.nested())
+        assert cert.pool_spec == "dynamic(cap=8)"
+
+    @pytest.mark.parametrize("name", ["node_budget", "depth_limit"])
+    def test_half_the_length_is_the_exact_limit(self, name):
+        d = self.nested()
+        assert len(search_trivialization(d, **{name: 3}).moves) == 3
+        assert search_trivialization(d, **{name: 2}) is EXHAUSTED
+
+    @staticmethod
+    def cancelling(rng):
+        """A chain of insertions at random positions on each Peiffer fixture:
+        adjacent inverse symbols cancel it completely."""
+        for gp in load_fixtures().peiffer_presentations():
+            d = empty_sequence(gp)
+            for _ in range(rng.randrange(6)):
+                pos = rng.randrange(len(d) + 1)
+                d = apply_move(d, Move(MoveKind.INSERT, pos, peiffer.random_symbol(gp, rng)))
+            yield d
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_reference_and_the_leftmost_deletes(self, seed):
+        for d in self.cancelling(random.Random(seed)):
+            half = len(d) // 2
+            cert = search_trivialization(d)
+            assert cert == reference_search(d)
+            assert cert.moves == leftmost_deletes(d)
+            for limits in ({"node_budget": half}, {"depth_limit": half}):
+                assert search_trivialization(d, **limits) == reference_search(d, **limits)
+            if half:
+                for limits in ({"node_budget": half - 1}, {"depth_limit": half - 1}):
+                    assert search_trivialization(d, **limits) is EXHAUSTED
+                    assert reference_search(d, **limits) is EXHAUSTED
 
 
 def counter_lower_bound(d):
