@@ -58,7 +58,15 @@ class RunConfig:
     fixtures_dir: str | None = None
 
     def __post_init__(self):
-        if self.samples is not None and self.samples < 0:
+        # a bool or a float would seed the generators from "True/..." or
+        # "1.0/..." and be written into the report, so neither is an int here
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if self.samples is None:
+            return
+        if type(self.samples) is not int:
+            raise ValueError(f"samples must be an int or None, got {self.samples!r}")
+        if self.samples < 0:
             raise ValueError(f"samples must be non-negative, got {self.samples}")
         if self.samples == 0:
             raise ValueError("samples must be positive: zero draws would pass vacuously")

@@ -16,6 +16,18 @@ regularity on samples, and quotient elements on the complement side are
 carried as Y-sequences whose equality is never decided, only their
 boundaries.
 
+Kernel membership is checked once, where a word comes in: a ``Derivation``
+call, the maps ``induced_map`` and ``compose_alternative`` return (both
+through one such call), ``semidirect_action`` and ``recombine``; the
+derivation constructors check their word's alphabet instead.  Inside, the
+values are trusted.  A derivation maps the kernel into itself, and the
+kernel is a normal subgroup, so every value a composition builds from a
+checked argument lies in the kernel again; ``compose_derivations`` and
+``compose_alternative`` therefore evaluate their rules unchecked on it, and
+``derivation_automorphism`` evaluates its compositions unchecked on samples
+drawn in the kernel.  That holds only for one kernel, so the compositions
+refuse two derivations over different retractions when they are built.
+
 Verification is sampled: each structural law (derivation law, regularity,
 the two composition expressions, the actor diagram, the semidirect action
 laws) has a battery with an optional deliberately perturbed variant used as
@@ -33,6 +45,7 @@ from .peiffer import (
     NotIdentityError,
     YSequence,
     YSymbol,
+    _symbol,
     boundary,
     conjugate_sequence,
     is_identity,
@@ -149,9 +162,17 @@ def induced_map(d: Derivation) -> Callable[[FreeWord], FreeWord]:
     return lambda x: multiply(d(x), x)
 
 
+def _require_shared_retraction(d1: Derivation, d2: Derivation) -> None:
+    """Raise unless d1 and d2 act on one kernel: a composition checks its
+    argument against one retraction and runs both rules on it unchecked."""
+    if d1.retraction is not d2.retraction:
+        raise ValueError("the derivations are over different retractions")
+
+
 def compose_derivations(d1: Derivation, d2: Derivation) -> Derivation:
     """Whitehead composition: x -> d1(d2(x) · x) · d2(x).  The inner argument
     lies in the kernel by construction, so the rules run unchecked."""
+    _require_shared_retraction(d1, d2)
     rule1, rule2 = d1.rule, d2.rule
 
     def rule(x: FreeWord) -> FreeWord:
@@ -163,10 +184,17 @@ def compose_derivations(d1: Derivation, d2: Derivation) -> Derivation:
 
 def compose_alternative(d1: Derivation, d2: Derivation) -> Callable[[FreeWord], FreeWord]:
     """The other expression for the composition: push d2's value through the
-    first derivation's induced map; must agree with compose_derivations
-    pointwise."""
-    map1 = induced_map(d1)
-    return lambda x: multiply(map1(d2(x)), d1(x))
+    first derivation's induced map, then multiply by d1(x); must agree with
+    compose_derivations pointwise.  The call d2(x) checks x; d2's value lies
+    in the kernel, so d1's rule runs unchecked on it and on x."""
+    _require_shared_retraction(d1, d2)
+    rule1 = d1.rule
+
+    def alternative(x: FreeWord) -> FreeWord:
+        v = d2(x)
+        return multiply(multiply(rule1(v), v), rule1(x))
+
+    return alternative
 
 
 def derivation_automorphism(
@@ -174,10 +202,10 @@ def derivation_automorphism(
 ) -> Callable[[FreeWord], FreeWord]:
     """The automorphism x -> d(x) · x of a regular derivation; regularity is
     verified on samples against the supplied compositional inverse."""
-    left = compose_derivations(d, d_inverse)
-    right = compose_derivations(d_inverse, d)
+    left = compose_derivations(d, d_inverse).rule
+    right = compose_derivations(d_inverse, d).rule
     for _ in range(samples):
-        x = random_kernel_element(d.retraction, rng)
+        x = random_kernel_element(d.retraction, rng)  # in the kernel: rules run unchecked
         if not left(x).is_identity or not right(x).is_identity:
             raise NonRegularError("witness does not invert the derivation on samples")
     return induced_map(d)
@@ -288,15 +316,19 @@ def project_symbol(fx: ReducibleFixture, s: YSymbol) -> tuple[FreeWord, YSymbol 
 
     The eliminated relator contributes only a kernel word, and no symbol;
     any other symbol contributes the retracted symbol plus the derivation
-    correction of the kernel factor of its conjugator.
+    correction of the kernel factor of its conjugator.  With u = u0 u1
+    (``decompose``) and c = u1 r^e u1^-1 the residual's boundary, that
+    correction is the inverse of the inner derivation of c at u0,
+    u0 c u0^-1 c^-1 = (u r^e u^-1) c^-1: the symbol's boundary times the
+    inverse of the residual's, which is how it is evaluated.
     """
-    retr = fx.retraction
+    retr, gp = fx.retraction, fx.presentation
     if s.relator == retr.source_relator:
-        return symbol_boundary(fx.presentation, s), None
-    u0, u1 = decompose(retr, s.conjugator)
-    m = YSymbol(s.relator, restrict(u1, retr.small_alphabet), s.sign)
-    d = symbol_derivation(retr, fx.subpresentation, m)
-    return invert(d.rule(u0)), m
+        return symbol_boundary(gp, s), None
+    retracted = retract(retr, s.conjugator)
+    u1 = embed(retracted, retr.big_alphabet)
+    inverse_c = conjugate(u1, gp.signed_relator(s.relator, -s.sign))
+    return multiply(symbol_boundary(gp, s), inverse_c), _symbol(s.relator, retracted, s.sign)
 
 
 def project_identity_sequence(fx: ReducibleFixture, d: YSequence) -> YSequence:

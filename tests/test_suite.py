@@ -31,6 +31,35 @@ def test_smoke_report_digest(seed):
     assert hashlib.sha256(payload).hexdigest() == GOLDEN[seed]
 
 
+class TestRunConfig:
+    """The constructor takes an int seed, negative ones too (the CLI passes
+    them on), and samples None or an int >= 1; a bool or a float is neither."""
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, 0.5, "1", None])
+    def test_a_seed_that_is_not_an_int_is_rejected(self, seed):
+        # seed=True or seed=1.0 used to seed every battery from "True/..." or
+        # "1.0/...", a report other than seed 1's
+        with pytest.raises(ValueError, match="seed must be an int"):
+            RunConfig(seed=seed)
+
+    @pytest.mark.parametrize("samples", [True, False, 2.5, 2.0, "3"])
+    def test_samples_that_are_not_an_int_are_rejected(self, samples):
+        # samples=True used to run every battery once and write "samples": true
+        # into the report; samples=2.5 raised TypeError inside the first battery
+        with pytest.raises(ValueError, match="samples must be an int"):
+            RunConfig(samples=samples)
+
+    @pytest.mark.parametrize("samples", [-1, 0])
+    def test_samples_below_one_are_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            RunConfig(samples=samples)
+
+    def test_valid_configurations(self):
+        assert RunConfig(seed=-3, samples=1).seed == -3
+        assert RunConfig().count(7) == 7
+        assert RunConfig(samples=2).count(7) == 2
+
+
 def test_a_second_run_compares_no_distinct_equal_alphabets(monkeypatch):
     # process-wide caches (insert pools, rename tables, the alphabet table)
     # outlive a run; the next run must still give the same bytes, and every

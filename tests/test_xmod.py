@@ -42,6 +42,7 @@ from asphere.words import (
     multiply,
     product,
     random_word,
+    restrict,
     word_from_text,
     word_to_text,
 )
@@ -519,6 +520,60 @@ class TestMembershipChecks:
             with pytest.raises(MembershipError):
                 f(word_from_text(alphabet, text))
 
+    # each map that checks its argument, built from two relator derivations
+    CHECKED = {
+        "derivation": lambda d1, d2: d1,
+        "induced-map": lambda d1, d2: induced_map(d1),
+        "compose-alternative": compose_alternative,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CHECKED))
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_each_checked_map_rejects_a_big_word_outside_the_kernel(self, fx, entry):
+        # inside, the maps run the rules unchecked; the one check at the
+        # argument must still reject a word of the big alphabet the
+        # retraction does not kill
+        retr, sub = fx.retraction, fx.subpresentation
+        rng = random.Random(f"outside/{fx.presentation.name}/{entry}")
+        rejected = 0
+        for _ in range(60):
+            u = random_word(retr.big_alphabet, rng, 6)
+            if in_kernel(retr, u):
+                continue
+            d1 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+            d2 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+            with pytest.raises(MembershipError):
+                self.CHECKED[entry](d1, d2)(u)
+            rejected += 1
+        assert rejected > 30
+
+    # each composition of two derivations, which runs their rules unchecked
+    COMPOSITIONS = {
+        "compose-derivations": compose_derivations,
+        "compose-alternative": compose_alternative,
+        "automorphism": lambda d1, d2: derivation_automorphism(d1, d2, random.Random(0), 2),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(COMPOSITIONS))
+    def test_compositions_reject_derivations_of_two_fixtures(self, entry):
+        # a word in one fixture's kernel need not lie in the other's, and the
+        # composed rules would evaluate it unchecked
+        compose = self.COMPOSITIONS[entry]
+        rng = random.Random(f"two-fixtures/{entry}")
+        for fx1 in LOTS:
+            retr, sub = fx1.retraction, fx1.subpresentation
+            s = random_symbol(sub, rng)
+            d1 = symbol_derivation(retr, sub, s)
+            # one fixture: d1 and its compositional inverse compose
+            compose(d1, symbol_derivation(retr, sub, s.inverse()))
+            for fx2 in LOTS:
+                if fx2 is fx1:
+                    continue
+                sub2 = fx2.subpresentation
+                d2 = symbol_derivation(fx2.retraction, sub2, random_symbol(sub2, rng))
+                with pytest.raises(ValueError, match="different retractions"):
+                    compose(d1, d2)
+
     def test_semidirect_action_rejects_non_kernel_t(self):
         m = empty_sequence(TOY.subpresentation)
         with pytest.raises(MembershipError):
@@ -545,32 +600,48 @@ class TestMembershipChecks:
             sequence_derivation(retr, YSequence(gp, (source, source.inverse())))
 
 
+def letter_by_letter_retract(retr, u):
+    """The definition of the retraction: the product of each letter's image,
+    multiplied in one at a time."""
+    big_alphabet, small_alphabet = retr.big_alphabet, retr.small_alphabet
+
+    def image(c):
+        name, sign = big_alphabet.name(letter_index(c)), letter_sign(c)
+        if name == retr.z:
+            return retr.solved if sign > 0 else invert(retr.solved)
+        return generator(small_alphabet, name, sign)
+
+    return product(small_alphabet, map(image, u.letters))
+
+
 class TestFastPathsAgainstDefinitions:
+    """Each fast path of the crossed-module layer against the slow path it
+    stands for, at seeded draws over the three reducible fixtures."""
+
     @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
     def test_in_kernel_agrees_with_the_retracted_word(self, fx):
-        # in_kernel reduces the letter images on a stack; the definition
-        # multiplies the image of each letter, one at a time
+        # retract and in_kernel reduce the letter images as one stream on a
+        # stack; the definition multiplies the image of each letter, one at a
+        # time.  Words with z are counted on both sides of the verdict.
         retr = fx.retraction
-        big_alphabet, small_alphabet = retr.big_alphabet, retr.small_alphabet
-
-        def image(c):
-            name, sign = big_alphabet.name(letter_index(c)), letter_sign(c)
-            if name == retr.z:
-                return retr.solved if sign > 0 else invert(retr.solved)
-            return generator(small_alphabet, name, sign)
-
+        big_alphabet = retr.big_alphabet
+        z_index = big_alphabet.index(retr.z)
         rng = random.Random(f"in-kernel/{fx.presentation.name}")
         found = {True: 0, False: 0}
+        with_z = {True: 0, False: 0}
         for _ in range(300):
             element = random_kernel_element(retr, rng)
             extra = random_word(big_alphabet, rng, 1)
             for u in (random_word(big_alphabet, rng, 8), element, multiply(element, extra)):
-                expected = product(small_alphabet, map(image, u.letters)).is_identity
-                assert retract(retr, u).is_identity is expected
+                image = letter_by_letter_retract(retr, u)
+                expected = image.is_identity
+                assert retract(retr, u) == image
                 assert in_kernel(retr, u) is expected
                 assert xmod._in_kernel(retr, u) is expected
                 found[expected] += 1
+                with_z[expected] += any(letter_index(c) == z_index for c in u.letters)
         assert min(found.values()) > 100
+        assert min(with_z.values()) > 100
         # an equal alphabet that is another object is still the big one
         twin = Alphabet(big_alphabet.generators)
         element = random_kernel_element(retr, random.Random(1), max_factors=5)
@@ -585,6 +656,48 @@ class TestFastPathsAgainstDefinitions:
         with pytest.raises(AlphabetError):
             in_kernel(retr, u)
         assert not xmod._in_kernel(retr, u)
+
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_compose_alternative_is_its_formula(self, fx):
+        # the alternative checks x once and runs d1's rule unchecked; the
+        # formula evaluates through the checked calls
+        retr, sub = fx.retraction, fx.subpresentation
+        rng = random.Random(f"compose-alternative/{fx.presentation.name}")
+        for _ in range(100):
+            d1 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+            d2 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+            x = random_kernel_element(retr, rng)
+            expected = multiply(induced_map(d1)(d2(x)), d1(x))
+            assert compose_alternative(d1, d2)(x) == expected
+
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_project_symbol_is_the_derivation_correction(self, fx):
+        # project_symbol evaluates the correction as a product of two
+        # boundaries and builds the residual unchecked; the definition
+        # decomposes the conjugator, builds the residual with the checked
+        # constructor and inverts its relator derivation at the kernel factor
+        retr, gp, sub = fx.retraction, fx.presentation, fx.subpresentation
+        z = word_from_text(gp.alphabet, retr.z)
+        z_index = gp.alphabet.index(retr.z)
+        rng = random.Random(f"project-symbol/{fx.presentation.name}")
+        kinds = {"source": 0, "with z": 0, "without z": 0}
+        for _ in range(300):
+            s = random_symbol(gp, rng, conj_len=4)
+            if rng.random() < 0.5:  # put z into the conjugator, after a random prefix
+                u = multiply(random_word(gp.alphabet, rng, 2), multiply(z, s.conjugator))
+                s = YSymbol(s.relator, u, s.sign)
+            t, m = project_symbol(fx, s)
+            if s.relator == retr.source_relator:
+                assert m is None and t == symbol_boundary(gp, s)
+                kinds["source"] += 1
+                continue
+            u0, u1 = decompose(retr, s.conjugator)
+            residual = YSymbol(s.relator, restrict(u1, retr.small_alphabet), s.sign)
+            assert m == residual
+            assert t == invert(symbol_derivation(retr, sub, residual).rule(u0))
+            has_z = any(letter_index(c) == z_index for c in s.conjugator.letters)
+            kinds["with z" if has_z else "without z"] += 1
+        assert min(kinds.values()) > 30
 
     @pytest.mark.parametrize("fx", (TOY, *LOTS), ids=lambda fx: fx.presentation.name)
     def test_cached_kernel_generator(self, fx):
