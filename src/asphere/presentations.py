@@ -23,7 +23,8 @@ from .words import (
     Alphabet,
     AlphabetError,
     FreeWord,
-    _reduce,
+    _substitute,
+    _substitution,
     embed,
     empty_word,
     generator,
@@ -159,17 +160,11 @@ class Retraction:
             raise AlphabetError("solved word must be over the small alphabet")
         if self.z not in self.big_alphabet or self.z in self.small_alphabet:
             raise AlphabetError("z must belong to the big alphabet only")
-        # built once and not a field: the image of every big letter code
+        # built once and not fields: the homomorphism's data for retract
         big = self.big_alphabet
-        images: list[tuple[int, ...]] = [()] * (2 * len(big))
-        for l, name in enumerate(big.generators):
-            if name == self.z:
-                pos, neg = self.solved.letters, invert(self.solved).letters
-            else:
-                i = self.small_alphabet.index(name)
-                pos, neg = (letter(i, 1),), (letter(i, -1),)
-            images[letter(l, 1)], images[letter(l, -1)] = pos, neg
-        object.__setattr__(self, "_images", tuple(images))
+        object.__setattr__(
+            self, "_substitution", _substitution(big, self.small_alphabet, self.z, self.solved)
+        )
         # likewise: the kernel's normal generator z · solved^-1, and its inverse
         gen = multiply(generator(big, self.z), invert(embed(self.solved, big)))
         object.__setattr__(self, "_kernel_generators", (gen, invert(gen)))
@@ -329,15 +324,12 @@ def solve_single_occurrence(gp: GroupPresentation, z: str) -> Retraction:
 def retract(retr: Retraction, u: FreeWord) -> FreeWord:
     """Apply the retraction: fixes the small generators, sends z to its
     solved value.  Result is over the small alphabet: the letters' images,
-    in order, freely reduced as one stream.
+    in order, freely reduced as one stream.  A word without z is that word
+    renamed into the small alphabet, which is reduced as it stands.
     """
     if u.alphabet is not retr.big_alphabet:
         raise AlphabetError("retract expects a word over the big alphabet")
-    images = retr._images
-    letters: list[int] = []
-    for c in u.letters:
-        letters += images[c]
-    return _reduce(retr.small_alphabet, letters)
+    return _substitute(u, retr._substitution)
 
 
 def in_kernel(retr: Retraction, u: FreeWord) -> bool:

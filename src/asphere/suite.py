@@ -143,8 +143,20 @@ def battery_coset_determinism(config: RunConfig, fixtures: FixtureSet) -> Batter
     return BatteryResult.collect("coset-determinism", checked, failures)
 
 
+def _legal_move_at(steps: list[Move], pool: list, j: int) -> Move:
+    """``legal_moves(d, pool)[j]``, given ``steps = legal_moves(d)``: the
+    insertions follow the step moves, position by position, each position
+    taking the pool in order, so only the one drawn is built."""
+    if j < len(steps):
+        return steps[j]
+    pos, k = divmod(j - len(steps), len(pool))
+    return Move(MoveKind.INSERT, pos, pool[k])
+
+
 def battery_move_soundness(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
-    """Boundary invariance of all four moves on random sequences."""
+    """Boundary invariance of all four moves on random sequences.  A sample's
+    move is drawn from all its legal moves, insertions of the base pool
+    included, without building the insertions."""
     rng = _rng(config, "move-soundness")
     n = config.count(1000)
     failures = []
@@ -153,10 +165,11 @@ def battery_move_soundness(config: RunConfig, fixtures: FixtureSet) -> BatteryRe
         gp = presentations[_below(rng.getrandbits, len(presentations))]
         d = random_sequence(gp, rng)
         pool = base_insert_pool(gp)
-        moves = legal_moves(d, pool)
-        if not moves:
+        steps = legal_moves(d)
+        count = len(steps) + (len(d.symbols) + 1) * len(pool)
+        if not count:
             continue
-        m = moves[_below(rng.getrandbits, len(moves))]
+        m = _legal_move_at(steps, pool, _below(rng.getrandbits, count))
         before = boundary(d)
         after = boundary(apply_move(d, m))
         if before != after:

@@ -6,10 +6,14 @@ positive letters, which is reduced as it stands.  Cross-alphabet arithmetic
 is an error; moving a word into a larger alphabet is the explicit ``embed``.
 
 A letter is one int: generator ``i`` is ``2*i + 1`` and its inverse ``2*i``, so
-the inverse of code ``c`` is ``c ^ 1``.  Codes sort exactly as ``(index, sign)``
-pairs do, so every order built on ``letters`` (symbol keys, insert pools,
-certificates, relation-module terms) is that of the pairs.  Only this module
-knows the format; others use ``letter``, ``letter_index``, ``letter_sign`` and
+the inverse of code ``c`` is ``c ^ 1``.  A word's ``letters`` are a ``bytes``
+string of those codes, so an alphabet holds at most ``MAX_GENERATORS`` (128)
+generators.  Indexing and iteration yield the int codes, and bytes sort
+exactly as the code tuples, hence as ``(index, sign)`` pairs, do, so every
+order built on ``letters`` (symbol keys, insert pools, certificates,
+relation-module terms) is that of the pairs.  Inversion and renaming are one
+``translate`` each, and bytes cache their hash.  Only this module knows the
+format; others use ``letter``, ``letter_index``, ``letter_sign`` and
 ``letter_column``.
 
 Validation happens once, at the boundary: the public constructors (``FreeWord``,
@@ -19,8 +23,9 @@ concatenation of two reduced factors, the reversal of a reduced word or its
 renaming by ``embed`` and ``restrict``, go through the private ``_word``,
 which checks nothing and sets the two slots directly; only code that has such
 a proof may call it.  ``_reduce`` is the package's one free reduction of a
-stream of letters: the boundary of a Y-sequence and the retraction of a word
-are such streams, and their modules hand them to it.
+stream of letters: the boundary of a Y-sequence is such a stream, which
+``peiffer`` hands to it, and so is the image of a word under a substitution
+(``_substitution``), as the retraction of a word with z.
 
 Textual syntax (shared by file formats and the CLI): whitespace-separated
 tokens, ``x`` for a generator, ``x^-1`` for its inverse, ``1`` for the empty
@@ -35,6 +40,8 @@ from typing import Iterable, Sequence
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _ALPHABETS: dict[tuple[str, ...], Alphabet] = {}  # the one object per generator tuple
+MAX_GENERATORS = 128  # codes 0..255: one byte per letter
+_FLIP = bytes(c ^ 1 for c in range(256))  # translate table of letter inversion
 
 
 class AlphabetError(ValueError):
@@ -72,6 +79,7 @@ class Alphabet:
     The order is observable and used for deterministic tie-breaking.  Equal
     generator tuples give one object, however made, copied or unpickled, and
     the table keeps it alive, so equality and the hash are those of identity.
+    At most ``MAX_GENERATORS`` (128) generators, since a letter is one byte.
     """
 
     generators: tuple[str, ...]
@@ -80,6 +88,10 @@ class Alphabet:
         key = tuple(generators)
         self = _ALPHABETS.get(key)
         if self is None:
+            if len(key) > MAX_GENERATORS:
+                raise AlphabetError(
+                    f"{len(key)} generators; an alphabet holds at most {MAX_GENERATORS}"
+                )
             for i, name in enumerate(key):
                 if not _IDENT_RE.match(name):
                     raise AlphabetError(f"bad generator name {name!r}")
@@ -124,18 +136,22 @@ def _check_codes(alphabet: Alphabet, codes: Sequence[int]) -> None:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class FreeWord:
-    """A freely reduced word; the empty sequence is the identity.  Equal words
-    have equal letters, so the hash reads only those."""
+    """A freely reduced word; the empty string is the identity.  ``letters``
+    is a ``bytes`` string of letter codes, one byte a letter; any iterable of
+    int codes is stored as one.  Equal words have equal letters, so the hash
+    reads only those, and bytes compute it once."""
 
     alphabet: Alphabet
-    letters: tuple[int, ...]
+    letters: bytes
 
     def __post_init__(self):
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        _check_codes(self.alphabet, self.letters)
-        if any(a == b ^ 1 for a, b in zip(self.letters, self.letters[1:])):
+        letters = self.letters
+        if letters.__class__ is not bytes:
+            letters = tuple(letters)
+        _check_codes(self.alphabet, letters)
+        if any(a == b ^ 1 for a, b in zip(letters, letters[1:])):
             raise ValueError("FreeWord must be freely reduced; use reduce()")
+        object.__setattr__(self, "letters", bytes(letters))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FreeWord:
@@ -160,7 +176,7 @@ _SET_WORD_ALPHABET = FreeWord.alphabet.__set__
 _SET_WORD_LETTERS = FreeWord.letters.__set__
 
 
-def _word(alphabet: Alphabet, letters: tuple[int, ...]) -> FreeWord:
+def _word(alphabet: Alphabet, letters: bytes) -> FreeWord:
     """Trusted constructor: ``letters`` must already be freely reduced
     letter codes of ``alphabet``."""
     w = object.__new__(FreeWord)
@@ -170,7 +186,7 @@ def _word(alphabet: Alphabet, letters: tuple[int, ...]) -> FreeWord:
 
 
 def empty_word(alphabet: Alphabet) -> FreeWord:
-    return _word(alphabet, ())
+    return _word(alphabet, b"")
 
 
 def generator(alphabet: Alphabet, name: str, sign: int = 1) -> FreeWord:
@@ -191,7 +207,7 @@ def _reduce(alphabet: Alphabet, letters: Iterable[int]) -> FreeWord:
             stack.pop()
         else:
             stack.append(c)
-    return _word(alphabet, tuple(stack))
+    return _word(alphabet, bytes(stack))
 
 
 def _require_same_alphabet(u: FreeWord, v: FreeWord) -> None:
@@ -214,7 +230,7 @@ def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     return _word(u.alphabet, ul[:i] + vl[j:])
 
 
-def shortlex_key(u: FreeWord) -> tuple[int, tuple[int, ...]]:
+def shortlex_key(u: FreeWord) -> tuple[int, bytes]:
     """Sort key ordering words by length, then letter by letter."""
     return (len(u.letters), u.letters)
 
@@ -226,8 +242,8 @@ def product(alphabet: Alphabet, words: Iterable[FreeWord]) -> FreeWord:
     return acc
 
 
-def _inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([c ^ 1 for c in reversed(letters)])
+def _inverse_letters(letters: bytes) -> bytes:
+    return letters[::-1].translate(_FLIP)
 
 
 def invert(u: FreeWord) -> FreeWord:
@@ -272,38 +288,71 @@ def abelianize(u: FreeWord) -> tuple[int, ...]:
 
 
 @functools.cache
-def _rename_table(source: Alphabet, target: Alphabet) -> tuple[tuple[int | None, ...], bool]:
-    """The code of the same-named target letter for every source code (None
-    where the target lacks the name), and whether that map is total."""
+def _rename_table(source: Alphabet, target: Alphabet) -> tuple[bytes, bytes, bool]:
+    """A ``translate`` table taking every source code whose name the target
+    has to the code of the same-named target letter, those source codes, and
+    whether they are all of them.  Renaming keeps inverse pairs, so it takes
+    reduced words to reduced words."""
     names = target.generators
-    table = tuple(
-        2 * names.index(name) + bit if name in names else None
-        for name in source.generators
-        for bit in (0, 1)
-    )
-    return table, None not in table
+    table = bytearray(256)
+    kept = bytearray()
+    for i, name in enumerate(source.generators):
+        if name in names:
+            for bit in (0, 1):
+                table[2 * i + bit] = 2 * names.index(name) + bit
+                kept.append(2 * i + bit)
+    return bytes(table), bytes(kept), len(kept) == 2 * len(source)
 
 
 def embed(u: FreeWord, big: Alphabet) -> FreeWord:
     """Reinterpret u over a larger alphabet (identity on shared names)."""
-    table, total = _rename_table(u.alphabet, big)
+    table, _, total = _rename_table(u.alphabet, big)
     if not total:
         raise AlphabetError(
             f"cannot embed: {u.alphabet.generators} is not a subset of {big.generators}"
         )
-    return _word(big, tuple(map(table.__getitem__, u.letters)))
+    return _word(big, u.letters.translate(table))
 
 
 def restrict(u: FreeWord, small: Alphabet) -> FreeWord:
     """Reinterpret u over a smaller alphabet holding every generator u uses;
     the inverse of ``embed``."""
-    table, _ = _rename_table(u.alphabet, small)
-    letters = tuple(map(table.__getitem__, u.letters))
-    if None in letters:
+    table, kept, _ = _rename_table(u.alphabet, small)
+    # deleting the codes small has leaves those it lacks
+    if u.letters.translate(None, kept):
         raise AlphabetError(
             f"cannot restrict: {word_to_text(u)!r} uses a generator outside {small.generators}"
         )
-    return _word(small, letters)
+    return _word(small, u.letters.translate(table))
+
+
+def _substitution(big: Alphabet, small: Alphabet, name: str, value: FreeWord) -> tuple:
+    """The data ``_substitute`` reads for the homomorphism from the free
+    group on ``big`` to that on ``small`` that sends the generator ``name``
+    to ``value``, a word over ``small``, and renames every other generator;
+    ``small`` must hold exactly those."""
+    table, kept, _ = _rename_table(big, small)
+    if name in small or len(kept) != 2 * len(big) - 2:
+        raise AlphabetError(f"{small.generators} is not {big.generators} without {name!r}")
+    i = big.index(name)
+    pos, neg = letter(i, 1), letter(i, -1)
+    image = embed(value, big).letters
+    return small, pos, neg, bytes((pos,)), image, bytes((neg,)), _inverse_letters(image), table
+
+
+def _substitute(u: FreeWord, substitution: tuple) -> FreeWord:
+    """The image of u, a word over the big alphabet, under a
+    ``_substitution``: each letter of the substituted generator replaced by
+    the value or its inverse, then every letter renamed into the small
+    alphabet in one ``translate`` and the result freely reduced.  A word
+    without that generator is only renamed, which keeps it reduced."""
+    small, pos, neg, pos_letter, image, neg_letter, inverse, table = substitution
+    letters = u.letters
+    # int operands: ``in`` takes a bytes one only after failing it as an int
+    if pos in letters or neg in letters:
+        letters = letters.replace(pos_letter, image).replace(neg_letter, inverse)
+        return _reduce(small, letters.translate(table))
+    return _word(small, letters.translate(table))
 
 
 # --- textual syntax ---------------------------------------------------------
@@ -333,7 +382,7 @@ def monoid_word_from_text(alphabet: Alphabet, text: str) -> FreeWord:
     letters = parse_letters(alphabet, text)
     if any(letter_sign(c) < 0 for c in letters):
         raise WordSyntaxError("inverse letters are not allowed here")
-    return _word(alphabet, letters)
+    return _word(alphabet, bytes(letters))
 
 
 def word_to_text(u: FreeWord) -> str:

@@ -115,7 +115,7 @@ def random_kernel_element(retr: Retraction, rng: random.Random, max_factors: int
         u = _random_codes(bits, size, 3)
         raw += u
         raw += (seed_rel if rng.random() < 0.5 else seed_inv).letters
-        raw += _inverse_letters(u)
+        raw += _inverse_letters(bytes(u))
     return _reduce(big, raw)
 
 

@@ -405,6 +405,15 @@ class TestMiscCommands:
         code, _, _ = run(capsys, "present", "lot", "--n", "2", "--edges", "1,2,2;2,1,1")
         assert code == 3
 
+    def test_present_lot_rejects_more_than_128_generators(self, capsys):
+        # a letter is one byte; a star tree on 129 vertices is a usage error
+        edges = ";".join(f"{v},1,{v + 1}" for v in range(1, 129))
+        code, out, err = run(capsys, "present", "lot", "--n", "129", "--edges", edges)
+        assert code == 3 and out == ""
+        assert err.strip() == "error: 129 generators; an alphabet holds at most 128"
+        code, _, _ = run(capsys, "present", "lot", "--n", "128", "--edges", edges.rsplit(";", 1)[0])
+        assert code == 0
+
     def test_word_subcommands(self, capsys):
         code, out, _ = run(capsys, "word", "conjugate", "--gens", "a b", "a", "b")
         assert code == 0 and out.strip() == "a b a^-1"

@@ -14,6 +14,7 @@ from asphere.presentations import (
     MonoidPresentation,
     NotReducibleError,
     ParseError,
+    Retraction,
     UnionFind,
     coset_enumeration,
     coset_table,
@@ -152,6 +153,20 @@ class TestRetractAndDecompose:
     def test_substitutes(self, retr):
         big = retr.big_alphabet
         assert word_to_text(retract(retr, word_from_text(big, "b z"))) == "b a^-1"
+
+    def test_small_alphabet_is_the_big_one_without_z(self, retr):
+        # any order of the other generators is a small alphabet; dropping
+        # another generator or adding one is not
+        big = retr.big_alphabet
+        swapped = Alphabet(("b", "a"))
+        twin = Retraction(big, swapped, "z", word_from_text(swapped, "a^-1"), "w")
+        u = word_from_text(big, "b z a b^-1 z^-1 a")
+        assert retract(twin, u) == word_from_text(swapped, "b a^-1 a b^-1 a a")
+        assert retract(twin, word_from_text(big, "a b")) == word_from_text(swapped, "a b")
+        for names in (("a",), ("a", "b", "c")):
+            small = Alphabet(names)
+            with pytest.raises(AlphabetError):
+                Retraction(big, small, "z", word_from_text(small, "a^-1"), "w")
 
     def test_decompose_of_z(self, retr):
         big = retr.big_alphabet

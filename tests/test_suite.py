@@ -14,6 +14,7 @@ import pytest
 
 from asphere import suite
 from asphere.fixtures import load_fixtures
+from asphere.peiffer import base_insert_pool, legal_moves, random_sequence
 from asphere.suite import FIXTURE_BATTERY_TABLE, RunConfig, run_suite
 from asphere.words import Alphabet
 from asphere.xmod import check_projection
@@ -227,3 +228,23 @@ def test_fixture_battery_draw_logs_are_pinned(fixture, battery):
     rng = DrawLog(f"pin/{fixture}/{battery}")
     assert BATTERIES[battery](FIXTURES[fixture], rng, 4).passed
     assert rng.log.hexdigest() == FIXTURE_DRAW_LOGS[fixture, battery]
+
+
+def test_move_soundness_builds_the_legal_move_it_draws():
+    # the battery draws j below the count of d's legal moves, base-pool
+    # insertions included, and builds only move j from the step moves
+    rng = random.Random("legal-move-at")
+    draws = {"step": 0, "insert": 0}
+    while min(draws.values()) < 1000:
+        for gp in load_fixtures().peiffer_presentations():
+            d = random_sequence(gp, rng)
+            pool = base_insert_pool(gp)
+            steps = legal_moves(d)
+            moves = legal_moves(d, pool)
+            assert len(moves) == len(steps) + (len(d.symbols) + 1) * len(pool)
+            picks = [rng.randrange(len(moves)), len(steps), len(moves) - 1]
+            if steps:
+                picks.append(rng.randrange(len(steps)))
+            for j in picks:
+                assert suite._legal_move_at(steps, pool, j) == moves[j]
+                draws["step" if j < len(steps) else "insert"] += 1

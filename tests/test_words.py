@@ -292,10 +292,10 @@ def test_freeword_rejects_unreduced_letters():
 
 
 def test_freeword_from_a_list_is_the_same_hashable_word():
-    # letters given as a list or any iterable are stored as a tuple, so the
+    # letters given as a list or any iterable are stored as bytes, so the
     # word equals and hashes like the parsed one
     built = FreeWord(AB, [letter(1, 1)])
-    assert built.letters == (letter(1, 1),)
+    assert built.letters == bytes([letter(1, 1)])
     assert built == w("b") and hash(built) == hash(w("b"))
     assert FreeWord(AB, iter([letter(0, 1), letter(1, -1)])) == w("a b^-1")
 
@@ -390,3 +390,67 @@ class TestRestrict:
     def test_rejects_the_dropped_generator(self):
         with pytest.raises(AlphabetError):
             restrict(word_from_text(self.BIG, "a z"), AB)
+
+
+class TestAlphabetCap:
+    """A letter is one byte, so an alphabet holds at most 128 generators."""
+
+    def test_accepts_128_generators(self):
+        big = Alphabet(tuple(f"g{i}" for i in range(128)))
+        last = word_from_text(big, "g127 g0^-1 g127")
+        assert list(last.letters) == [255, 0, 255]
+        assert invert(last).letters == bytes([254, 1, 254])
+
+    def test_rejects_129_generators(self):
+        with pytest.raises(AlphabetError, match="at most 128"):
+            Alphabet(tuple(f"g{i}" for i in range(129)))
+
+
+def test_freeword_is_the_same_from_a_list_a_tuple_and_bytes():
+    codes = [letter(0, 1), letter(1, -1), letter(0, 1)]
+    words = [FreeWord(AB, codes), FreeWord(AB, tuple(codes)), FreeWord(AB, bytes(codes))]
+    assert all(u == w("a b^-1 a") and hash(u) == hash(w("a b^-1 a")) for u in words)
+    assert all(type(u.letters) is bytes for u in words)
+
+
+class TestTranslateAgainstDefinitions:
+    """``invert``, ``embed`` and ``restrict`` rewrite the letters with one
+    ``translate``; each is checked against its per-letter definition on
+    seeded random words, the 128-generator alphabet's codes up to 255
+    included."""
+
+    SMALL = Alphabet(("b", "d", "a"))
+    BIG = Alphabet(("a", "b", "c", "d", "z"))
+    WIDE = Alphabet(tuple(f"g{i}" for i in range(128)))
+    NARROW = Alphabet(("g127", "g3", "g0"))
+
+    @staticmethod
+    def renamed(u, target):
+        names = u.alphabet.generators
+        return [letter(target.index(names[letter_index(c)]), letter_sign(c)) for c in u.letters]
+
+    @pytest.mark.parametrize("alphabet", (SMALL, BIG, WIDE), ids=len)
+    def test_invert_reverses_and_flips_every_letter(self, alphabet):
+        rng = random.Random(f"invert/{len(alphabet)}")
+        for _ in range(300):
+            u = random_word(alphabet, rng, 12)
+            flipped = [letter(letter_index(c), -letter_sign(c)) for c in reversed(u.letters)]
+            assert invert(u) == FreeWord(alphabet, flipped)
+
+    @pytest.mark.parametrize("small, big", ((SMALL, BIG), (NARROW, WIDE)), ids=("five", "wide"))
+    def test_embed_and_restrict_rename_every_letter(self, small, big):
+        rng = random.Random(f"rename/{len(big)}")
+        dropped = 0
+        for _ in range(300):
+            u = random_word(small, rng, 12)
+            v = embed(u, big)
+            assert v == FreeWord(big, self.renamed(u, big))
+            assert restrict(v, small) == FreeWord(small, self.renamed(v, small)) == u
+            v = random_word(big, rng, 4)
+            if any(big.name(letter_index(c)) not in small for c in v.letters):
+                dropped += 1
+                with pytest.raises(AlphabetError):
+                    restrict(v, small)
+            else:
+                assert restrict(v, small) == FreeWord(small, self.renamed(v, small))
+        assert dropped > 100
