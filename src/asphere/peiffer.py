@@ -170,13 +170,11 @@ def boundary(d: YSequence) -> FreeWord:
 
 def _boundary(gp: GroupPresentation, symbols: Sequence[YSymbol]) -> FreeWord:
     signed = gp._signed
-    letters: list[int] = []
+    parts: list[bytes] = []
     for s in symbols:
         u = s.conjugator.letters
-        letters += u
-        letters += signed[s.relator, s.sign].letters
-        letters += _inverse_letters(u)
-    return _reduce(gp.alphabet, letters)
+        parts += (u, signed[s.relator, s.sign].letters, _inverse_letters(u))
+    return _reduce(gp.alphabet, b"".join(parts))
 
 
 def _cancel(symbols: tuple[YSymbol, ...]) -> tuple[list[YSymbol], list[int]]:

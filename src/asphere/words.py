@@ -22,10 +22,16 @@ Results the arithmetic proves reduced, such as the junction-cancelled
 concatenation of two reduced factors, the reversal of a reduced word or its
 renaming by ``embed`` and ``restrict``, go through the private ``_word``,
 which checks nothing and sets the two slots directly; only code that has such
-a proof may call it.  ``_reduce`` is the package's one free reduction of a
+a proof may call it.  The hottest constructors (``_reduce``, ``multiply``,
+``conjugate``, ``invert``, ``embed``, ``_substitute``, ``_commutator`` and
+``random_word``) set the two slots inline instead, which saves a call per
+word; no other module sets them.  ``_commutator`` is the fused c x c^-1 x^-1
+of the inner derivations: ``conjugate``'s junction scans, then one against
+x^-1, and one word.  ``_reduce`` is the package's one free reduction of a
 stream of letters: the boundary of a Y-sequence is such a stream, which
 ``peiffer`` hands to it, and so is the image of a word under a substitution
-(``_substitution``), as the retraction of a word with z.
+(``_substitution``), as the retraction of a word with z; ``random_word``
+reduces its letters on the same stack as it draws them.
 
 Textual syntax (shared by file formats and the CLI): whitespace-separated
 tokens, ``x`` for a generator, ``x^-1`` for its inverse, ``1`` for the empty
@@ -207,7 +213,10 @@ def _reduce(alphabet: Alphabet, letters: Iterable[int]) -> FreeWord:
             stack.pop()
         else:
             stack.append(c)
-    return _word(alphabet, bytes(stack))
+    w = object.__new__(FreeWord)
+    _SET_WORD_ALPHABET(w, alphabet)
+    _SET_WORD_LETTERS(w, bytes(stack))
+    return w
 
 
 def _require_same_alphabet(u: FreeWord, v: FreeWord) -> None:
@@ -227,7 +236,10 @@ def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     i, j, n = len(ul), 0, len(vl)
     while i and j < n and ul[i - 1] == vl[j] ^ 1:
         i, j = i - 1, j + 1
-    return _word(u.alphabet, ul[:i] + vl[j:])
+    w = object.__new__(FreeWord)
+    _SET_WORD_ALPHABET(w, u.alphabet)
+    _SET_WORD_LETTERS(w, ul[:i] + vl[j:])
+    return w
 
 
 def shortlex_key(u: FreeWord) -> tuple[int, bytes]:
@@ -247,7 +259,10 @@ def _inverse_letters(letters: bytes) -> bytes:
 
 
 def invert(u: FreeWord) -> FreeWord:
-    return _word(u.alphabet, _inverse_letters(u.letters))
+    w = object.__new__(FreeWord)
+    _SET_WORD_ALPHABET(w, u.alphabet)
+    _SET_WORD_LETTERS(w, u.letters[::-1].translate(_FLIP))
+    return w
 
 
 def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -270,11 +285,51 @@ def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:
     if e == j:
         while i and k and ul[i - 1] == ul[k - 1]:
             i, k = i - 1, k - 1
-    return _word(u.alphabet, ul[:i] + vl[j:e] + _inverse_letters(ul[:k]))
+    w = object.__new__(FreeWord)
+    _SET_WORD_ALPHABET(w, u.alphabet)
+    _SET_WORD_LETTERS(w, ul[:i] + vl[j:e] + ul[:k][::-1].translate(_FLIP))
+    return w
+
+
+def _commutator(c: FreeWord, x: FreeWord) -> FreeWord:
+    """c x c^-1 x^-1, reduced: ``conjugate``'s junction scans, then one
+    junction against x^-1, and a single word built from the survivors.
+    Equal to ``multiply(conjugate(c, x), invert(x))``."""
+    if c.alphabet is not x.alphabet:
+        _require_same_alphabet(c, x)
+    ul, vl = c.letters, x.letters
+    if not ul or not vl:
+        return empty_word(c.alphabet)
+    n, m = len(ul), len(vl)
+    i, j = n, 0
+    while i and j < m and ul[i - 1] == vl[j] ^ 1:
+        i, j = i - 1, j + 1
+    e, k = m, n
+    while e > j and k and vl[e - 1] == ul[k - 1]:
+        e, k = e - 1, k - 1
+    if e == j:
+        while i and k and ul[i - 1] == ul[k - 1]:
+            i, k = i - 1, k - 1
+    left = ul[:i] + vl[j:e] + ul[:k][::-1].translate(_FLIP)
+    # (c x c^-1) x^-1: the head of x^-1 is x read from its end, so a letter of
+    # the conjugate's tail cancels against the equal letter of x's tail
+    p, q = len(left), m
+    while p and q and left[p - 1] == vl[q - 1]:
+        p, q = p - 1, q - 1
+    w = object.__new__(FreeWord)
+    _SET_WORD_ALPHABET(w, c.alphabet)
+    _SET_WORD_LETTERS(w, left[:p] + vl[:q][::-1].translate(_FLIP))
+    return w
 
 
 def exponent_sum(u: FreeWord, x: str | int) -> int:
-    idx = u.alphabet.index(x) if isinstance(x, str) else x
+    """The exponent sum of the generator named ``x``, or of index ``x``."""
+    if isinstance(x, str):
+        idx = u.alphabet.index(x)
+    elif isinstance(x, int) and not isinstance(x, bool):
+        idx = x
+    else:
+        raise AlphabetError(f"a generator is a name or an index, got {x!r}")
     if not 0 <= idx < len(u.alphabet):
         raise AlphabetError(f"letter index {idx} out of range")
     return u.letters.count(2 * idx + 1) - u.letters.count(2 * idx)
@@ -311,7 +366,10 @@ def embed(u: FreeWord, big: Alphabet) -> FreeWord:
         raise AlphabetError(
             f"cannot embed: {u.alphabet.generators} is not a subset of {big.generators}"
         )
-    return _word(big, u.letters.translate(table))
+    w = object.__new__(FreeWord)
+    _SET_WORD_ALPHABET(w, big)
+    _SET_WORD_LETTERS(w, u.letters.translate(table))
+    return w
 
 
 def restrict(u: FreeWord, small: Alphabet) -> FreeWord:
@@ -352,7 +410,10 @@ def _substitute(u: FreeWord, substitution: tuple) -> FreeWord:
     if pos in letters or neg in letters:
         letters = letters.replace(pos_letter, image).replace(neg_letter, inverse)
         return _reduce(small, letters.translate(table))
-    return _word(small, letters.translate(table))
+    w = object.__new__(FreeWord)
+    _SET_WORD_ALPHABET(w, small)
+    _SET_WORD_LETTERS(w, letters.translate(table))
+    return w
 
 
 # --- textual syntax ---------------------------------------------------------
@@ -441,5 +502,27 @@ def _random_codes(bits, size: int, max_len: int) -> list[int]:
 
 def random_word(alphabet: Alphabet, rng, max_len: int = 6) -> FreeWord:
     """Up to ``max_len`` letters, each a generator then a sign, freely
-    reduced."""
-    return _reduce(alphabet, _random_codes(rng.getrandbits, len(alphabet), max_len))
+    reduced.  The draws are ``_random_codes``'; each letter is reduced
+    against the stack as it is drawn."""
+    bits, size = rng.getrandbits, len(alphabet)
+    count = _below(bits, max_len + 1)
+    if count and size < 1:
+        raise ValueError("empty range: no generator to draw a letter from")
+    k = size.bit_length()
+    stack: list[int] = []
+    for _ in range(count):
+        g = bits(k)
+        while g >= size:
+            g = bits(k)
+        s = bits(2)
+        while s >= 2:
+            s = bits(2)
+        c = 2 * g + 1 - s
+        if stack and stack[-1] == c ^ 1:
+            stack.pop()
+        else:
+            stack.append(c)
+    w = object.__new__(FreeWord)
+    _SET_WORD_ALPHABET(w, alphabet)
+    _SET_WORD_LETTERS(w, bytes(stack))
+    return w

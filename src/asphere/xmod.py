@@ -23,10 +23,17 @@ derivation constructors check their word's alphabet instead.  Inside, the
 values are trusted.  A derivation maps the kernel into itself, and the
 kernel is a normal subgroup, so every value a composition builds from a
 checked argument lies in the kernel again; ``compose_derivations`` and
-``compose_alternative`` therefore evaluate their rules unchecked on it, and
-``derivation_automorphism`` evaluates its compositions unchecked on samples
-drawn in the kernel.  That holds only for one kernel, so the compositions
+``compose_alternative`` therefore evaluate their rules unchecked on it.
+``random_kernel_element`` draws products of conjugates of the kernel's
+generator, which lie in the kernel by construction, so
+``derivation_automorphism`` and the regularity and composition batteries
+evaluate compositions by their ``rule``, unchecked, on the elements they draw
+(``compose_alternative`` keeps its own check of x); the laws compare the same
+values either way.  That holds only for one kernel, so the compositions
 refuse two derivations over different retractions when they are built.
+``inner_derivation`` and ``compose_derivations`` build their ``Derivation``
+through the trusted ``_derivation``, which sets the two slots without the
+frozen ``__init__``; an inner derivation's rule is ``words._commutator``.
 
 Verification is sampled: each structural law (derivation law, regularity,
 the two composition expressions, the actor diagram, the semidirect action
@@ -69,6 +76,7 @@ from .words import (
     AlphabetError,
     FreeWord,
     _below,
+    _commutator,
     _inverse_letters,
     _random_codes,
     _reduce,
@@ -110,13 +118,11 @@ def random_kernel_element(retr: Retraction, rng: random.Random, max_factors: int
     big = retr.big_alphabet
     seed_rel, seed_inv = retr._kernel_generators
     bits, size = rng.getrandbits, len(big)
-    raw: list[int] = []
+    parts: list[bytes] = []
     for _ in range(_below(bits, max_factors + 1)):
-        u = _random_codes(bits, size, 3)
-        raw += u
-        raw += (seed_rel if rng.random() < 0.5 else seed_inv).letters
-        raw += _inverse_letters(bytes(u))
-    return _reduce(big, raw)
+        u = bytes(_random_codes(bits, size, 3))
+        parts += (u, (seed_rel if rng.random() < 0.5 else seed_inv).letters, _inverse_letters(u))
+    return _reduce(big, b"".join(parts))
 
 
 def _in_kernel(retr: Retraction, w: FreeWord) -> bool:
@@ -128,7 +134,7 @@ def _in_kernel(retr: Retraction, w: FreeWord) -> bool:
 # --- derivations ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     """Map d from the kernel to itself with d(xy) = d(x) · x d(y) x^-1;
     represented by an evaluation rule.  A call checks that its argument lies
@@ -143,6 +149,19 @@ class Derivation:
         return self.rule(x)
 
 
+_SET_RETRACTION = Derivation.retraction.__set__
+_SET_RULE = Derivation.rule.__set__
+
+
+def _derivation(retr: Retraction, rule: Callable[[FreeWord], FreeWord]) -> Derivation:
+    """Trusted constructor: sets the two slots directly, without the frozen
+    ``__init__``."""
+    d = object.__new__(Derivation)
+    _SET_RETRACTION(d, retr)
+    _SET_RULE(d, rule)
+    return d
+
+
 def inner_derivation(retr: Retraction, c: FreeWord) -> Derivation:
     """The inner derivation x -> c x c^-1 x^-1 of a word c over the small
     alphabet: the displacement of a kernel element under conjugation by c.
@@ -152,7 +171,7 @@ def inner_derivation(retr: Retraction, c: FreeWord) -> Derivation:
     if c.alphabet is not retr.small_alphabet:
         raise AlphabetError("a derivation's word must avoid the eliminated generator")
     c = embed(c, retr.big_alphabet)
-    return Derivation(retr, lambda x: multiply(conjugate(c, x), invert(x)))
+    return _derivation(retr, lambda x: _commutator(c, x))
 
 
 def induced_map(d: Derivation) -> Callable[[FreeWord], FreeWord]:
@@ -179,7 +198,7 @@ def compose_derivations(d1: Derivation, d2: Derivation) -> Derivation:
         v = rule2(x)
         return multiply(rule1(multiply(v, x)), v)
 
-    return Derivation(d1.retraction, rule)
+    return _derivation(d1.retraction, rule)
 
 
 def compose_alternative(d1: Derivation, d2: Derivation) -> Callable[[FreeWord], FreeWord]:
@@ -457,8 +476,8 @@ def check_regularity(
         s = random_symbol(sub, rng, conj_len=4)
         d_plus = symbol_derivation(retr, sub, s)
         d_minus = symbol_derivation(retr, sub, s if perturb else s.inverse())
-        composed = compose_derivations(d_plus, d_minus)
-        x = random_kernel_element(retr, rng)
+        composed = compose_derivations(d_plus, d_minus).rule
+        x = random_kernel_element(retr, rng)  # in the kernel: the rule runs unchecked
         if not composed(x).is_identity:
             failures.append(f"sample {i}: composition with the witness is not trivial")
     return BatteryResult.collect("regularity", samples, failures)
@@ -476,12 +495,12 @@ def check_composition_formulas(
             return BatteryResult.collect("composition-agreement", i, failures)
         d1 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
         d2 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
-        composed = compose_derivations(d1, d2)
+        composed = compose_derivations(d1, d2).rule
         alt = compose_alternative(d1, d2)
         if perturb:
             map1 = induced_map(d1)
             alt = lambda x, _m=map1, _d1=d1, _d2=d2: multiply(_d1(x), _m(_d2(x)))  # noqa: E731
-        x = random_kernel_element(retr, rng)
+        x = random_kernel_element(retr, rng)  # in the kernel: the rule runs unchecked
         if composed(x) != alt(x):
             failures.append(f"sample {i}: the two composition expressions disagree")
     d_any = inner_derivation(retr, sub.relators[0][1])

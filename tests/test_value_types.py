@@ -1,5 +1,5 @@
-"""Value semantics of the slotted word, symbol, sequence, move and
-certificate types, and the signed relator table of a presentation.
+"""Value semantics of the slotted word, symbol, sequence, move, certificate
+and derivation types, and the signed relator table of a presentation.
 
 Each type has a trusted constructor that sets its slots directly; its
 instances must be indistinguishable from the validated public ones.  The
@@ -25,6 +25,7 @@ from asphere.peiffer import (
     search_trivialization,
 )
 from asphere.words import FreeWord, _word, invert, word_from_text
+from asphere.xmod import Derivation, _derivation, inner_derivation
 
 FIXTURES = load_fixtures()
 SYM3 = FIXTURES.presentations["sym3"]
@@ -37,6 +38,8 @@ def _trusted_and_public_pairs():
     d, _ = scramble(SYM3, seed=3, k=3)
     cert = search_trivialization(d)
     assert cert.moves
+    retr = FIXTURES.reducible_fixtures()[0].retraction
+    rule = inner_derivation(retr, invert(retr.solved)).rule
     return [
         (FreeWord, _word(SYM3.alphabet, WORD.letters), FreeWord(SYM3.alphabet, WORD.letters)),
         (YSymbol, _symbol("r1", WORD, -1), sym),
@@ -45,6 +48,7 @@ def _trusted_and_public_pairs():
         # the search builds its moves with the trusted constructor; the JSON
         # reader builds them with the public one
         (Certificate, cert, certificate_from_json(SYM3, certificate_to_json(cert))),
+        (Derivation, _derivation(retr, rule), Derivation(retr, rule)),
     ]
 
 

@@ -248,6 +248,18 @@ class TestExponentAndAbelianization:
         assert abelianize(empty_word(AB)) == (0, 0)
         assert abelianize(w("a a b^-1")) == (2, -1)
 
+    @pytest.mark.parametrize("index", (True, False, 1.0, 0.0, None, b"a", ("a",)))
+    def test_an_index_that_is_not_a_name_or_an_int_raises(self, index):
+        # a bool is an int to isinstance, but not a generator index
+        with pytest.raises(AlphabetError):
+            exponent_sum(w("a b"), index)
+
+    def test_an_int_index_is_range_checked(self):
+        assert exponent_sum(w("a b b"), 1) == 2
+        for index in (2, -1):
+            with pytest.raises(AlphabetError):
+                exponent_sum(w("a b"), index)
+
     def test_homomorphisms(self):
         rng = random.Random(1)
         for _ in range(1000):

@@ -32,6 +32,7 @@ from asphere.suite import FIXTURE_BATTERY_TABLE
 from asphere.words import (
     Alphabet,
     AlphabetError,
+    _commutator,
     conjugate,
     embed,
     empty_word,
@@ -47,9 +48,11 @@ from asphere.words import (
     word_to_text,
 )
 from asphere.xmod import (
+    Derivation,
     MembershipError,
     NonRegularError,
     ReducibleFixture,
+    _derivation,
     check_action_laws,
     check_actor_diagram,
     check_composition_formulas,
@@ -708,6 +711,80 @@ class TestFastPathsAgainstDefinitions:
             has_z = any(letter_index(c) == z_index for c in s.conjugator.letters)
             kinds["with z" if has_z else "without z"] += 1
         assert min(kinds.values()) > 30
+
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_commutator_is_the_conjugate_times_the_inverse(self, fx):
+        # _commutator scans the junctions of c x c^-1 x^-1 and builds one
+        # word; the definition builds the conjugate and multiplies by x^-1.
+        # The draws cover an empty c, an empty x, x a power of c (the whole
+        # commutator cancels) and kernel elements, the derivations' arguments
+        retr = fx.retraction
+        big_alphabet = retr.big_alphabet
+        rng = random.Random(f"commutator/{fx.presentation.name}")
+        empty = empty_word(big_alphabet)
+        cancelled = partly = 0
+        for _ in range(500):
+            c = random_word(big_alphabet, rng, 6)
+            u = random_word(big_alphabet, rng, 6)
+            pairs = [
+                (c, u),
+                (empty, u),
+                (c, empty),
+                (c, c),
+                (c, invert(multiply(c, c))),
+                (embed(random_word(retr.small_alphabet, rng, 6), big_alphabet), random_kernel_element(retr, rng)),
+                (c, multiply(invert(c), u)),
+            ]
+            for a, x in pairs:
+                got = _commutator(a, x)
+                assert got == multiply(conjugate(a, x), invert(x))
+                if not a.is_identity and not x.is_identity:
+                    cancelled += got.is_identity
+                    partly += 0 < len(got) < 2 * (len(a) + len(x))
+        assert cancelled > 700 and partly > 400
+        with pytest.raises(AlphabetError):
+            _commutator(random_word(retr.small_alphabet, rng, 3), empty)
+
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_composed_rules_agree_with_the_checked_calls(self, fx):
+        # the regularity and composition batteries run a composition's rule
+        # unchecked on the kernel elements they draw; each draw lies in the
+        # kernel, and there the rule is the checked call
+        retr, sub = fx.retraction, fx.subpresentation
+        rng = random.Random(f"composed-rules/{fx.presentation.name}")
+        for _ in range(200):
+            s = random_symbol(sub, rng, conj_len=4)
+            d1 = symbol_derivation(retr, sub, s)
+            d2 = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+            for composed in (
+                compose_derivations(d1, d2),
+                compose_derivations(d1, symbol_derivation(retr, sub, s.inverse())),
+            ):
+                x = random_kernel_element(retr, rng)
+                assert xmod._in_kernel(retr, x)
+                assert composed.rule(x) == composed(x)
+
+    @pytest.mark.parametrize("fx", LOTS, ids=lambda fx: fx.presentation.name)
+    def test_trusted_derivation_is_the_public_one(self, fx):
+        # inner_derivation and compose_derivations build their values with
+        # the trusted constructor
+        retr, sub = fx.retraction, fx.subpresentation
+        rng = random.Random(f"trusted-derivation/{fx.presentation.name}")
+        d = symbol_derivation(retr, sub, random_symbol(sub, rng, conj_len=4))
+        composed = compose_derivations(d, d)
+        for built in (d, composed):
+            public = Derivation(built.retraction, built.rule)
+            trusted = _derivation(built.retraction, built.rule)
+            assert type(built) is Derivation
+            assert built == public == trusted and hash(built) == hash(public) == hash(trusted)
+            x = random_kernel_element(retr, rng, max_factors=4)
+            assert built(x) == public(x) == trusted(x)
+            outside = random_word(retr.big_alphabet, rng, 8)
+            while retract(retr, outside).is_identity:
+                outside = random_word(retr.big_alphabet, rng, 8)
+            for value in (built, public, trusted):
+                with pytest.raises(MembershipError):
+                    value(outside)
 
     @pytest.mark.parametrize("fx", (TOY, *LOTS), ids=lambda fx: fx.presentation.name)
     def test_cached_kernel_generator(self, fx):
