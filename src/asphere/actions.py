@@ -212,6 +212,8 @@ def weak_dominion_membership(u: Submonoid, d: int, budget: int = 1000) -> Tri:
     enumeration does not close.
     """
     s = u.parent
+    if type(d) is not int:
+        raise MonoidError(f"element must be an int, got {d!r}")
     if not 0 <= d < s.size:
         raise MonoidError(f"element {d} out of range")
     gp = enveloping_group_presentation(s)

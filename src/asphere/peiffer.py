@@ -393,6 +393,16 @@ def legal_moves(d: YSequence, insert_pool: Sequence[YSymbol] = ()) -> list[Move]
     return moves
 
 
+def _legal_move_at(steps: list[Move], pool: Sequence[YSymbol], j: int) -> Move:
+    """``legal_moves(d, pool)[j]``, given ``steps = legal_moves(d)``: the
+    insertions follow the step moves, position by position, each position
+    taking the pool in order, so only the one drawn is built."""
+    if j < len(steps):
+        return steps[j]
+    pos, k = divmod(j - len(steps), len(pool))
+    return _move(_INSERT, pos, pool[k])
+
+
 # --- insert pools ------------------------------------------------------------
 
 

@@ -566,8 +566,9 @@ def coset_table(
     gp: GroupPresentation, subgroup: Sequence[FreeWord] = (), budget: int = 1000
 ):
     """Run the enumeration; returns a CosetTable or EXHAUSTED."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    # a bool or a float is not a coset count: True would act as 1, 3.5 as 3
+    if type(budget) is not int or budget < 1:
+        raise ValueError(f"budget must be an int >= 1, got {budget!r}")
     for w in subgroup:
         if w.alphabet is not gp.alphabet:
             raise AlphabetError("subgroup generator over the wrong alphabet")

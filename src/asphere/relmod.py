@@ -3,29 +3,41 @@
 Elements are finite integer combinations of basis pairs (relator name, coset
 representative).  The image of a Y-sequence adds one basis element per
 symbol regardless of its sign; the group-ring action relabels coset keys by
-w^-1 · u.  Every oracle canonicalizes every word over its own alphabet (an
-oracle of another presentation over it decides a quotient).  Only equality
-may be partial: exact in the free group or a finite quotient, refutation-only
-modulo the relator lattice, so zero-testing is three-valued.
+w^-1 · u.  Every oracle gives each word over its own alphabet (an oracle of
+another presentation over it decides a quotient) two normal forms: canon
+proves equality, coarse refutes it.  They coincide for the exact oracles of
+the free group and of a finite quotient; modulo the relator lattice only
+refutation is possible, so equality and the zero test are three-valued.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Protocol, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .partial import EXHAUSTED, Tri
 from .peiffer import YSequence
-from .presentations import GroupPresentation, UnionFind, coset_table
+from .presentations import GroupPresentation, coset_table
 from .words import Alphabet, AlphabetError, FreeWord, abelianize, invert, multiply
 
 
-class GroupOracle(Protocol):
+class GroupOracle:
+    """Two normal forms of a word: ``canon`` is one word per group element,
+    so equal forms prove equality; ``coarse`` is a key shared by any two
+    words that may be equal, so different keys refute equality."""
+
     alphabet: Alphabet
 
-    def equal(self, u: FreeWord, v: FreeWord) -> Tri: ...
+    def canon(self, w: FreeWord) -> FreeWord:
+        raise NotImplementedError
 
-    def canon(self, w: FreeWord) -> FreeWord: ...
+    def coarse(self, w: FreeWord) -> Hashable:
+        raise NotImplementedError
+
+    def equal(self, u: FreeWord, v: FreeWord) -> Tri:
+        if self.canon(u) == self.canon(v):
+            return Tri.YES
+        return Tri.NO if self.coarse(u) != self.coarse(v) else Tri.UNKNOWN
 
 
 def _require_alphabet(oracle: GroupOracle, *alphabets: Alphabet) -> None:
@@ -35,26 +47,24 @@ def _require_alphabet(oracle: GroupOracle, *alphabets: Alphabet) -> None:
 
 
 @dataclass(frozen=True)
-class FreeOracle:
+class FreeOracle(GroupOracle):
     """Equality in the free group itself: exact, canonical form is the
     reduced word."""
 
     alphabet: Alphabet
 
-    def equal(self, u: FreeWord, v: FreeWord) -> Tri:
-        _require_alphabet(self, u.alphabet, v.alphabet)
-        return Tri.YES if u == v else Tri.NO
-
     def canon(self, w: FreeWord) -> FreeWord:
         _require_alphabet(self, w.alphabet)
         return w
+
+    coarse = canon
 
 
 class QuotientExhausted(ValueError):
     """The coset enumeration ran out of budget before the quotient closed."""
 
 
-class CosetOracle:
+class CosetOracle(GroupOracle):
     """Equality in a finite quotient, decided by a completed coset table on
     the trivial subgroup.  Canonical forms are shortlex Schreier
     representatives.  Read-only after construction."""
@@ -67,15 +77,14 @@ class CosetOracle:
         self._table = table
         self._reps = table.representatives()
 
-    def equal(self, u: FreeWord, v: FreeWord) -> Tri:
-        return Tri.YES if self._table.trace(u) == self._table.trace(v) else Tri.NO
-
     def canon(self, w: FreeWord) -> FreeWord:
         return self._reps[self._table.trace(w)]
 
+    coarse = canon
+
 
 class _IntLattice:
-    """Integer row span with echelon basis; supports membership tests."""
+    """Integer row span with echelon basis; gives canonical residues."""
 
     def __init__(self):
         self.rows: dict[int, list[int]] = {}
@@ -101,23 +110,27 @@ class _IntLattice:
                 row, v = v, [r - q * w for r, w in zip(row, v)]
             self.rows[piv] = row
 
-    def member(self, vec: Sequence[int]) -> bool:
+    def residue(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """The canonical representative of vec modulo the lattice: pivot by
+        pivot in column order, the entry is reduced into [0, p), or (p, 0]
+        for a negative pivot entry p.  The rows are in echelon form, so two
+        vectors share a residue exactly when their difference is a member."""
         v = list(vec)
-        while True:
-            piv = self._pivot(v)
-            if piv is None:
-                return True
-            row = self.rows.get(piv)
-            if row is None or v[piv] % row[piv] != 0:
-                return False
+        for piv in sorted(self.rows):
+            row = self.rows[piv]
             q = v[piv] // row[piv]
             v = [w - q * r for r, w in zip(row, v)]
+        return tuple(v)
+
+    def member(self, vec: Sequence[int]) -> bool:
+        return not any(self.residue(vec))
 
 
-class AbelianizationOracle:
+class AbelianizationOracle(GroupOracle):
     """Refutation-only: two words cannot be equal in the quotient when their
     abelianized difference lies outside the integer span of the relator
-    abelianizations.  Never answers YES for distinct words."""
+    abelianizations, that is, when their residues modulo that span differ.
+    Never answers YES for distinct words."""
 
     def __init__(self, gp: GroupPresentation):
         self.alphabet = gp.alphabet
@@ -125,16 +138,13 @@ class AbelianizationOracle:
         for _, r in gp.relators:
             self._lattice.add(abelianize(r))
 
-    def equal(self, u: FreeWord, v: FreeWord) -> Tri:
-        _require_alphabet(self, u.alphabet, v.alphabet)
-        if u == v:
-            return Tri.YES
-        diff = [a - b for a, b in zip(abelianize(u), abelianize(v))]
-        return Tri.UNKNOWN if self._lattice.member(diff) else Tri.NO
-
     def canon(self, w: FreeWord) -> FreeWord:
         _require_alphabet(self, w.alphabet)
         return w
+
+    def coarse(self, w: FreeWord) -> tuple[int, ...]:
+        _require_alphabet(self, w.alphabet)
+        return self._lattice.residue(abelianize(w))
 
 
 # --- elements -----------------------------------------------------------------
@@ -202,44 +212,22 @@ def module_action(w: FreeWord, e: RelModElement, oracle: GroupOracle) -> RelModE
 def is_zero(e: RelModElement, oracle: GroupOracle) -> Tri:
     """Three-valued zero test under an oracle.
 
-    Keys the oracle proves equal are merged; after merging, the element is
-    zero exactly when every class sums to zero.  UNKNOWN answers block a
-    definite zero only where merging could still cancel the residue.
+    Coefficients summed per relator and canonical form merge the keys the
+    oracle proves equal; the element is zero exactly when every such sum
+    vanishes.  Keys sharing a coarse key may still be equal, so the nonzero
+    sums are totalled per relator and coarse key: a nonzero total is certain,
+    while nonzero sums with a zero total might still cancel.
     """
-    by_rel: dict[str, list[tuple[FreeWord, int]]] = {}
+    exact: dict[tuple[str, FreeWord], int] = {}
     for (rel, w), c in e.terms:
         _require_alphabet(oracle, w.alphabet)
-        by_rel.setdefault(rel, []).append((w, c))
-
-    saw_unknown_residue = False
-    for pairs in by_rel.values():
-        n = len(pairs)
-        # classes: keys the oracle proves equal.  linked: classes joined by an
-        # UNKNOWN answer too; inside such a component further merging is
-        # conceivable, so only its total is certain
-        classes, linked = UnionFind(n), UnionFind(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                answer = oracle.equal(pairs[i][0], pairs[j][0])
-                if answer is Tri.YES:
-                    classes.union(i, j)
-                    linked.union(i, j)
-                elif answer is Tri.UNKNOWN:
-                    linked.union(i, j)
-
-        sums: dict[int, int] = {}
-        for i, (_, c) in enumerate(pairs):
-            root = classes.find(i)
-            sums[root] = sums.get(root, 0) + c
-
-        # merging inside a component keeps its total, so a nonzero total is
-        # certain; nonzero classes with a zero total might still cancel
-        components: dict[int, list[int]] = {}
-        for root, s in sums.items():
-            components.setdefault(linked.find(root), []).append(s)
-        for class_sums in components.values():
-            if sum(class_sums):
-                return Tri.NO
-            if any(class_sums):
-                saw_unknown_residue = True
-    return Tri.UNKNOWN if saw_unknown_residue else Tri.YES
+        key = rel, oracle.canon(w)
+        exact[key] = exact.get(key, 0) + c
+    totals: dict[tuple[str, Hashable], int] = {}
+    for (rel, w), c in exact.items():
+        if c:
+            key = rel, oracle.coarse(w)
+            totals[key] = totals.get(key, 0) + c
+    if any(totals.values()):
+        return Tri.NO
+    return Tri.UNKNOWN if totals else Tri.YES

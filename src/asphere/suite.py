@@ -16,6 +16,7 @@ from .partial import EXHAUSTED, Tri
 from .peiffer import (
     Move,
     MoveKind,
+    _legal_move_at,
     apply_move,
     base_insert_pool,
     boundary,
@@ -141,16 +142,6 @@ def battery_coset_determinism(config: RunConfig, fixtures: FixtureSet) -> Batter
         elif first.rows != second.rows:
             failures.append(f"{name}: two runs disagree")
     return BatteryResult.collect("coset-determinism", checked, failures)
-
-
-def _legal_move_at(steps: list[Move], pool: list, j: int) -> Move:
-    """``legal_moves(d, pool)[j]``, given ``steps = legal_moves(d)``: the
-    insertions follow the step moves, position by position, each position
-    taking the pool in order, so only the one drawn is built."""
-    if j < len(steps):
-        return steps[j]
-    pos, k = divmod(j - len(steps), len(pool))
-    return Move(MoveKind.INSERT, pos, pool[k])
 
 
 def battery_move_soundness(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:

@@ -210,6 +210,17 @@ class TestWeakDominion:
     def test_budget_exhaustion_is_unknown(self):
         assert weak_dominion_membership(sub(CYC3, {0}), 1, 1) is Tri.UNKNOWN
 
+    @pytest.mark.parametrize("bad", (True, 1.0, "1"))
+    def test_element_must_be_an_int(self, bad):
+        # True used to answer for element 1
+        with pytest.raises(MonoidError, match="element must be an int"):
+            weak_dominion_membership(sub(CYC3, {0}), bad, 100)
+
+    @pytest.mark.parametrize("budget", (True, 100.0))
+    def test_budget_must_be_an_int(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            weak_dominion_membership(sub(CYC3, {0}), 1, budget)
+
     def test_dominion_implies_wdom_not_no(self):
         # Dom(U) is contained in WDom(U): over every submonoid of the whole
         # corpus (128 pairs, 324 dominion elements) the coset enumeration

@@ -321,6 +321,14 @@ class TestCosetEnumeration:
         with pytest.raises(ValueError):
             coset_enumeration(gp, (), 0)
 
+    @pytest.mark.parametrize("budget", (3.5, 3.0, True, False, 0, -2))
+    def test_budget_must_be_an_int_of_at_least_one(self, c3, budget):
+        # 3.5 used to close c3 at 3 cosets and True to act as a budget of 1
+        with pytest.raises(ValueError, match="budget must be an int >= 1"):
+            coset_table(c3, (), budget)
+        with pytest.raises(ValueError, match="budget"):
+            coset_enumeration(c3, (), budget)
+
     def test_coincidence_heavy_groups(self):
         # orders that force collapses during the scan
         a4 = parse("group a4\ngens a b\nrel r1 = a a a\nrel r2 = b b b\nrel r3 = a b a b\n")

@@ -29,6 +29,7 @@ from asphere.relmod import (
     AbelianizationOracle,
     CosetOracle,
     FreeOracle,
+    GroupOracle,
     RelModElement,
     _IntLattice,
     is_zero,
@@ -38,6 +39,7 @@ from asphere.relmod import (
 from asphere.words import (
     Alphabet,
     AlphabetError,
+    conjugate,
     empty_word,
     invert,
     multiply,
@@ -169,35 +171,32 @@ class TestIsZero:
         assert is_zero(e, oracle) is Tri.NO
 
     def test_unknown_link_from_a_class_member_joins_the_whole_class(self):
-        # 1 = a proven (YES); a vs a a unknown; 1 vs a a refuted (NO).  The
+        # 1 = a proven (YES); a a shares their coarse key (UNKNOWN).  The
         # class {1, a} sums to 2 and a a can still cancel it, so UNKNOWN
-        oracle = PartitionOracle([0, 0, 1], frozenset({frozenset((1, 2))}))
+        oracle = PartitionOracle([0, 0, 1], [0, 0, 0])
         e = RelModElement.from_items((("r", POWERS[k]), c) for k, c in [(0, 1), (1, 1), (2, -2)])
         assert is_zero(e, oracle) is Tri.UNKNOWN
 
 
 POWERS = [word_from_text(AB, " ".join(["a"] * k) or "1") for k in range(8)]
-KEY_PAIRS = [frozenset((i, j)) for i in range(len(POWERS)) for j in range(i)]
 
 
-class PartitionOracle:
-    """Sound over a partition of the keys: a key pair in ``unknown`` answers
-    UNKNOWN, any other pair YES exactly when both keys carry the same label."""
+class PartitionOracle(GroupOracle):
+    """Sound over two nested partitions of the keys: keys with the same label
+    are equal, keys with different coarse labels are not, and any other pair
+    is undecided.  ``coarse`` must be a coarsening of ``labels``."""
 
     alphabet = AB
 
-    def __init__(self, labels, unknown=frozenset()):
+    def __init__(self, labels, coarse):
         self.labels = labels
-        self.unknown = unknown
-
-    def equal(self, u, v):
-        i, j = POWERS.index(u), POWERS.index(v)
-        if frozenset((i, j)) in self.unknown:
-            return Tri.UNKNOWN
-        return Tri.YES if self.labels[i] == self.labels[j] else Tri.NO
+        self.coarse_labels = coarse
 
     def canon(self, w):
-        return w
+        return POWERS[self.labels.index(self.labels[POWERS.index(w)])]
+
+    def coarse(self, w):
+        return self.coarse_labels[POWERS.index(w)]
 
 
 TERMS = st.lists(
@@ -241,10 +240,19 @@ def expected_is_zero(coeff, labels, unknown):
 
 @given(
     st.lists(st.integers(0, 3), min_size=len(POWERS), max_size=len(POWERS)),
-    st.frozensets(st.sampled_from(KEY_PAIRS)),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
     st.data(),
 )
-def test_is_zero_under_a_partition_oracle_sums_each_class(labels, unknown, data):
+def test_is_zero_under_a_partition_oracle_sums_each_class(labels, merge, data):
+    # the coarse label of a key is the merged label of its class; the pairs
+    # left undecided are those sharing a coarse label but not a label
+    coarse = [merge[label] for label in labels]
+    unknown = frozenset(
+        frozenset((i, j))
+        for i in range(len(POWERS))
+        for j in range(i)
+        if coarse[i] == coarse[j] and labels[i] != labels[j]
+    )
     items = data.draw(TERMS)
     balance = data.draw(st.sampled_from(("none", "class", "total")))
     if balance == "class":
@@ -266,7 +274,7 @@ def test_is_zero_under_a_partition_oracle_sums_each_class(labels, unknown, data)
     truth = Tri.YES if not any(sums.values()) else Tri.NO
 
     e = RelModElement.from_items(((rel, POWERS[k]), c) for rel, k, c in items)
-    got = is_zero(e, PartitionOracle(labels, unknown))
+    got = is_zero(e, PartitionOracle(labels, coarse))
     assert got is expected_is_zero(coeff, labels, unknown)
     assert got in (truth, Tri.UNKNOWN)
     if not unknown:
@@ -379,6 +387,11 @@ class TestOracles:
         with pytest.raises(ValueError):
             CosetOracle(free_gp, 50)
 
+    @pytest.mark.parametrize("budget", (3.0, True, 0))
+    def test_coset_oracle_budget_must_be_an_int(self, budget):
+        with pytest.raises(ValueError, match="budget must be an int >= 1"):
+            CosetOracle(FX["c3"], budget)
+
     def test_abelian_oracle_is_sound_for_quotient_equalities(self):
         # words equal in the quotient are never refuted
         oracle = AbelianizationOracle(GP_FIN)
@@ -441,6 +454,26 @@ class TestIntLattice:
             assert lattice.member(query) is reference.member(query)
         assert lattice.member(combo)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_residue_is_canonical(self, data):
+        dim = data.draw(st.integers(1, 4))
+        vector = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim)
+        lattice = _IntLattice()
+        gens = data.draw(st.lists(vector, max_size=4))
+        for g in gens:
+            lattice.add(g)
+        v = data.draw(vector)
+        residue = lattice.residue(v)
+        for _ in range(3):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+            combo = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim)]
+            assert lattice.residue([a + b for a, b in zip(v, combo)]) == residue
+            assert not any(lattice.residue(combo))
+        for piv, row in lattice.rows.items():
+            p = row[piv]
+            assert 0 <= residue[piv] < p if p > 0 else p < residue[piv] <= 0
+
 
 class TestExchangeInvariance:
     def test_exchanges_preserve_image_under_quotient_oracle(self):
@@ -458,6 +491,25 @@ class TestExchangeInvariance:
             assert before == after
             checked += 1
         assert checked >= 100
+
+    def test_exchanges_keep_the_free_image_zero_under_quotient_oracle(self):
+        # an exchange can move the free image's keys, but each moved key
+        # equals its old one in the quotient, so the difference is zero there
+        oracle = CosetOracle(GP_FIN, 500)
+        rng = random.Random(6)
+        checked = moved = 0
+        for _ in range(200):
+            d = rand_seq_fin(rng)
+            if len(d.symbols) < 2:
+                continue
+            pos = rng.randrange(len(d.symbols) - 1)
+            kind = rng.choice((MoveKind.EXCHANGE_L, MoveKind.EXCHANGE_R))
+            after = apply_move(d, Move(kind, pos))
+            diff = module_image(d, FREE).subtract(module_image(after, FREE))
+            assert is_zero(diff, oracle) is Tri.YES
+            checked += 1
+            moved += is_zero(diff, FREE) is Tri.NO
+        assert checked >= 100 and moved >= 50
 
     def test_exchanges_can_move_free_oracle_image(self):
         d = YSequence(GP, (YSymbol("r", ONE, 1), YSymbol("s", ONE, 1)))
@@ -509,3 +561,98 @@ def test_relmod_outputs_are_pinned(tmp_path):
     assert (len(gmap_rows), len(verdict_rows)) == (672, 336)
     blob = json.dumps([gmap_rows, verdict_rows], sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PIN_DIGEST
+
+
+def random_element(gp, rng):
+    """Up to three random terms, most followed by a term on the same word or
+    on a word equal to it in the group (times a conjugated relator), so
+    every verdict occurs under the free, abelian and coset oracles.  Also
+    returns the (word, twin) pairs of the second kind."""
+    items, pairs = [], []
+    for _ in range(1 + rng.randrange(3)):
+        rel = rng.choice(gp.relator_names)
+        w = random_word(gp.alphabet, rng, 3)
+        c = rng.choice((1, -1, 2))
+        items.append(((rel, w), c))
+        roll = rng.randrange(6)
+        if roll == 0:
+            items.append(((rel, w), -c))
+        elif roll < 5:
+            # the twin cancels the term (1, 2), misses it by a letter (3) or
+            # doubles it (4)
+            _, r = gp.relators[rng.randrange(len(gp.relators))]
+            twin = multiply(w, conjugate(random_word(gp.alphabet, rng, 2), r))
+            if roll == 3:
+                twin = multiply(twin, random_word(gp.alphabet, rng, 1))
+            pairs.append((w, twin))
+            items.append(((rel, twin), c if roll == 4 else -c))
+    return RelModElement.from_items(items), pairs
+
+
+def verdict_corpus():
+    """300 seeded random elements per fixture presentation."""
+    for name in PRESENTATION_FILES:
+        gp = FX[name]
+        rng = random.Random(name)
+        yield gp, [random_element(gp, rng) for _ in range(300)]
+
+
+def fixture_oracles(gp, free=FreeOracle, abelian=AbelianizationOracle, cosets=CosetOracle):
+    """The free and abelian oracles of gp, and its coset oracle where the
+    quotient closes within 2000 cosets."""
+    oracles = {"free": free(gp.alphabet), "abelian": abelian(gp)}
+    if gp.name in ("c3", "sym3"):
+        oracles["cosets"] = cosets(gp, 2000)
+    return oracles
+
+
+# sha256 of the verdict corpus's answers, taken while every oracle still
+# defined its own equal and is_zero merged keys by pairwise equal answers
+VERDICT_DIGEST = "87995c9beca4a6e08c1a7b046e7f0213823381488e7ba06ac3ba5fbaf367fdcd"
+
+
+def test_zero_and_equality_verdicts_are_pinned():
+    """Per element and oracle, the is_zero verdict and the equal answer of
+    each (word, twin) pair."""
+    rows, counts = [], Counter()
+    for gp, elements in verdict_corpus():
+        oracles = fixture_oracles(gp)
+        for i, (e, pairs) in enumerate(elements):
+            for kind, o in oracles.items():
+                verdict = is_zero(e, o).value
+                counts[kind, verdict] += 1
+                rows.append([gp.name, i, kind, verdict, [o.equal(u, v).value for u, v in pairs]])
+    assert len(rows) == 4800
+    # exact oracles never answer UNKNOWN; every verdict occurs
+    assert counts["free", "unknown"] == counts["cosets", "unknown"] == 0
+    assert all(counts[kind, v] for kind in ("free", "abelian", "cosets") for v in ("yes", "no"))
+    assert counts["abelian", "unknown"]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == VERDICT_DIGEST
+
+
+def no_equal(cls):
+    """A subclass of an oracle class whose equal raises."""
+
+    def equal(self, u, v):
+        raise AssertionError("equal called")
+
+    return type(f"NoEqual{cls.__name__}", (cls,), {"equal": equal})
+
+
+def test_is_zero_never_calls_equal():
+    # the zero test reads the two normal forms only
+    classes = {
+        "free": no_equal(FreeOracle),
+        "abelian": no_equal(AbelianizationOracle),
+        "cosets": no_equal(CosetOracle),
+    }
+    seen = set()
+    for gp, elements in verdict_corpus():
+        oracles = fixture_oracles(gp)
+        bare = fixture_oracles(gp, **classes)
+        for e, _ in elements:
+            for kind, o in oracles.items():
+                verdict = is_zero(e, bare[kind])
+                assert verdict is is_zero(e, o)
+                seen.add(verdict)
+    assert seen == set(Tri)

@@ -14,7 +14,7 @@ import pytest
 
 from asphere import suite
 from asphere.fixtures import load_fixtures
-from asphere.peiffer import base_insert_pool, legal_moves, random_sequence
+from asphere.peiffer import _legal_move_at, base_insert_pool, legal_moves, random_sequence
 from asphere.suite import FIXTURE_BATTERY_TABLE, RunConfig, run_suite
 from asphere.words import Alphabet
 from asphere.xmod import check_projection
@@ -246,5 +246,5 @@ def test_move_soundness_builds_the_legal_move_it_draws():
             if steps:
                 picks.append(rng.randrange(len(steps)))
             for j in picks:
-                assert suite._legal_move_at(steps, pool, j) == moves[j]
+                assert _legal_move_at(steps, pool, j) == moves[j]
                 draws["step" if j < len(steps) else "insert"] += 1
