@@ -4,6 +4,13 @@ Exit codes: 0 success / Yes / verified; 1 No / refuted / illegal
 certificate; 2 Exhausted / Unknown; 3 usage or parse errors.  Machine JSON
 goes to stdout when --json is set, human-readable text otherwise;
 diagnostics go to stderr.  Randomized commands report their seed.
+
+A command is declared once, in ``build_parser``: ``group(name)`` adds a
+top-level word with subcommands, and ``command(parent, name, handler,
+*positionals)`` adds a command with the shared ``--json`` flag, its handler
+and its positional arguments; its options follow as ``add_argument`` calls.
+A handler takes the parsed arguments and returns ``(exit_code, payload,
+human_text)``.
 """
 from __future__ import annotations
 
@@ -70,12 +77,16 @@ def _load_table(path: str):
     return monoid_from_json(json.loads(_read(path)))
 
 
-def _load_ysequence(gp: GroupPresentation, path: str):
-    return peiffer.ysequence_from_json(gp, json.loads(_read(path)))
+def _load_sequence(presentation: str, sequence: str):
+    """The group presentation at ``presentation`` and the Y-sequence over it at ``sequence``."""
+    gp = _load_presentation(presentation, GroupPresentation)
+    return gp, peiffer.ysequence_from_json(gp, json.loads(_read(sequence)))
 
 
-def _parse_subset(text: str) -> frozenset[int]:
-    return frozenset(int(tok) for tok in text.split(",") if tok.strip() != "")
+def _load_submonoid(args) -> Submonoid:
+    """The submonoid ``--u``, comma-separated elements, of the monoid table in ``args.file``."""
+    elements = frozenset(int(tok) for tok in args.u.split(",") if tok.strip() != "")
+    return Submonoid(_load_table(args.file), elements)
 
 
 def _alphabet(gens: str) -> Alphabet:
@@ -158,8 +169,7 @@ def cmd_monoid_validate(args):
 
 
 def cmd_monoid_tensor(args):
-    m = _load_table(args.file)
-    u = Submonoid(m, _parse_subset(args.u))
+    u = _load_submonoid(args)
     t = tensor_product(u)
     payload = {
         "classes": t.num_classes,
@@ -169,15 +179,13 @@ def cmd_monoid_tensor(args):
 
 
 def cmd_monoid_dominion(args):
-    m = _load_table(args.file)
-    u = Submonoid(m, _parse_subset(args.u))
+    u = _load_submonoid(args)
     dom = sorted(dominion(u))
     return 0, {"dominion": dom}, "{" + ", ".join(map(str, dom)) + "}"
 
 
 def cmd_monoid_wdom(args):
-    m = _load_table(args.file)
-    u = Submonoid(m, _parse_subset(args.u))
+    u = _load_submonoid(args)
     answer = weak_dominion_membership(u, args.d, args.budget)
     payload = {"element": args.d, "answer": answer.value}
     code = {Tri.YES: 0, Tri.NO: 1, Tri.UNKNOWN: 2}[answer]
@@ -185,22 +193,19 @@ def cmd_monoid_wdom(args):
 
 
 def cmd_peiffer_boundary(args):
-    gp = _load_presentation(args.presentation, GroupPresentation)
-    d = _load_ysequence(gp, args.sequence)
+    gp, d = _load_sequence(args.presentation, args.sequence)
     w = peiffer.boundary(d)
     return 0, {"boundary": word_to_text(w)}, word_to_text(w)
 
 
 def cmd_peiffer_check(args):
-    gp = _load_presentation(args.presentation, GroupPresentation)
-    d = _load_ysequence(gp, args.sequence)
+    gp, d = _load_sequence(args.presentation, args.sequence)
     ok = peiffer.is_identity(d)
     return (0 if ok else 1), {"identity": ok}, "identity" if ok else "not an identity"
 
 
 def cmd_peiffer_search(args):
-    gp = _load_presentation(args.presentation, GroupPresentation)
-    d = _load_ysequence(gp, args.sequence)
+    gp, d = _load_sequence(args.presentation, args.sequence)
     cert = peiffer.search_trivialization(d, node_budget=args.budget, depth_limit=args.depth)
     if cert is EXHAUSTED:
         depth = peiffer.default_depth_limit(d) if args.depth is None else args.depth
@@ -222,8 +227,7 @@ def cmd_peiffer_search(args):
 
 
 def cmd_peiffer_verify(args):
-    gp = _load_presentation(args.presentation, GroupPresentation)
-    d = _load_ysequence(gp, args.sequence)
+    gp, d = _load_sequence(args.presentation, args.sequence)
     cert = peiffer.certificate_from_json(gp, json.loads(_read(args.certificate)))
     report = peiffer.verify_certificate(d, cert)
     payload = {"verified": report.ok}
@@ -246,16 +250,14 @@ def cmd_peiffer_scramble(args):
 
 
 def cmd_peiffer_fiber(args):
-    gp = _load_presentation(args.presentation, GroupPresentation)
-    d = _load_ysequence(gp, args.sequence)
+    gp, d = _load_sequence(args.presentation, args.sequence)
     n0 = word_from_text(gp.alphabet, args.n0)
     result = peiffer.fiber_pair(n0, d)
     return 0, {"sequence": peiffer.ysequence_to_json(result)}, f"{len(result.symbols)} symbols"
 
 
 def cmd_relmod_gmap(args):
-    gp = _load_presentation(args.presentation, GroupPresentation)
-    d = _load_ysequence(gp, args.sequence)
+    gp, d = _load_sequence(args.presentation, args.sequence)
     if args.oracle == "free":
         oracle = relmod.FreeOracle(gp.alphabet)
     elif args.oracle == "cosets":
@@ -298,9 +300,8 @@ def cmd_xmod_check(args):
 
 
 def cmd_xmod_project(args):
-    gp = _load_presentation(args.fixture, GroupPresentation)
+    gp, d = _load_sequence(args.fixture, args.sequence)
     fx = ReducibleFixture.from_presentation(gp)
-    d = _load_ysequence(gp, args.sequence)
     d1 = xmod.project_identity_sequence(fx, d)
     payload = {
         "kernel_component": "1",
@@ -330,111 +331,75 @@ def build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="machine JSON on stdout")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
+    top = parser.add_subparsers(dest="command", required=True)
 
-    w = sub.add_parser("word", parents=[common])
+    def group(name):
+        words = top.add_parser(name, parents=[common])
+        return words.add_subparsers(dest="subcommand", required=True)
+
+    def command(parent, name, handler, *positionals):
+        cp = parent.add_parser(name, parents=[common])
+        cp.set_defaults(handler=handler)
+        for positional in positionals:
+            cp.add_argument(positional)
+        return cp
+
+    w = command(top, "word", cmd_word)
     w.add_argument("action", choices=["reduce", "invert", "multiply", "conjugate", "exponent", "abelianize"])
     w.add_argument("--gens", required=True, help="space-separated generator names")
     w.add_argument("word")
     w.add_argument("other", nargs="?", default="1")
     w.add_argument("--gen", default="", help="generator for exponent sums")
-    w.set_defaults(handler=cmd_word)
 
-    p = sub.add_parser("present", parents=[common])
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    pv = psub.add_parser("validate", parents=[common])
-    pv.add_argument("file")
-    pv.set_defaults(handler=cmd_present_validate)
-    ph = psub.add_parser("hat", parents=[common])
-    ph.add_argument("file")
-    ph.set_defaults(handler=cmd_present_hat)
-    ps = psub.add_parser("solve", parents=[common])
-    ps.add_argument("file")
-    ps.add_argument("--gen", required=True)
-    ps.set_defaults(handler=cmd_present_solve)
-    pl = psub.add_parser("lot", parents=[common])
+    present = group("present")
+    command(present, "validate", cmd_present_validate, "file")
+    command(present, "hat", cmd_present_hat, "file")
+    command(present, "solve", cmd_present_solve, "file").add_argument("--gen", required=True)
+    pl = command(present, "lot", cmd_present_lot)
     pl.add_argument("--n", type=int, required=True)
     pl.add_argument("--edges", required=True, help='"i,j,k;i,j,k;..."')
-    pl.set_defaults(handler=cmd_present_lot)
-    pc = psub.add_parser("cosets", parents=[common])
-    pc.add_argument("file")
+    pc = command(present, "cosets", cmd_present_cosets, "file")
     pc.add_argument("--budget", type=int, default=1000)
     pc.add_argument("--subgroup", default="", help='subgroup generator words, ";" separated')
-    pc.set_defaults(handler=cmd_present_cosets)
 
-    m = sub.add_parser("monoid", parents=[common])
-    msub = m.add_subparsers(dest="subcommand", required=True)
-    mv = msub.add_parser("validate", parents=[common])
-    mv.add_argument("file")
-    mv.set_defaults(handler=cmd_monoid_validate)
-    mt = msub.add_parser("tensor", parents=[common])
-    mt.add_argument("file")
+    monoid = group("monoid")
+    command(monoid, "validate", cmd_monoid_validate, "file")
+    mt = command(monoid, "tensor", cmd_monoid_tensor, "file")
     mt.add_argument("--u", required=True, help='submonoid elements, e.g. "0,3,5"')
-    mt.set_defaults(handler=cmd_monoid_tensor)
-    md = msub.add_parser("dominion", parents=[common])
-    md.add_argument("file")
-    md.add_argument("--u", required=True)
-    md.set_defaults(handler=cmd_monoid_dominion)
-    mw = msub.add_parser("wdom", parents=[common])
-    mw.add_argument("file")
+    command(monoid, "dominion", cmd_monoid_dominion, "file").add_argument("--u", required=True)
+    mw = command(monoid, "wdom", cmd_monoid_wdom, "file")
     mw.add_argument("--u", required=True)
     mw.add_argument("--d", type=int, required=True)
     mw.add_argument("--budget", type=int, default=1000)
-    mw.set_defaults(handler=cmd_monoid_wdom)
 
-    pf = sub.add_parser("peiffer", parents=[common])
-    pfsub = pf.add_subparsers(dest="subcommand", required=True)
-    for name, handler, extra in (
-        ("boundary", cmd_peiffer_boundary, ()),
-        ("check", cmd_peiffer_check, ()),
-        ("search", cmd_peiffer_search, ("budget", "depth")),
-        ("verify", cmd_peiffer_verify, ("certificate",)),
-        ("fiber", cmd_peiffer_fiber, ("n0",)),
-    ):
-        cp = pfsub.add_parser(name, parents=[common])
-        cp.add_argument("presentation")
-        cp.add_argument("sequence")
-        if "certificate" in extra:
-            cp.add_argument("certificate")
-        if "budget" in extra:
-            cp.add_argument("--budget", type=int, default=50_000)
-            cp.add_argument("--depth", type=int, default=None)
-        if "n0" in extra:
-            cp.add_argument("--n0", required=True, help="conjugating word")
-        cp.set_defaults(handler=handler)
-    sc = pfsub.add_parser("scramble", parents=[common])
-    sc.add_argument("presentation")
+    pf = group("peiffer")
+    command(pf, "boundary", cmd_peiffer_boundary, "presentation", "sequence")
+    command(pf, "check", cmd_peiffer_check, "presentation", "sequence")
+    ps = command(pf, "search", cmd_peiffer_search, "presentation", "sequence")
+    ps.add_argument("--budget", type=int, default=50_000)
+    ps.add_argument("--depth", type=int, default=None)
+    command(pf, "verify", cmd_peiffer_verify, "presentation", "sequence", "certificate")
+    pfi = command(pf, "fiber", cmd_peiffer_fiber, "presentation", "sequence")
+    pfi.add_argument("--n0", required=True, help="conjugating word")
+    sc = command(pf, "scramble", cmd_peiffer_scramble, "presentation")
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--k", type=int, default=4)
-    sc.set_defaults(handler=cmd_peiffer_scramble)
 
-    r = sub.add_parser("relmod", parents=[common])
-    rsub = r.add_subparsers(dest="subcommand", required=True)
-    rg = rsub.add_parser("gmap", parents=[common])
-    rg.add_argument("presentation")
-    rg.add_argument("sequence")
+    rg = command(group("relmod"), "gmap", cmd_relmod_gmap, "presentation", "sequence")
     rg.add_argument("--oracle", choices=["free", "cosets", "abelian"], default="free")
     rg.add_argument("--budget", type=int, default=2000)
     rg.add_argument("--signed", action="store_true", help="send symbol signs to coefficients")
-    rg.set_defaults(handler=cmd_relmod_gmap)
 
-    x = sub.add_parser("xmod", parents=[common])
-    xsub = x.add_subparsers(dest="subcommand", required=True)
-    xc = xsub.add_parser("check", parents=[common])
-    xc.add_argument("fixture")
+    x = group("xmod")
+    xc = command(x, "check", cmd_xmod_check, "fixture")
     xc.add_argument("--samples", type=int, default=None)
     xc.add_argument("--seed", type=int, default=0)
-    xc.set_defaults(handler=cmd_xmod_check)
-    xp = xsub.add_parser("project", parents=[common])
-    xp.add_argument("fixture")
-    xp.add_argument("sequence")
-    xp.set_defaults(handler=cmd_xmod_project)
+    command(x, "project", cmd_xmod_project, "fixture", "sequence")
 
-    s = sub.add_parser("suite", parents=[common])
+    s = command(top, "suite", cmd_suite)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=None)
     s.add_argument("--fixtures", default=None, help="directory of the .pres presentation files")
-    s.set_defaults(handler=cmd_suite)
 
     return parser
 

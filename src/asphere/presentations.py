@@ -35,9 +35,9 @@ from .words import (
     letter_sign,
     monoid_word_from_text,
     multiply,
-    parse_letters,
     reduce,
     restrict,
+    word_from_text,
     word_to_text,
 )
 
@@ -231,7 +231,7 @@ def parse(text: str) -> GroupPresentation | MonoidPresentation:
             if any(rel_name == existing for existing, _ in group_relators):
                 raise ParseError(f"duplicate relator name {rel_name!r}", lineno)
             try:
-                word = reduce(alphabet, parse_letters(alphabet, " ".join(rhs_tokens)))
+                word = word_from_text(alphabet, " ".join(rhs_tokens))
             except (AlphabetError, ValueError) as exc:
                 raise ParseError(str(exc), lineno, line.find("=") + 2) from None
             if word.is_identity:
@@ -438,11 +438,16 @@ class CosetTable:
         return reps  # type: ignore[return-value]
 
 
+class _CosetCap(Exception):
+    """The enumeration would define more cosets than its budget allows."""
+
+
 class _Enumeration:
     """One HLT pass (Holt, Eick & O'Brien, *Handbook of Computational Group
     Theory*, 2005): scan the subgroup words at coset 0, then at each live
     coset in order scan every relator, defining cosets to close each scan, and
-    fill the coset's row.  A hard cap on cosets defined; no lookahead.
+    fill the coset's row.  A hard cap on cosets defined, where ``_new_coset``
+    raises ``_CosetCap``; no lookahead.
 
     ``_set`` is the only writer of table entries.  A conflicting entry queues a
     coincidence; ``_process_coincidences`` merges the two cosets and moves the
@@ -459,9 +464,9 @@ class _Enumeration:
         self.queue: deque[tuple[int, int]] = deque()
         self._new_coset()
 
-    def _new_coset(self) -> int | None:
+    def _new_coset(self) -> int:
         if len(self.table) >= self.budget:
-            return None
+            raise _CosetCap
         self.table.append([None] * self.ncols)
         return self.cosets.add()
 
@@ -494,10 +499,9 @@ class _Enumeration:
                 if d is not None:
                     self._set(a, col, d)
 
-    def _scan_and_fill(self, start: int, cols: list[int]) -> bool:
+    def _scan_and_fill(self, start: int, cols: list[int]) -> None:
         """Scan the word with these columns at start, defining cosets to close
-        the cycle.  Returns False when the coset cap is hit.
-        """
+        the cycle."""
         table, rep = self.table, self._rep
         start = rep(start)
         f, i = start, 0
@@ -513,53 +517,40 @@ class _Enumeration:
             # entry free, so only the last, deduced entry can conflict
             while j > i:
                 d = self._new_coset()
-                if d is None:
-                    return False
                 self._set(f, cols[i], d)
                 f, i = d, i + 1
             self._set(f, cols[i], b)
         self._process_coincidences()
-        return True
 
-    def _closes(self, c: int, cols: list[int]) -> bool:
-        """Does the word with these columns lead live coset c back to c?"""
-        f = c
-        for col in cols:
-            f = self._rep(self.table[f][col])  # type: ignore[arg-type]
-        return f == c
-
-    def run(self, subgroup: Sequence[FreeWord]) -> CosetTable | None:
+    def run(self, subgroup: Sequence[FreeWord]) -> CosetTable:
         table, rep = self.table, self._rep
         words = [list(map(letter_column, w.letters)) for w in subgroup]
         relators = [list(map(letter_column, r.letters)) for _, r in self.gp.relators]
-        if not all(self._scan_and_fill(0, cols) for cols in words):
-            return None
+        for cols in words:
+            self._scan_and_fill(0, cols)
         c = 0
         while c < len(table):
             for cols in relators:
                 if rep(c) != c:
                     break
-                if not self._scan_and_fill(c, cols):
-                    return None
+                self._scan_and_fill(c, cols)
             if rep(c) == c:
                 # a fresh coset's row is empty, so these entries never conflict
                 for col in range(self.ncols):
                     if table[c][col] is None:
-                        d = self._new_coset()
-                        if d is None:
-                            return None
-                        self._set(c, col, d)
+                        self._set(c, col, self._new_coset())
             c += 1
         live = [c for c in range(len(table)) if rep(c) == c]
-        if not (
-            all(None not in table[c] for c in live)
-            and all(self._closes(0, cols) for cols in words)
-            and all(self._closes(c, cols) for c in live for cols in relators)
-        ):
+        if any(None in table[c] for c in live):
             raise AssertionError("internal invariant violation: the HLT pass left the table open")
         relabel = {old: new for new, old in enumerate(live)}
         rows = [[relabel[rep(d)] for d in table[c]] for c in live]  # type: ignore[arg-type]
-        return CosetTable(self.gp, rows)
+        done = CosetTable(self.gp, rows)
+        if any(done.trace(w) != 0 for w in subgroup) or any(
+            done.trace(r, c) != c for _, r in self.gp.relators for c in range(done.index)
+        ):
+            raise AssertionError("internal invariant violation: a word does not close in the table")
+        return done
 
 
 def coset_table(
@@ -572,8 +563,10 @@ def coset_table(
     for w in subgroup:
         if w.alphabet is not gp.alphabet:
             raise AlphabetError("subgroup generator over the wrong alphabet")
-    result = _Enumeration(gp, budget).run(subgroup)
-    return EXHAUSTED if result is None else result
+    try:
+        return _Enumeration(gp, budget).run(subgroup)
+    except _CosetCap:
+        return EXHAUSTED
 
 
 def coset_enumeration(

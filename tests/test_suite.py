@@ -14,6 +14,7 @@ import pytest
 
 from asphere import suite
 from asphere.fixtures import load_fixtures
+from asphere.partial import Tri
 from asphere.peiffer import _legal_move_at, base_insert_pool, legal_moves, random_sequence
 from asphere.suite import FIXTURE_BATTERY_TABLE, RunConfig, run_suite
 from asphere.words import Alphabet
@@ -81,6 +82,19 @@ def test_a_second_run_compares_no_distinct_equal_alphabets(monkeypatch):
     monkeypatch.setattr(Alphabet, "__eq__", counting_eq)
     assert digest() == first
     assert calls == []
+
+
+def test_exchange_keys_zero_check_reads_the_oracle(monkeypatch):
+    # the battery's zero test must depend on the coset oracle: a zero test
+    # blind to it, YES only for an element without terms, has to fail samples
+    config, fixtures = RunConfig(seed=0), load_fixtures()
+    assert suite.battery_exchange_keys(config, fixtures).passed
+
+    def blind_is_zero(element, oracle):
+        return Tri.NO if element.terms else Tri.YES
+
+    monkeypatch.setattr(suite, "is_zero", blind_is_zero)
+    assert suite.battery_exchange_keys(config, fixtures).failures > 0
 
 
 # rng.random() after each fixture battery ran 4 samples under a named seed;
