@@ -3,15 +3,15 @@
 Monoids are given by multiplication tables over {0..n-1}.  For a submonoid
 U of S, S ⊗_U S is the partition of S × S generated by (a·s, b) ~ (a, s·b)
 over s in U; by Isbell's zigzag theorem, d lies in the dominion of U exactly
-when d⊗1 = 1⊗d.  The weak dominion probe goes through the universal
-enveloping group and is budgeted: it may answer UNKNOWN.
+when d⊗1 = 1⊗d.  The weak dominion WDom(U) goes through the universal
+enveloping group and is budgeted: it may be EXHAUSTED.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 
-from .partial import EXHAUSTED, Tri
+from .partial import EXHAUSTED
 from .presentations import (
     GroupPresentation,
     MonoidPresentation,
@@ -132,25 +132,25 @@ def _canonical_partition(n: int, rep_of) -> TensorPartition:
 def tensor_product(u: Submonoid) -> TensorPartition:
     """S ⊗_U S for S = ``u.parent``: union-find closure of the relation
     (a·s, b) ~ (a, s·b) over s in U."""
-    table, n = u.parent.table, u.parent.size
+    table, n, elems = u.parent.table, u.parent.size, u.sorted_elements
     uf = UnionFind(n * n)
     for a in range(n):
         for b in range(n):
-            for s in u.sorted_elements:
+            for s in elems:
                 uf.union(table[a][s] * n + b, a * n + table[s][b])
     return _canonical_partition(n, uf.find)
 
 
 def tensor_product_naive(u: Submonoid) -> TensorPartition:
     """Independent closure by repeated scanning; cross-checks tensor_product."""
-    table, n = u.parent.table, u.parent.size
+    table, n, elems = u.parent.table, u.parent.size, u.sorted_elements
     label = list(range(n * n))
     changed = True
     while changed:
         changed = False
         for a in range(n):
             for b in range(n):
-                for s in u.sorted_elements:
+                for s in elems:
                     p = label[table[a][s] * n + b]
                     q = label[a * n + table[s][b]]
                     if p != q:
@@ -206,20 +206,15 @@ def enveloping_group_presentation(s: FiniteMonoid) -> GroupPresentation:
     return universal_group_presentation(table_monoid_presentation(s))
 
 
-def weak_dominion_membership(u: Submonoid, d: int, budget: int = 1000) -> Tri:
-    """Is the image of d inside the subgroup generated by the image of u in
-    the enveloping group of ``u.parent``?  Budgeted: UNKNOWN when the
-    enumeration does not close.
+def weak_dominion(u: Submonoid, budget: int = 1000):
+    """WDom(U) as a frozenset: every d whose image in the enveloping group
+    of ``u.parent`` lies in the subgroup generated by the image of U.  One
+    budgeted coset enumeration answers every d; EXHAUSTED when it does not
+    close.
     """
-    s = u.parent
-    if type(d) is not int:
-        raise MonoidError(f"element must be an int, got {d!r}")
-    if not 0 <= d < s.size:
-        raise MonoidError(f"element {d} out of range")
-    gp = enveloping_group_presentation(s)
+    gp = enveloping_group_presentation(u.parent)
     gens = [FreeWord(gp.alphabet, (letter(x, 1),)) for x in u.sorted_elements]
     table = coset_table(gp, gens, budget)
     if table is EXHAUSTED:
-        return Tri.UNKNOWN
-    target = table.trace(FreeWord(gp.alphabet, (letter(d, 1),)))
-    return Tri.YES if target == 0 else Tri.NO
+        return EXHAUSTED
+    return frozenset(d for d in range(u.parent.size) if table.step(0, letter(d, 1)) == 0)

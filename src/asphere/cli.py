@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import peiffer, relmod, suite as suite_mod, xmod
-from .actions import Submonoid, dominion, tensor_product, weak_dominion_membership
+from .actions import MonoidError, Submonoid, dominion, tensor_product, weak_dominion
 from .fixtures import monoid_from_json
 from .partial import EXHAUSTED, Tri
 from .peiffer import IllegalMoveError
@@ -186,10 +186,12 @@ def cmd_monoid_dominion(args):
 
 def cmd_monoid_wdom(args):
     u = _load_submonoid(args)
-    answer = weak_dominion_membership(u, args.d, args.budget)
-    payload = {"element": args.d, "answer": answer.value}
+    if not 0 <= args.d < u.parent.size:
+        raise MonoidError(f"element {args.d} out of range")
+    wd = weak_dominion(u, args.budget)
+    answer = Tri.UNKNOWN if wd is EXHAUSTED else Tri.YES if args.d in wd else Tri.NO
     code = {Tri.YES: 0, Tri.NO: 1, Tri.UNKNOWN: 2}[answer]
-    return code, payload, answer.value
+    return code, {"element": args.d, "answer": answer.value}, answer.value
 
 
 def cmd_peiffer_boundary(args):

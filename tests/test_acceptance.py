@@ -8,6 +8,8 @@ import json
 import random
 import time
 
+import pytest
+
 from asphere import suite as suite_mod
 from asphere.actions import (
     all_submonoids,
@@ -102,10 +104,15 @@ def test_criterion_4_universal_group_probe():
     _report(4, "universal-group probe", ok, f"envelope={envelope}, c3={c3}, sym3={s3}")
 
 
-def test_criterion_5_structural_law_batteries():
+@pytest.fixture(scope="module")
+def xmod_results():
+    """The crossed-module batteries, run once for criteria 5 and 6."""
+    return suite_mod.battery_xmod(CONFIG, FIXTURES)
+
+
+def test_criterion_5_structural_law_batteries(xmod_results):
     fixtures = FIXTURES.reducible_fixtures()
     assert len(fixtures) >= 3
-    results = suite_mod.battery_xmod(CONFIG, FIXTURES)
     law_names = (
         "derivation-law",
         "regularity",
@@ -122,7 +129,7 @@ def test_criterion_5_structural_law_batteries():
     }
     checked = 0
     ok = True
-    for result in results:
+    for result in xmod_results:
         parts = result.name.split("/")
         if len(parts) == 2 and parts[1] in law_names:
             checked += 1
@@ -133,9 +140,8 @@ def test_criterion_5_structural_law_batteries():
     _report(5, "structural-law batteries + negative controls", ok, f"{checked} batteries on {len(fixtures)} fixtures")
 
 
-def test_criterion_6_decomposition_round_trips():
-    results = suite_mod.battery_xmod(CONFIG, FIXTURES)
-    relevant = [r for r in results if r.name.endswith("/decompose-roundtrip")]
+def test_criterion_6_decomposition_round_trips(xmod_results):
+    relevant = [r for r in xmod_results if r.name.endswith("/decompose-roundtrip")]
     ok = all(r.failures == 0 and r.samples == 1000 for r in relevant)
     _report(6, "decomposition round-trips", ok, f"{len(relevant)} fixtures x 1000 words")
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from asphere import actions
 from asphere.actions import (
     FiniteMonoid,
     MonoidError,
@@ -16,12 +17,12 @@ from asphere.actions import (
     is_inverse_monoid,
     tensor_product,
     tensor_product_naive,
-    weak_dominion_membership,
+    weak_dominion,
 )
-from asphere.cli import cmd_monoid_dominion, cmd_monoid_tensor
+from asphere.cli import cmd_monoid_dominion, cmd_monoid_tensor, cmd_monoid_wdom
 from asphere.fixtures import monoid_corpus, monoid_to_json
-from asphere.partial import Tri
-from asphere.presentations import coset_enumeration
+from asphere.partial import EXHAUSTED
+from asphere.presentations import coset_enumeration, coset_table
 
 Z3 = FiniteMonoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 SL3 = FiniteMonoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]])  # chain 1 > e > f
@@ -189,51 +190,55 @@ class TestAbsoluteClosure:
 
 
 class TestWeakDominion:
-    def test_member_of_u_is_yes(self):
-        assert weak_dominion_membership(sub(CYC3, {0, 1, 2}), 1, 100) is Tri.YES
+    def test_member_of_u_is_in(self):
+        assert 1 in weak_dominion(sub(CYC3, {0, 1, 2}), 100)
 
     def test_group_case_outside_subgroup(self):
         # Z/4 as a table; U generated by the square; odd elements are outside
         z4 = FiniteMonoid([[(i + j) % 4 for j in range(4)] for i in range(4)])
-        u = sub(z4, {0, 2})
-        assert weak_dominion_membership(u, 1, 200) is Tri.NO
-        assert weak_dominion_membership(u, 2, 200) is Tri.YES
+        assert weak_dominion(sub(z4, {0, 2}), 200) == {0, 2}
 
     def test_three_element_cyclic_monoid(self):
         # envelope collapses the idempotent and leaves one involution,
         # matching the two-coset table built by hand
         gp = enveloping_group_presentation(CYC3)
         assert coset_enumeration(gp, (), 100) == 2
-        assert weak_dominion_membership(sub(CYC3, {0}), 1, 100) is Tri.NO
-        assert weak_dominion_membership(sub(CYC3, {0}), 0, 100) is Tri.YES
+        wd = weak_dominion(sub(CYC3, {0}), 100)
+        assert 0 in wd and 1 not in wd
 
-    def test_budget_exhaustion_is_unknown(self):
-        assert weak_dominion_membership(sub(CYC3, {0}), 1, 1) is Tri.UNKNOWN
-
-    @pytest.mark.parametrize("bad", (True, 1.0, "1"))
-    def test_element_must_be_an_int(self, bad):
-        # True used to answer for element 1
-        with pytest.raises(MonoidError, match="element must be an int"):
-            weak_dominion_membership(sub(CYC3, {0}), bad, 100)
+    def test_budget_exhaustion_is_exhausted(self):
+        assert weak_dominion(sub(CYC3, {0}), 1) is EXHAUSTED
 
     @pytest.mark.parametrize("budget", (True, 100.0))
     def test_budget_must_be_an_int(self, budget):
         with pytest.raises(ValueError, match="budget"):
-            weak_dominion_membership(sub(CYC3, {0}), 1, budget)
+            weak_dominion(sub(CYC3, {0}), budget)
 
-    def test_dominion_implies_wdom_not_no(self):
+    def test_dominion_implies_wdom_not_no(self, monkeypatch):
         # Dom(U) is contained in WDom(U): over every submonoid of the whole
-        # corpus (128 pairs, 324 dominion elements) the coset enumeration
-        # closes within 400 cosets and proves each membership
-        pairs = cases = 0
+        # corpus (128 pairs, 525 elements, 324 in the dominion) one coset
+        # enumeration per submonoid closes within 400 cosets and proves
+        # each membership; 474 elements lie in WDom(U) and 51 in neither
+        calls = []
+
+        def counting_coset_table(*args):
+            calls.append(args)
+            return coset_table(*args)
+
+        monkeypatch.setattr(actions, "coset_table", counting_coset_table)
+        pairs = elements = in_dom = in_wdom = neither = 0
         for name, m in monoid_corpus().items():
             for u in all_submonoids(m):
+                dom, wd = dominion(u), weak_dominion(u, 400)
+                assert wd is not EXHAUSTED and dom <= wd, (name, sorted(u.elements))
                 pairs += 1
-                for d in dominion(u):
-                    cases += 1
-                    answer = weak_dominion_membership(u, d, 400)
-                    assert answer is Tri.YES, (name, sorted(u.elements), d)
-        assert (pairs, cases) == (128, 324)
+                elements += m.size
+                in_dom += len(dom)
+                in_wdom += len(wd)
+                neither += m.size - len(wd)
+        assert (pairs, in_dom) == (128, 324)
+        assert (elements, in_wdom, neither) == (525, 474, 51)
+        assert len(calls) == 128
 
 
 # sha256 of the monoid-layer outputs over the corpus, taken before the tensor
@@ -264,3 +269,26 @@ def test_monoid_outputs_are_pinned(tmp_path):
     assert len(rows) == 128
     blob = json.dumps(rows, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == MONOID_PIN_DIGEST
+
+
+# sha256 of the ``monoid wdom`` outputs over the corpus, taken while each
+# element was answered by its own coset enumeration
+WDOM_PIN_DIGEST = "fb71e2da54d91b00d021e384cdb74a983806b92e5547773ae7b3bb08a7f117af"
+
+
+def test_wdom_outputs_are_pinned(tmp_path):
+    """``monoid wdom`` (code, payload, human) rows for every element of every
+    submonoid of every corpus monoid, at budgets 400 and 1, in name order."""
+    rows = []
+    for name, m in sorted(monoid_corpus().items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(monoid_to_json(m)))
+        for u in all_submonoids(m):
+            elems = ",".join(map(str, u.sorted_elements))
+            for budget in (400, 1):
+                for d in range(m.size):
+                    args = argparse.Namespace(file=str(path), u=elems, d=d, budget=budget)
+                    rows.append([name, elems, budget, d, list(cmd_monoid_wdom(args))])
+    assert len(rows) == 2 * 525
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == WDOM_PIN_DIGEST

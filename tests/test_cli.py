@@ -201,6 +201,12 @@ class TestMonoidCommands:
         code, out, _ = run(capsys, "monoid", "wdom", path, "--u", "0", "--d", "1", "--budget", "1")
         assert code == 2 and out.strip() == "unknown"
 
+    @pytest.mark.parametrize("d", (3, -1))
+    def test_wdom_out_of_range_element_is_three(self, capsys, tmp_files, d):
+        path = write_monoid(tmp_files / "m.json")
+        code, out, err = run(capsys, "monoid", "wdom", path, "--u", "0", "--d", str(d))
+        assert code == 3 and out == "" and f"element {d} out of range" in err
+
     @pytest.mark.parametrize("u,bad", (("0,5", 5), ("0,-1", -1)))
     def test_out_of_range_submonoid_is_three(self, capsys, tmp_files, u, bad):
         path = write_monoid(tmp_files / "m.json")
