@@ -556,27 +556,28 @@ def scramble(gp: GroupPresentation, seed: int, k: int) -> tuple[YSequence, Certi
         else:
             steps = legal_moves(seq)
             m = steps[_below(bits, len(steps))]
-        seq = apply_move(seq, m)
+        seq = apply_move(seq, m, table)
         moves.append(m)
     return seq, Certificate(tuple(moves), pool_spec=f"scramble(seed={seed},cap={CONJ_CAP})")
 
 
 def invert_certificate(start: YSequence, cert: Certificate) -> Certificate:
     """Mechanical inverse: replay forward, recording the inverse of each
-    move, then reverse the list."""
+    move, then reverse the list.  ``apply_move`` checks each move before its
+    inverse is read off, so the inverses are built trusted."""
     inverse_moves = []
     seq = start
     for m in cert.moves:
-        if m.kind is MoveKind.INSERT:
-            inverse_moves.append(Move(MoveKind.DELETE, m.pos))
-        elif m.kind is MoveKind.DELETE:
-            inverse_moves.append(Move(MoveKind.INSERT, m.pos, seq.symbols[m.pos]))
-        elif m.kind is MoveKind.EXCHANGE_L:
-            inverse_moves.append(Move(MoveKind.EXCHANGE_R, m.pos))
+        before, seq = seq, apply_move(seq, m)
+        if m.kind is _INSERT:
+            inverse_moves.append(_step_move(_DELETE, m.pos))
+        elif m.kind is _DELETE:
+            inverse_moves.append(_move(_INSERT, m.pos, before.symbols[m.pos]))
+        elif m.kind is _EXCHANGE_L:
+            inverse_moves.append(_step_move(_EXCHANGE_R, m.pos))
         else:
-            inverse_moves.append(Move(MoveKind.EXCHANGE_L, m.pos))
-        seq = apply_move(seq, m)
-    return Certificate(tuple(reversed(inverse_moves)), pool_spec=cert.pool_spec)
+            inverse_moves.append(_step_move(_EXCHANGE_L, m.pos))
+    return _certificate(tuple(reversed(inverse_moves)), cert.pool_spec)
 
 
 # --- certificate replay -------------------------------------------------------

@@ -3,12 +3,14 @@
 Each battery draws its own deterministically seeded generator, so the whole
 report is a pure function of the seed and the configuration, byte for byte.
 Battery sample counts are the defaults used by the acceptance checks; the
-``samples`` override scales everything down for smoke runs.
+``samples`` override scales everything down for smoke runs.  A plain sampled
+battery is its set-up and a per-sample law, declared once through ``_sampled``.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import actions, peiffer, words, xmod
 from .fixtures import FixtureSet, load_fixtures
@@ -80,38 +82,43 @@ def _rng(config: RunConfig, battery: str) -> random.Random:
     return random.Random(f"{config.seed}/{battery}")
 
 
+def _sampled(config: RunConfig, name: str, default: int, law) -> BatteryResult:
+    """Battery ``name``: ``config.count(default)`` calls of ``law(rng)``, on the
+    generator labelled ``name``, run by ``xmod``'s sample loop."""
+    return xmod._sampled_battery(name, config.count(default), partial(law, _rng(config, name)))
+
+
 # --- individual batteries -------------------------------------------------------
 
 
 def battery_word_laws(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
-    rng = _rng(config, "word-laws")
-    n = config.count(1000)
-    failures = []
     alphabet = fixtures.presentations["sym3"].alphabet
-    for i in range(n):
+
+    def law(rng):
         raw = _random_codes(rng.getrandbits, len(alphabet), 7)
         w = reduce(alphabet, raw)
         if reduce(alphabet, w.letters) != w:
-            failures.append(f"sample {i}: reduction is not idempotent")
+            yield "reduction is not idempotent"
         u = random_word(alphabet, rng)
         v = random_word(alphabet, rng)
         t = random_word(alphabet, rng)
         if multiply(multiply(u, v), t) != multiply(u, multiply(v, t)):
-            failures.append(f"sample {i}: associativity fails")
+            yield "associativity fails"
         if not multiply(u, invert(u)).is_identity:
-            failures.append(f"sample {i}: inverse law fails")
+            yield "inverse law fails"
         if conjugate(empty_word(alphabet), v) != v:
-            failures.append(f"sample {i}: empty conjugation moves a word")
+            yield "empty conjugation moves a word"
         if conjugate(u, conjugate(t, v)) != conjugate(multiply(u, t), v):
-            failures.append(f"sample {i}: conjugation action law fails")
+            yield "conjugation action law fails"
         for g in range(len(alphabet)):
             if exponent_sum(multiply(u, v), g) != exponent_sum(u, g) + exponent_sum(v, g):
-                failures.append(f"sample {i}: exponent sum is not additive")
+                yield "exponent sum is not additive"
         if abelianize(multiply(u, v)) != tuple(
             a + b for a, b in zip(abelianize(u), abelianize(v))
         ):
-            failures.append(f"sample {i}: abelianization is not additive")
-    return BatteryResult.collect("word-laws", n, failures)
+            yield "abelianization is not additive"
+
+    return _sampled(config, "word-laws", 1000, law)
 
 
 def battery_retraction(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -148,90 +155,86 @@ def battery_move_soundness(config: RunConfig, fixtures: FixtureSet) -> BatteryRe
     """Boundary invariance of all four moves on random sequences.  A sample's
     move is drawn from all its legal moves, insertions of the base pool
     included, without building the insertions."""
-    rng = _rng(config, "move-soundness")
-    n = config.count(1000)
-    failures = []
     presentations = fixtures.peiffer_presentations()
-    for i in range(n):
+
+    def law(rng):
         gp = presentations[_below(rng.getrandbits, len(presentations))]
         d = random_sequence(gp, rng)
         pool = base_insert_pool(gp)
         steps = legal_moves(d)
         count = len(steps) + (len(d.symbols) + 1) * len(pool)
         if not count:
-            continue
+            return
         m = _legal_move_at(steps, pool, _below(rng.getrandbits, count))
         before = boundary(d)
         after = boundary(apply_move(d, m))
         if before != after:
-            failures.append(f"sample {i}: {m.kind.value} changed the boundary")
-    return BatteryResult.collect("move-soundness", n, failures)
+            yield f"{m.kind.value} changed the boundary"
+
+    return _sampled(config, "move-soundness", 1000, law)
 
 
 def battery_exchange_involution(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
-    rng = _rng(config, "exchange-involution")
-    n = config.count(500)
-    failures = []
     presentations = fixtures.peiffer_presentations()
-    for i in range(n):
+
+    def law(rng):
         gp = presentations[_below(rng.getrandbits, len(presentations))]
         d = random_sequence(gp, rng, max_len=5)
         if len(d.symbols) < 2:
-            continue
+            return
         pos = _below(rng.getrandbits, len(d.symbols) - 1)
         there = apply_move(d, Move(MoveKind.EXCHANGE_L, pos))
         back = apply_move(there, Move(MoveKind.EXCHANGE_R, pos))
         if back != d:
-            failures.append(f"sample {i}: left-then-right exchange is not the identity")
+            yield "left-then-right exchange is not the identity"
         there = apply_move(d, Move(MoveKind.EXCHANGE_R, pos))
         back = apply_move(there, Move(MoveKind.EXCHANGE_L, pos))
         if back != d:
-            failures.append(f"sample {i}: right-then-left exchange is not the identity")
-    return BatteryResult.collect("exchange-involution", n, failures)
+            yield "right-then-left exchange is not the identity"
+
+    return _sampled(config, "exchange-involution", 500, law)
 
 
 def battery_centrality(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
     """Inserted pairs commute: at the boundary level against whole sequences,
     and by moves across a single symbol b, where ExchangeR at 0 and then at 1
     take (b, a, a^-1) to exactly (a, a^-1, b)."""
-    rng = _rng(config, "centrality")
-    n = config.count(200)
-    failures = []
     presentations = fixtures.peiffer_presentations()
-    for i in range(n):
+
+    def law(rng):
         gp = presentations[_below(rng.getrandbits, len(presentations))]
         d = random_sequence(gp, rng)
         pool = base_insert_pool(gp)
         a = pool[_below(rng.getrandbits, len(pool))]
         g = insertion_generator(a, gp)
         if boundary(d.concat(g)) != boundary(d) or boundary(g.concat(d)) != boundary(d):
-            failures.append(f"sample {i}: inserted pair shifted the boundary")
+            yield "inserted pair shifted the boundary"
         b = random_symbol(gp, rng, conj_len=2)
         crossed = peiffer.replay(peiffer.YSequence(gp, (b,) + g.symbols), _PAIR_CROSSING)
         if crossed.symbols != g.symbols + (b,):
-            failures.append(f"sample {i}: the two ExchangeR moves did not carry b across the pair")
-    return BatteryResult.collect("centrality", n, failures)
+            yield "the two ExchangeR moves did not carry b across the pair"
+
+    return _sampled(config, "centrality", 200, law)
 
 
 def battery_sequence_action(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
-    rng = _rng(config, "sequence-action")
-    n = config.count(500)
-    failures = []
     presentations = fixtures.peiffer_presentations()
-    for i in range(n):
+
+    def law(rng):
         gp = presentations[_below(rng.getrandbits, len(presentations))]
         d = random_sequence(gp, rng)
         v = random_word(gp.alphabet, rng, 3)
         w = random_word(gp.alphabet, rng, 3)
         if conjugate_sequence(empty_word(gp.alphabet), d) != d:
-            failures.append(f"sample {i}: identity conjugation moved the sequence")
+            yield "identity conjugation moved the sequence"
         lhs = conjugate_sequence(v, conjugate_sequence(w, d))
         rhs = conjugate_sequence(multiply(v, w), d)
         if lhs != rhs:
-            failures.append(f"sample {i}: conjugation action law fails")
+            yield "conjugation action law fails"
         if boundary(conjugate_sequence(w, d)) != conjugate(w, boundary(d)):
-            failures.append(f"sample {i}: boundary does not intertwine the action")
-    return BatteryResult.collect("sequence-action", n, failures)
+            yield "boundary does not intertwine the action"
+
+    return _sampled(config, "sequence-action", 500, law)
 
 
 def battery_scramble_recover(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
@@ -301,11 +304,9 @@ def battery_envelope_probe(config: RunConfig, fixtures: FixtureSet) -> BatteryRe
 
 def battery_insertion_identity(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
     """Appending an inserted pair adds exactly twice its basis element."""
-    rng = _rng(config, "insertion-identity")
-    n = config.count(500)
-    failures = []
     presentations = fixtures.peiffer_presentations()
-    for i in range(n):
+
+    def law(rng):
         gp = presentations[_below(rng.getrandbits, len(presentations))]
         oracle = FreeOracle(gp.alphabet)
         d = random_sequence(gp, rng)
@@ -314,67 +315,67 @@ def battery_insertion_identity(config: RunConfig, fixtures: FixtureSet) -> Batte
         delta = module_image(extended, oracle).subtract(module_image(d, oracle))
         expected = RelModElement.basis(a.relator, a.conjugator, 2)
         if delta != expected:
-            failures.append(f"sample {i}: insertion does not add twice the basis element")
-    return BatteryResult.collect("insertion-identity", n, failures)
+            yield "insertion does not add twice the basis element"
+
+    return _sampled(config, "insertion-identity", 500, law)
 
 
 def battery_exchange_keys(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
     """Exchanges preserve the module image under a finite-quotient oracle, and
     move the free-group image only by an element that is zero there."""
-    rng = _rng(config, "exchange-keys")
-    n = config.count(200)
-    failures = []
     oracles = {
         name: CosetOracle(fixtures.presentations[name], COSET_BUDGET)
         for name in ("c3", "sym3")
     }
     frees = {name: FreeOracle(fixtures.presentations[name].alphabet) for name in oracles}
     names = tuple(oracles)
-    for i in range(n):
+
+    def law(rng):
         name = names[_below(rng.getrandbits, len(names))]
         gp = fixtures.presentations[name]
         oracle, free = oracles[name], frees[name]
         d = random_sequence(gp, rng)
         if len(d.symbols) < 2:
-            continue
+            return
         pos = _below(rng.getrandbits, len(d.symbols) - 1)
         kind = MoveKind.EXCHANGE_L if rng.random() < 0.5 else MoveKind.EXCHANGE_R
         moved = apply_move(d, Move(kind, pos))
         before = module_image(d, oracle)
         if before != module_image(moved, oracle):
-            failures.append(f"sample {i}: exchange moved the module image over {name}")
+            yield f"exchange moved the module image over {name}"
         w = random_word(gp.alphabet, rng, 3)
         acted = module_action(w, before, oracle)
         back = module_action(invert(w), acted, oracle)
         if back != before:
-            failures.append(f"sample {i}: action round trip fails over {name}")
+            yield f"action round trip fails over {name}"
         # an exchange may move the free image's keys, but only to keys equal in the quotient
         shift = module_image(d, free).subtract(module_image(moved, free))
         if is_zero(shift, oracle) is not Tri.YES:
-            failures.append(f"sample {i}: the free images differ by a nonzero element over {name}")
-    return BatteryResult.collect("exchange-keys", n, failures)
+            yield f"the free images differ by a nonzero element over {name}"
+
+    return _sampled(config, "exchange-keys", 200, law)
 
 
 def battery_certificates_roundtrip(config: RunConfig, fixtures: FixtureSet) -> BatteryResult:
-    bits = _rng(config, "certificates").getrandbits
-    n = config.count(200)
-    failures = []
     presentations = fixtures.peiffer_presentations()
-    for i in range(n):
+
+    def law(rng):
+        bits = rng.getrandbits
         gp = presentations[_below(bits, len(presentations))]
         d, forward = scramble(gp, seed=_below(bits, 1 << 30), k=_below(bits, 5))
         try:
             endpoint = peiffer.replay(empty_sequence(gp), forward)
         except peiffer.IllegalMoveError as exc:
-            failures.append(f"sample {i}: forward certificate broken: {exc}")
-            continue
+            yield f"forward certificate broken: {exc}"
+            return
         if endpoint != d:
-            failures.append(f"sample {i}: forward replay misses the scrambled output")
-            continue
+            yield "forward replay misses the scrambled output"
+            return
         backward = peiffer.invert_certificate(empty_sequence(gp), forward)
         if not verify_certificate(d, backward):
-            failures.append(f"sample {i}: inverted certificate does not trivialize")
-    return BatteryResult.collect("certificates", n, failures)
+            yield "inverted certificate does not trivialize"
+
+    return _sampled(config, "certificates", 200, law)
 
 
 FIXTURE_BATTERY_TABLE = (

@@ -38,14 +38,17 @@ frozen ``__init__``; an inner derivation's rule is ``words._commutator``.
 Verification is sampled: each structural law (derivation law, regularity,
 the two composition expressions, the actor diagram, the semidirect action
 laws) has a battery with an optional deliberately perturbed variant used as
-a negative control.  A control stops at its first failing sample, which
-settles its verdict "some sample fails", and reports the samples it drew.
+a negative control.  A battery is its set-up and a per-sample law, run by
+the one sample loop ``_sampled_battery``, which stops a control at its first
+failing sample; a law over the residue's relators gets 0 samples without
+them.  The composition battery (a unit probe after a full run) keeps its
+own loop and its own copy of both rules, as does the projection battery.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .partial import EXHAUSTED
 from .peiffer import (
@@ -414,6 +417,23 @@ class BatteryResult:
         }
 
 
+def _sampled_battery(
+    name: str, samples: int, law: Callable[[], Iterable[str]], perturb=False
+) -> BatteryResult:
+    """Run a sampled battery: each call of ``law`` draws one sample and yields
+    its failure messages, in order, each reported as "sample i: message".  A
+    perturbed run, a negative control, stops at the top of the first sample
+    after a failure, which settles its verdict "some sample fails", and
+    reports the i samples it drew."""
+    failures: list[str] = []
+    for i in range(samples):
+        if perturb and failures:  # a control stops at its first detection
+            return BatteryResult.collect(name, i, failures)
+        for message in law():
+            failures.append(f"sample {i}: {message}")
+    return BatteryResult.collect(name, samples, failures)
+
+
 def check_crossed_module_axioms(
     fx: ReducibleFixture, rng: random.Random, samples: int
 ) -> BatteryResult:
@@ -423,33 +443,30 @@ def check_crossed_module_axioms(
     as boundary, both sides of each are the same conjugate."""
     retr = fx.retraction
     big = retr.big_alphabet
-    failures = []
-    for i in range(samples):
+
+    def law():
         t = random_kernel_element(retr, rng)
         t2 = random_kernel_element(retr, rng)
         g = random_word(big, rng)
         h = random_word(big, rng)
         gt = conjugate(g, t)
         if not _in_kernel(retr, gt):
-            failures.append(f"sample {i}: action left the kernel")
-            continue
+            yield "action left the kernel"
+            return
         if conjugate(multiply(g, h), t) != conjugate(g, conjugate(h, t)):
-            failures.append(f"sample {i}: action composition fails")
+            yield "action composition fails"
         if conjugate(g, multiply(t, t2)) != multiply(gt, conjugate(g, t2)):
-            failures.append(f"sample {i}: action is not homomorphic")
-    return BatteryResult.collect("crossed-module-axioms", samples, failures)
+            yield "action is not homomorphic"
+
+    return _sampled_battery("crossed-module-axioms", samples, law)
 
 
 def check_derivation_law(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
     retr, sub = fx.retraction, fx.subpresentation
-    failures = []
-    if not sub.relators:
-        return BatteryResult.collect("derivation-law", 0, [])
-    for i in range(samples):
-        if perturb and failures:  # a control stops at its first detection
-            return BatteryResult.collect("derivation-law", i, failures)
+
+    def law():
         s = random_symbol(sub, rng, conj_len=4)
         d = symbol_derivation(retr, sub, s)
         rule = d.rule
@@ -459,28 +476,26 @@ def check_derivation_law(
         y = random_kernel_element(retr, rng)
         rx = rule(x)
         if rule(multiply(x, y)) != multiply(rx, conjugate(x, rule(y))) or not _in_kernel(retr, rx):
-            failures.append(f"sample {i}: derivation law fails for {s.relator}")
-    return BatteryResult.collect("derivation-law", samples, failures)
+            yield f"derivation law fails for {s.relator}"
+
+    return _sampled_battery("derivation-law", samples if sub.relators else 0, law, perturb)
 
 
 def check_regularity(
     fx: ReducibleFixture, rng: random.Random, samples: int, perturb: bool = False
 ) -> BatteryResult:
     retr, sub = fx.retraction, fx.subpresentation
-    failures = []
-    if not sub.relators:
-        return BatteryResult.collect("regularity", 0, [])
-    for i in range(samples):
-        if perturb and failures:  # a control stops at its first detection
-            return BatteryResult.collect("regularity", i, failures)
+
+    def law():
         s = random_symbol(sub, rng, conj_len=4)
         d_plus = symbol_derivation(retr, sub, s)
         d_minus = symbol_derivation(retr, sub, s if perturb else s.inverse())
         composed = compose_derivations(d_plus, d_minus).rule
         x = random_kernel_element(retr, rng)  # in the kernel: the rule runs unchecked
         if not composed(x).is_identity:
-            failures.append(f"sample {i}: composition with the witness is not trivial")
-    return BatteryResult.collect("regularity", samples, failures)
+            yield "composition with the witness is not trivial"
+
+    return _sampled_battery("regularity", samples if sub.relators else 0, law, perturb)
 
 
 def check_composition_formulas(
@@ -519,12 +534,8 @@ def check_actor_diagram(
     automorphism of a relator derivation is conjugation by the relator
     conjugate, checked at a top and a base sample."""
     retr, sub = fx.retraction, fx.subpresentation
-    failures = []
-    if not sub.relators:
-        return BatteryResult.collect("actor-diagram", 0, [])
-    for i in range(samples):
-        if perturb and failures:  # a control stops at its first detection
-            return BatteryResult.collect("actor-diagram", i, failures)
+
+    def law():
         s = random_symbol(sub, rng, conj_len=4)
         d = symbol_derivation(retr, sub, s)
         aut = derivation_automorphism(d, symbol_derivation(retr, sub, s.inverse()), rng, 2)
@@ -535,10 +546,11 @@ def check_actor_diagram(
         t = random_kernel_element(retr, rng)
         x = random_kernel_element(retr, rng)
         if aut(t) != conjugate(c, t):
-            failures.append(f"sample {i}: top components disagree for {s.relator}")
+            yield f"top components disagree for {s.relator}"
         if aut(x) != conjugate(c, x):
-            failures.append(f"sample {i}: base components disagree for {s.relator}")
-    return BatteryResult.collect("actor-diagram", samples, failures)
+            yield f"base components disagree for {s.relator}"
+
+    return _sampled_battery("actor-diagram", samples if sub.relators else 0, law, perturb)
 
 
 def check_action_laws(
@@ -548,10 +560,8 @@ def check_action_laws(
     retr = fx.retraction
     small = retr.small_alphabet
     big = retr.big_alphabet
-    failures = []
-    for i in range(samples):
-        if perturb and failures:  # a control stops at its first detection
-            return BatteryResult.collect("action-laws", i, failures)
+
+    def law():
         t = random_kernel_element(retr, rng, max_factors=2)
         m = random_sequence(fx.subpresentation, rng, max_len=3)
         g = random_kernel_element(retr, rng, max_factors=2)
@@ -561,8 +571,8 @@ def check_action_laws(
 
         t_id, m_id = semidirect_action(retr, empty_word(big), empty_word(small), t, m)
         if t_id != t or m_id.symbols != m.symbols:
-            failures.append(f"sample {i}: identity law fails")
-            continue
+            yield "identity law fails"
+            return
 
         inner_t, inner_m = semidirect_action(retr, g2, p2, t, m, perturb=perturb)
         lhs_t, lhs_m = semidirect_action(retr, g, p, inner_t, inner_m, perturb=perturb)
@@ -570,8 +580,9 @@ def check_action_laws(
         p_comb = multiply(p, p2)
         rhs_t, rhs_m = semidirect_action(retr, g_comb, p_comb, t, m, perturb=perturb)
         if lhs_t != rhs_t or lhs_m.symbols != rhs_m.symbols:
-            failures.append(f"sample {i}: composition law fails")
-    return BatteryResult.collect("action-laws", samples, failures)
+            yield "composition law fails"
+
+    return _sampled_battery("action-laws", samples, law, perturb)
 
 
 def check_decompose_roundtrip(
@@ -579,23 +590,24 @@ def check_decompose_roundtrip(
 ) -> BatteryResult:
     retr = fx.retraction
     big = retr.big_alphabet
-    failures = []
-    for i in range(samples):
+
+    def law():
         u = random_word(big, rng, 8)
         u0, u1 = decompose(retr, u)
         if not retract(retr, u0).is_identity:
-            failures.append(f"sample {i}: kernel part fails the retraction test")
+            yield "kernel part fails the retraction test"
         if multiply(u0, u1) != u:
-            failures.append(f"sample {i}: decompose does not recombine")
+            yield "decompose does not recombine"
         if recombine(retr, u0, u1) != u:
-            failures.append(f"sample {i}: recombine disagrees")
+            yield "recombine disagrees"
         n0 = random_kernel_element(retr, rng, max_factors=2)
         w1 = random_word(retr.small_alphabet, rng, 5)
         v = recombine(retr, n0, w1)
         v0, v1 = decompose(retr, v)
         if v0 != n0 or v1 != embed(w1, big):
-            failures.append(f"sample {i}: pair round-trip fails")
-    return BatteryResult.collect("decompose-roundtrip", samples, failures)
+            yield "pair round-trip fails"
+
+    return _sampled_battery("decompose-roundtrip", samples, law)
 
 
 def check_projection(fx: ReducibleFixture, rng: random.Random, sequences: int) -> BatteryResult:

@@ -668,6 +668,13 @@ class TestCertificates:
             backward = invert_certificate(empty_sequence(GP), forward)
             assert verify_certificate(d, backward)
 
+    def test_inverting_an_illegal_move_raises_the_replay_error(self):
+        # each move is replayed before its inverse is read off, so a Delete
+        # past the end is an illegal move, not an index error
+        for pos in (5, -1):
+            with pytest.raises(IllegalMoveError):
+                invert_certificate(seq(sym()), Certificate((Move(MoveKind.DELETE, pos),)))
+
     def test_out_of_range_move_fails_at_step_zero(self):
         # the range is apply_move's check, not Move's: a replay reports it
         for pos in (5, -1):
