@@ -39,8 +39,9 @@ class FiniteMonoid:
         object.__setattr__(self, "table", table)
         n = len(table)
         for row in table:
-            if len(row) != n or any(not 0 <= x < n for x in row):
-                raise MonoidError("table must be square over {0..n-1}")
+            # type(x) is int: a bool is an int to isinstance and compares as one
+            if len(row) != n or any(type(x) is not int or not 0 <= x < n for x in row):
+                raise MonoidError("table must be square over the ints {0..n-1}")
         identities = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
         if not identities:
             raise MonoidError("no identity element")
@@ -68,6 +69,8 @@ class Submonoid:
     def __post_init__(self):
         if not isinstance(self.elements, frozenset):
             object.__setattr__(self, "elements", frozenset(self.elements))
+        if any(type(x) is not int for x in self.elements):
+            raise MonoidError(f"elements must be ints, got {set(self.elements)}")
         for x in sorted(self.elements):
             if not 0 <= x < self.parent.size:
                 raise MonoidError(f"element {x} out of range")

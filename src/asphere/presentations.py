@@ -91,6 +91,8 @@ class GroupPresentation:
     eliminate: str | None = None  # optional `eliminate z` directive
 
     def __post_init__(self):
+        # tuples of pairs however passed, so presentations hash and compare
+        object.__setattr__(self, "relators", tuple((n, w) for n, w in self.relators))
         seen = set()
         for rel_name, word in self.relators:
             if rel_name in seen:
@@ -137,6 +139,7 @@ class MonoidPresentation:
     relations: tuple[tuple[FreeWord, FreeWord], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "relations", tuple((lhs, rhs) for lhs, rhs in self.relations))
         for lhs, rhs in self.relations:
             if lhs.alphabet is not self.alphabet or rhs.alphabet is not self.alphabet:
                 raise AlphabetError("relation is over the wrong alphabet")

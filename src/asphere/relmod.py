@@ -29,7 +29,10 @@ class GroupOracle:
     alphabet: Alphabet
 
     def canon(self, w: FreeWord) -> FreeWord:
-        raise NotImplementedError
+        """The reduced word itself, which is sound for any quotient: equal
+        reduced words are equal there.  Exact only for the free group."""
+        _require_alphabet(self, w.alphabet)
+        return w
 
     def coarse(self, w: FreeWord) -> Hashable:
         raise NotImplementedError
@@ -53,11 +56,7 @@ class FreeOracle(GroupOracle):
 
     alphabet: Alphabet
 
-    def canon(self, w: FreeWord) -> FreeWord:
-        _require_alphabet(self, w.alphabet)
-        return w
-
-    coarse = canon
+    coarse = GroupOracle.canon
 
 
 class QuotientExhausted(ValueError):
@@ -137,10 +136,6 @@ class AbelianizationOracle(GroupOracle):
         self._lattice = _IntLattice()
         for _, r in gp.relators:
             self._lattice.add(abelianize(r))
-
-    def canon(self, w: FreeWord) -> FreeWord:
-        _require_alphabet(self, w.alphabet)
-        return w
 
     def coarse(self, w: FreeWord) -> tuple[int, ...]:
         _require_alphabet(self, w.alphabet)

@@ -23,15 +23,19 @@ concatenation of two reduced factors, the reversal of a reduced word or its
 renaming by ``embed`` and ``restrict``, go through the private ``_word``,
 which checks nothing and sets the two slots directly; only code that has such
 a proof may call it.  The hottest constructors (``_reduce``, ``multiply``,
-``conjugate``, ``invert``, ``embed``, ``_substitute``, ``_commutator`` and
-``random_word``) set the two slots inline instead, which saves a call per
-word; no other module sets them.  ``_commutator`` is the fused c x c^-1 x^-1
-of the inner derivations: ``conjugate``'s junction scans, then one against
-x^-1, and one word.  ``_reduce`` is the package's one free reduction of a
-stream of letters: the boundary of a Y-sequence is such a stream, which
+``conjugate``, ``invert``, ``embed``, ``_substitute`` and ``_commutator``)
+set the two slots inline instead: routing them through ``_word`` made the
+seed-0 suite 2-4 % slower on CPython 3.11.  No other module sets them.
+For the same reason ``_random_codes`` runs ``_below``'s rejection loop
+inline: a ``_below`` call per letter made the suite 8-10 % slower.
+
+Each formula has one copy.  ``_reduce`` is the package's one free reduction
+of a stream of letters: the boundary of a Y-sequence is such a stream, which
 ``peiffer`` hands to it, and so is the image of a word under a substitution
-(``_substitution``), as the retraction of a word with z; ``random_word``
-reduces its letters on the same stack as it draws them.
+(``_substitution``), as the retraction of a word with z, and the draws of
+``random_word``.  ``_joined`` is the one junction scan of two reduced letter
+strings: ``multiply`` is one, ``conjugate`` u v then u^-1, and the inner
+derivations' ``_commutator`` c x c^-1 then x^-1.
 
 Textual syntax (shared by file formats and the CLI): whitespace-separated
 tokens, ``x`` for a generator, ``x^-1`` for its inverse, ``1`` for the empty
@@ -224,6 +228,15 @@ def _require_same_alphabet(u: FreeWord, v: FreeWord) -> None:
     raise AlphabetError(f"alphabet mismatch: {u.alphabet.generators} vs {v.alphabet.generators}")
 
 
+def _joined(a: bytes, b: bytes) -> bytes:
+    """The reduced letters of a·b for reduced letter strings ``a`` and ``b``:
+    letters can only cancel at the junction.  The package's one junction scan."""
+    i, j, n = len(a), 0, len(b)
+    while i and j < n and a[i - 1] == b[j] ^ 1:
+        i, j = i - 1, j + 1
+    return a[:i] + b[j:]
+
+
 def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     if u.alphabet is not v.alphabet:
         _require_same_alphabet(u, v)
@@ -232,13 +245,9 @@ def multiply(u: FreeWord, v: FreeWord) -> FreeWord:
         return u
     if not ul:
         return v
-    # both factors are reduced, so letters can only cancel at the junction
-    i, j, n = len(ul), 0, len(vl)
-    while i and j < n and ul[i - 1] == vl[j] ^ 1:
-        i, j = i - 1, j + 1
     w = object.__new__(FreeWord)
     _SET_WORD_ALPHABET(w, u.alphabet)
-    _SET_WORD_LETTERS(w, ul[:i] + vl[j:])
+    _SET_WORD_LETTERS(w, _joined(ul, vl))
     return w
 
 
@@ -261,7 +270,7 @@ def _inverse_letters(letters: bytes) -> bytes:
 def invert(u: FreeWord) -> FreeWord:
     w = object.__new__(FreeWord)
     _SET_WORD_ALPHABET(w, u.alphabet)
-    _SET_WORD_LETTERS(w, u.letters[::-1].translate(_FLIP))
+    _SET_WORD_LETTERS(w, _inverse_letters(u.letters))
     return w
 
 
@@ -269,56 +278,28 @@ def conjugate(u: FreeWord, v: FreeWord) -> FreeWord:
     """u v u^-1, reduced.  Left action: conjugate(uw, v) == conjugate(u, conjugate(w, v))."""
     if u.alphabet is not v.alphabet:
         _require_same_alphabet(u, v)
-    ul, vl = u.letters, v.letters
+    ul = u.letters
     if not ul:
         return v
-    n, m = len(ul), len(vl)
-    # u v = ul[:i] vl[j:]: the tail of u cancels against the head of v
-    i, j = n, 0
-    while i and j < m and ul[i - 1] == vl[j] ^ 1:
-        i, j = i - 1, j + 1
-    # (u v) u^-1: the tail of u v cancels against the head of u^-1, which is
-    # u read from its end; first the surviving part of v, then that of u
-    e, k = m, n
-    while e > j and k and vl[e - 1] == ul[k - 1]:
-        e, k = e - 1, k - 1
-    if e == j:
-        while i and k and ul[i - 1] == ul[k - 1]:
-            i, k = i - 1, k - 1
     w = object.__new__(FreeWord)
     _SET_WORD_ALPHABET(w, u.alphabet)
-    _SET_WORD_LETTERS(w, ul[:i] + vl[j:e] + ul[:k][::-1].translate(_FLIP))
+    _SET_WORD_LETTERS(w, _joined(_joined(ul, v.letters), _inverse_letters(ul)))
     return w
 
 
 def _commutator(c: FreeWord, x: FreeWord) -> FreeWord:
-    """c x c^-1 x^-1, reduced: ``conjugate``'s junction scans, then one
-    junction against x^-1, and a single word built from the survivors.
+    """c x c^-1 x^-1, reduced: ``conjugate``'s letters joined to x^-1.
     Equal to ``multiply(conjugate(c, x), invert(x))``."""
     if c.alphabet is not x.alphabet:
         _require_same_alphabet(c, x)
     ul, vl = c.letters, x.letters
     if not ul or not vl:
         return empty_word(c.alphabet)
-    n, m = len(ul), len(vl)
-    i, j = n, 0
-    while i and j < m and ul[i - 1] == vl[j] ^ 1:
-        i, j = i - 1, j + 1
-    e, k = m, n
-    while e > j and k and vl[e - 1] == ul[k - 1]:
-        e, k = e - 1, k - 1
-    if e == j:
-        while i and k and ul[i - 1] == ul[k - 1]:
-            i, k = i - 1, k - 1
-    left = ul[:i] + vl[j:e] + ul[:k][::-1].translate(_FLIP)
-    # (c x c^-1) x^-1: the head of x^-1 is x read from its end, so a letter of
-    # the conjugate's tail cancels against the equal letter of x's tail
-    p, q = len(left), m
-    while p and q and left[p - 1] == vl[q - 1]:
-        p, q = p - 1, q - 1
     w = object.__new__(FreeWord)
     _SET_WORD_ALPHABET(w, c.alphabet)
-    _SET_WORD_LETTERS(w, left[:p] + vl[:q][::-1].translate(_FLIP))
+    _SET_WORD_LETTERS(
+        w, _joined(_joined(_joined(ul, vl), _inverse_letters(ul)), _inverse_letters(vl))
+    )
     return w
 
 
@@ -481,9 +462,7 @@ def _below(bits, n: int) -> int:
 def _random_codes(bits, size: int, max_len: int) -> list[int]:
     """The raw letter codes of a random word over ``size`` generators: a count
     below ``max_len + 1``, then for each letter a generator below ``size`` and
-    a sign, drawn as ``randrange(size)`` and ``choice((1, -1))`` draw them.
-    The two rejection loops are inlined, since a call per draw would cost
-    what drawing from ``bits`` saves."""
+    a sign, drawn as ``randrange(size)`` and ``choice((1, -1))`` draw them."""
     count = _below(bits, max_len + 1)
     if count and size < 1:
         raise ValueError("empty range: no generator to draw a letter from")
@@ -502,27 +481,5 @@ def _random_codes(bits, size: int, max_len: int) -> list[int]:
 
 def random_word(alphabet: Alphabet, rng, max_len: int = 6) -> FreeWord:
     """Up to ``max_len`` letters, each a generator then a sign, freely
-    reduced.  The draws are ``_random_codes``'; each letter is reduced
-    against the stack as it is drawn."""
-    bits, size = rng.getrandbits, len(alphabet)
-    count = _below(bits, max_len + 1)
-    if count and size < 1:
-        raise ValueError("empty range: no generator to draw a letter from")
-    k = size.bit_length()
-    stack: list[int] = []
-    for _ in range(count):
-        g = bits(k)
-        while g >= size:
-            g = bits(k)
-        s = bits(2)
-        while s >= 2:
-            s = bits(2)
-        c = 2 * g + 1 - s
-        if stack and stack[-1] == c ^ 1:
-            stack.pop()
-        else:
-            stack.append(c)
-    w = object.__new__(FreeWord)
-    _SET_WORD_ALPHABET(w, alphabet)
-    _SET_WORD_LETTERS(w, bytes(stack))
-    return w
+    reduced: the draws are ``_random_codes``'."""
+    return _reduce(alphabet, _random_codes(rng.getrandbits, len(alphabet), max_len))

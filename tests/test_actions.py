@@ -73,6 +73,20 @@ class TestValidate:
         with pytest.raises(MonoidError, match="square"):
             FiniteMonoid([[0, 1], [1]])
 
+    @pytest.mark.parametrize(
+        "table", ([[False, True], [True, False]], [[0.0]], [[0, 1.0], [1, 0]], [[0, 0.5], [0, 1]])
+    )
+    def test_non_int_entries_rejected(self, table):
+        # a bool is an int to isinstance and equal to one, a float indexes nothing
+        with pytest.raises(MonoidError, match="ints"):
+            FiniteMonoid(table)
+
+    @pytest.mark.parametrize("elems", ({0, True}, {0, 1.0}, {0.0}, {0, 0.5}, {0, "1"}))
+    def test_non_int_submonoid_elements_rejected(self, elems):
+        z2 = FiniteMonoid([[0, 1], [1, 0]])
+        with pytest.raises(MonoidError, match="ints"):
+            Submonoid(z2, frozenset(elems))
+
     @pytest.mark.parametrize("bad", (5, -1))
     def test_submonoid_element_out_of_range(self, bad):
         # checked before closure, so neither an index error nor a wrapped index

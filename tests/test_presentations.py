@@ -95,6 +95,28 @@ class TestParse:
             parse("gens a\n")
 
 
+class TestConstructors:
+    def test_relators_passed_as_lists_are_stored_as_tuples(self):
+        from asphere.peiffer import base_insert_pool
+
+        a = Alphabet(("a",))
+        cube = word_from_text(a, "a a a")
+        built = GroupPresentation("c3", a, (("r", cube),))
+        for relators in ([("r", cube)], [["r", cube]]):
+            gp = GroupPresentation("c3", a, relators)
+            assert gp.relators == (("r", cube),)
+            assert gp == built and hash(gp) == hash(built)
+            assert base_insert_pool(gp) == base_insert_pool(built)
+
+    def test_relations_passed_as_lists_are_stored_as_tuples(self):
+        a = Alphabet(("p", "q"))
+        lhs, rhs = word_from_text(a, "p q"), word_from_text(a, "q p")
+        built = MonoidPresentation("M", a, ((lhs, rhs),))
+        mp = MonoidPresentation("M", a, [[lhs, rhs]])
+        assert mp.relations == ((lhs, rhs),)
+        assert mp == built and hash(mp) == hash(built)
+
+
 class TestUniversalGroup:
     def test_relation_to_trivializing_relator(self):
         mp = parse("monoid M\ngens p q\nrel p q = 1")
